@@ -27,8 +27,9 @@ from .data import (DEFAULT_SHIFT_MAGNITUDES, ShiftSpec, balanced_test_spec,
                    generate_mixture, generate_ood)
 from .errors import ConalError, ConfigError, DataError
 from .io import load_features, save_features
-from .loop import run_active_learning
+from .loop import run_active_learning, scoring_context
 from .metrics import CURVE_METRICS, read_reports_jsonl, write_reports_jsonl
+# names imported but not called here stay bound for perfbench/tracing.py to wrap
 from .model import encode_values, load_model, predict_proba_from_features, stochastic_proba
 from .pca import fit_class_pca
 from .strategies import (VALID_STRATEGIES, featuresim_scores, fre_scores_batch,
@@ -283,7 +284,7 @@ def cmd_report(args) -> None:
 
 def cmd_score(args) -> None:
     info = get_strategy(args.strategy)
-    if info.name == "random":
+    if info.selector == "random":
         raise ConfigError(
             "random has no scoring function; "
             f"scoreable strategies: {', '.join(n for n in VALID_STRATEGIES if n != 'random')}"
@@ -291,49 +292,18 @@ def cmd_score(args) -> None:
     state = load_model(args.checkpoint)
     queries = load_features(args.features, args.format)
 
-    needs_labeled = info.name in ("featuresim", "fre", "coreset")
-    labeled = None
-    if needs_labeled:
+    labeled_feats = labeled_labels = None
+    if info.needs_labeled:
         if not args.labeled:
             raise ConfigError(f"strategy {info.name} requires --labeled")
         labeled = load_features(args.labeled, args.format)
         if labeled.labels is None:
             raise DataError("--labeled feature file must carry labels")
+        labeled_feats = encode_values(state, labeled.values.astype(np.float64))
+        labeled_labels = labeled.labels
 
-    if info.uses_stochastic:
-        tensor = stochastic_proba(state, queries.values, args.tau, seed=0)
-        scores = score_bald(tensor)
-        predicted = tensor.mean(axis=0).argmax(axis=1)
-    else:
-        z = encode_values(state, queries.values.astype(np.float64))
-        probs = predict_proba_from_features(state, z)
-        predicted = probs.argmax(axis=1)
-        if info.name == "entropy":
-            scores = score_entropy(probs)
-        elif info.name == "featuresim":
-            z_l = encode_values(state, labeled.values.astype(np.float64))
-            scores = featuresim_scores(z, predicted, z_l, labeled.labels)
-        elif info.name == "fre":
-            z_l = encode_values(state, labeled.values.astype(np.float64))
-            by_class = {int(k): z_l[labeled.labels == k]
-                        for k in np.unique(labeled.labels)
-                        if (labeled.labels == k).sum() >= 2}
-            pca_model = fit_class_pca(by_class) if by_class else None
-            fallback = fit_class_pca({0: z_l})
-            if pca_model is None:
-                pca_model = fallback
-            scores = fre_scores_batch(z, predicted, pca_model, fallback)
-        elif info.name == "coreset":
-            z_l = encode_values(state, labeled.values.astype(np.float64))
-            sq_z = np.einsum("nd,nd->n", z, z)
-            min_d2 = np.full(z.shape[0], np.inf)
-            for start in range(0, z_l.shape[0], 256):
-                block = z_l[start : start + 256]
-                d2 = sq_z[:, None] - 2.0 * z @ block.T + np.einsum("nd,nd->n", block, block)
-                np.minimum(min_d2, d2.min(axis=1), out=min_d2)
-            scores = np.sqrt(np.clip(min_d2, 0.0, None))
-        else:  # pragma: no cover
-            raise ConfigError(f"no scorer for {info.name}")
+    ctx = scoring_context(info, labeled_feats, labeled_labels, tau=args.tau)
+    scores, predicted = info.score(state, queries.values, ctx)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -1,102 +1,18 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy twins.
+"""Hot numeric kernels: greedy k-center, nearest-center distances, max dot
+product against a reference set, and confidence-bin accumulation.
 
-The compiled path is used when numba imports cleanly and the environment
-variable ``CONAL_DISABLE_NUMBA`` is unset (any of ``1/true/yes`` disables it).
-Dispatch happens at call time, so tests and benchmarks can force either path
-with :func:`use_numba`. Both twins implement the same arithmetic; outputs
-agree to floating-point roundoff (see ``benchmarks/bench_kernels.py``).
-
-Only the loop-dominated kernels carry compiled twins. ``max_dot`` is
-matmul-bound and stays on BLAS: a fused numba version benchmarks no faster
-than the chunked numpy expression it would replace.
+``max_dot`` and ``nearest_sq_dist`` are matmul-bound and chunk their
+intermediates so memory stays bounded on large query sets.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def decorator(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return decorator
-
-
-_FORCED: bool | None = None
-
-
-def _env_disabled() -> bool:
-    return os.environ.get("CONAL_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-
-def numba_active() -> bool:
-    """True when the compiled kernel path will be taken."""
-    if _FORCED is not None:
-        return _FORCED and HAS_NUMBA
-    return HAS_NUMBA and not _env_disabled()
-
-
-@contextmanager
-def use_numba(enabled: bool):
-    """Force the compiled (True) or pure-numpy (False) path within the block."""
-    global _FORCED
-    previous = _FORCED
-    _FORCED = bool(enabled)
-    try:
-        yield
-    finally:
-        _FORCED = previous
 
 
 # ---------------------------------------------------------------------------
 # greedy k-center selection
 # ---------------------------------------------------------------------------
-
-
-def _kcenter_numpy(points: np.ndarray, min_sq_dist: np.ndarray, m: int) -> np.ndarray:
-    picks = np.empty(m, dtype=np.int64)
-    current = min_sq_dist.copy()
-    for j in range(m):
-        idx = int(np.argmax(current))
-        picks[j] = idx
-        diff = points - points[idx]
-        np.minimum(current, np.einsum("nd,nd->n", diff, diff), out=current)
-    return picks
-
-
-@njit(cache=True)
-def _kcenter_njit(points, min_sq_dist, m):  # pragma: no cover - exercised via dispatch
-    n, d = points.shape
-    picks = np.empty(m, dtype=np.int64)
-    current = min_sq_dist.copy()
-    for j in range(m):
-        best = 0
-        best_val = current[0]
-        for i in range(1, n):
-            if current[i] > best_val:
-                best_val = current[i]
-                best = i
-        picks[j] = best
-        for i in range(n):
-            acc = 0.0
-            for c in range(d):
-                delta = points[i, c] - points[best, c]
-                acc += delta * delta
-            if acc < current[i]:
-                current[i] = acc
-    return picks
 
 
 def kcenter_greedy(points: np.ndarray, min_sq_dist: np.ndarray, m: int) -> np.ndarray:
@@ -107,14 +23,35 @@ def kcenter_greedy(points: np.ndarray, min_sq_dist: np.ndarray, m: int) -> np.nd
     Ties go to the lowest row index.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
-    min_sq_dist = np.ascontiguousarray(min_sq_dist, dtype=np.float64)
-    if numba_active():
-        return _kcenter_njit(points, min_sq_dist, m)
-    return _kcenter_numpy(points, min_sq_dist, m)
+    picks = np.empty(m, dtype=np.int64)
+    current = np.array(min_sq_dist, dtype=np.float64)  # a copy: updated in place
+    for j in range(m):
+        idx = int(np.argmax(current))
+        picks[j] = idx
+        diff = points - points[idx]
+        np.minimum(current, np.einsum("nd,nd->n", diff, diff), out=current)
+    return picks
+
+
+def nearest_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each point's squared distance to its nearest center, clamped at 0.
+
+    Centers are taken 256 at a time, so the intermediate is n x 256 rather
+    than n x #centers. With no centers every distance is inf.
+    """
+    sq_p = np.einsum("nd,nd->n", points, points)
+    out = np.full(points.shape[0], np.inf)
+    chunk = 256
+    for start in range(0, centers.shape[0], chunk):
+        block = centers[start : start + chunk]
+        d2 = sq_p[:, None] - 2.0 * points @ block.T + np.einsum("nd,nd->n", block, block)
+        np.minimum(out, d2.min(axis=1), out=out)
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# maximum dot product against a reference set (BLAS-bound, numpy only)
+# maximum dot product against a reference set
 # ---------------------------------------------------------------------------
 
 
@@ -138,29 +75,6 @@ def max_dot(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _bin_stats_numpy(conf, correct, n_bins):
-    idx = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins).astype(np.float64)
-    conf_sums = np.bincount(idx, weights=conf, minlength=n_bins)
-    acc_sums = np.bincount(idx, weights=correct, minlength=n_bins)
-    return counts, acc_sums, conf_sums
-
-
-@njit(cache=True)
-def _bin_stats_njit(conf, correct, n_bins):  # pragma: no cover - exercised via dispatch
-    counts = np.zeros(n_bins, dtype=np.float64)
-    acc_sums = np.zeros(n_bins, dtype=np.float64)
-    conf_sums = np.zeros(n_bins, dtype=np.float64)
-    for i in range(conf.shape[0]):
-        b = int(conf[i] * n_bins)
-        if b >= n_bins:
-            b = n_bins - 1
-        counts[b] += 1.0
-        acc_sums[b] += correct[i]
-        conf_sums[b] += conf[i]
-    return counts, acc_sums, conf_sums
-
-
 def confidence_bin_stats(conf: np.ndarray, correct: np.ndarray, n_bins: int):
     """Per-bin (count, sum of correctness, sum of confidence) over equal-width bins.
 
@@ -168,6 +82,8 @@ def confidence_bin_stats(conf: np.ndarray, correct: np.ndarray, n_bins: int):
     """
     conf = np.ascontiguousarray(conf, dtype=np.float64)
     correct = np.ascontiguousarray(correct, dtype=np.float64)
-    if numba_active():
-        return _bin_stats_njit(conf, correct, n_bins)
-    return _bin_stats_numpy(conf, correct, n_bins)
+    idx = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
+    counts = np.bincount(idx, minlength=n_bins).astype(np.float64)
+    conf_sums = np.bincount(idx, weights=conf, minlength=n_bins)
+    acc_sums = np.bincount(idx, weights=correct, minlength=n_bins)
+    return counts, acc_sums, conf_sums

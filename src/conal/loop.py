@@ -19,12 +19,13 @@ from .data import FeatureMatrix, ShiftSpec, apply_shift, full_shift_suite
 from .errors import ConfigError, DataError
 from .metrics import (IterationReport, QueryCost, accuracy, auroc, brier, ece,
                       mce, nll, sampling_bias)
+# names imported but not called here stay bound for perfbench/tracing.py to wrap
 from .model import (ModelConfig, ModelState, encode_values, init_model,
                     predict_proba_from_features, stochastic_proba, train)
 from .pca import ClassPcaModel, fit_class_pca
 from .seeding import rng_for
-from .strategies import (ScoredCandidate, SelectionRequest, SelectionResult,
-                         featuresim_scores, fre_scores_batch, get_strategy,
+from .strategies import (ScoredCandidate, ScoringContext, SelectionRequest, SelectionResult,
+                         StrategyInfo, featuresim_scores, fre_scores_batch, get_strategy,
                          score_bald, score_entropy, select_global,
                          select_kcenter_greedy, select_per_class, select_random)
 
@@ -80,10 +81,6 @@ class Oracle:
             except KeyError:
                 raise DataError(f"unknown sample id {sid!r}") from None
         return out
-
-
-def oracle_label(data: FeatureMatrix, ids) -> np.ndarray:
-    return Oracle(data).label(ids)
 
 
 @dataclass
@@ -176,10 +173,7 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     feature_store: dict[str, np.ndarray] = {}
 
     state: ModelState | None = None
-    labeled_feats: np.ndarray | None = None
-    labeled_labels: np.ndarray | None = None
-    pca_model: ClassPcaModel | None = None
-    pca_fallback: ClassPcaModel | None = None
+    ctx: ScoringContext | None = None
 
     reports: list[IterationReport] = []
     selection_log: list[dict] = []
@@ -199,11 +193,10 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
             cost = QueryCost(0, 0.0)
             selection = SelectionResult(acquired, 0)
         else:
-            acquired, cost, selection = _score_and_select(
-                state, pool, pool_state, row_of, loop_config, strategy, t, m_now,
-                labeled_feats, labeled_labels, pca_model, pca_fallback,
+            cost, selection = _score_and_select(
+                state, pool, pool_state, row_of, loop_config, strategy, t, m_now, ctx,
             )
-        pool_state.acquire(acquired)
+        pool_state.acquire(selection.ids)
         pool_state.check_invariants(m_target, truncated)
         selection_log.append({
             "iteration": t,
@@ -219,14 +212,12 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
                               loss_kind=loss_kind, d_in=pool.d)
         state = train(init_model(iter_config), train_fm)
 
-        labeled_feats, labeled_labels, pca_model, pca_fallback = _bookkeeping(
-            state, train_fm, strategy, loop_config, feature_store, pool_state, pool, row_of, t,
-        )
+        ctx = _bookkeeping(state, train_fm, strategy, loop_config, feature_store,
+                           pool_state, pool, row_of)
 
         reports.append(_evaluate(
             state, test, ood, shifted_tests, train_labels, pool_state, oracle,
-            model_config.n_classes, strategy, loop_config, cost, selection, t,
-            labeled_feats, labeled_labels, pca_model, pca_fallback, truncated,
+            model_config.n_classes, strategy, seed, cost, selection, t, ctx, truncated,
         ))
         if truncated:
             break
@@ -234,9 +225,8 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     return RunResult(reports, pool_state, state, truncated, selection_log)
 
 
-def _score_and_select(state, pool, pool_state, row_of, loop_config, strategy, t, m_now,
-                      labeled_feats, labeled_labels, pca_model, pca_fallback):
-    """Scoring phase: draw a fresh subset, score it, pick m_now ids."""
+def _score_and_select(state, pool, pool_state, row_of, loop_config, strategy, t, m_now, ctx):
+    """Scoring phase: draw a fresh subset, score it, select m_now ids."""
     seed = loop_config.seed
     rng_subset = rng_for(seed, "subset", t)
     n_sub = min(loop_config.subset_size, len(pool_state.unlabeled_ids))
@@ -248,31 +238,14 @@ def _score_and_select(state, pool, pool_state, row_of, loop_config, strategy, t,
     t_before = time.perf_counter()
 
     if strategy.selector == "random":
-        picked = select_random(subset_ids, m_now, rng_for(seed, "pick", t))
-        selection = SelectionResult(picked, 0)
+        selection = SelectionResult(select_random(subset_ids, m_now, rng_for(seed, "pick", t)), 0)
     elif strategy.selector == "kcenter":
         z_u = encode_values(state, subset_values)
-        picked = select_kcenter_greedy(z_u, subset_ids, labeled_feats, m_now)
-        selection = SelectionResult(picked, 0)
+        selection = SelectionResult(
+            select_kcenter_greedy(z_u, subset_ids, ctx.labeled_feats, m_now), 0)
     else:
-        if strategy.uses_stochastic:
-            tensor = stochastic_proba(state, subset_values, loop_config.tau,
-                                      seed=_derived_seed(seed, "bald", t))
-            scores = score_bald(tensor)
-            predicted = tensor.mean(axis=0).argmax(axis=1)
-        else:
-            z_u = encode_values(state, subset_values)
-            probs = predict_proba_from_features(state, z_u)
-            predicted = probs.argmax(axis=1)
-            if strategy.name == "entropy":
-                scores = score_entropy(probs)
-            elif strategy.name == "featuresim":
-                scores = featuresim_scores(z_u, predicted, labeled_feats, labeled_labels,
-                                           symmetric=loop_config.symmetric_featuresim)
-            elif strategy.name == "fre":
-                scores = fre_scores_batch(z_u, predicted, pca_model, pca_fallback)
-            else:  # pragma: no cover - registry is closed
-                raise ConfigError(f"strategy {strategy.name} has no scorer")
+        scores, predicted = strategy.score(
+            state, subset_values, replace(ctx, bald_seed=_derived_seed(seed, "bald", t)))
         candidates = [
             ScoredCandidate(str(sid), int(c), float(s), strategy.name)
             for sid, c, s in zip(subset_ids, predicted, scores)
@@ -282,17 +255,16 @@ def _score_and_select(state, pool, pool_state, row_of, loop_config, strategy, t,
             selection = select_per_class(candidates, request)
         else:
             selection = select_global(candidates, request)
-        picked = selection.ids
 
     t_after = time.perf_counter()
     cost = QueryCost.from_snapshots(passes_before, state.forward_pass_count,
                                     t_before, t_after)
-    return picked, cost, selection
+    return cost, selection
 
 
 def _bookkeeping(state, train_fm, strategy, loop_config, feature_store, pool_state,
-                 pool, row_of, t):
-    """Per-iteration labeled-feature cache and PCA refits.
+                 pool, row_of) -> ScoringContext:
+    """Per-iteration labeled-feature cache and scoring context.
 
     By default labeled features are recomputed with the current model; in
     accumulate mode each sample keeps the embedding computed by the first
@@ -308,62 +280,50 @@ def _bookkeeping(state, train_fm, strategy, loop_config, feature_store, pool_sta
         labeled_feats = np.stack([feature_store[sid] for sid in pool_state.labeled_ids])
     else:
         labeled_feats = encode_values(state, train_fm.values.astype(np.float64))
-    labeled_labels = train_fm.labels
+    return scoring_context(strategy, labeled_feats, train_fm.labels,
+                           symmetric_featuresim=loop_config.symmetric_featuresim,
+                           pca_components=loop_config.pca_components,
+                           pca_variance_fraction=loop_config.pca_variance_fraction,
+                           tau=loop_config.tau)
 
-    pca_model = None
-    pca_fallback = None
-    if strategy.name == "fre":
-        by_class = {}
-        for k in np.unique(labeled_labels):
-            feats_k = labeled_feats[labeled_labels == k]
-            if feats_k.shape[0] >= 2:
-                by_class[int(k)] = feats_k
+
+def scoring_context(strategy: StrategyInfo, labeled_feats: np.ndarray | None,
+                    labeled_labels: np.ndarray | None, *, symmetric_featuresim: bool = False,
+                    pca_components: int | None = None,
+                    pca_variance_fraction: float | None = None,
+                    tau: int = 50) -> ScoringContext:
+    """The scorers' view of an encoded labeled set; defaults match ``LoopConfig``.
+
+    PCA strategies get a subspace per class with at least two labeled rows
+    and a pooled subspace over all labeled rows for every other class.
+    """
+    pca_model = pca_fallback = None
+    if strategy.uses_pca:
         kwargs = {}
-        if loop_config.pca_components is not None:
-            kwargs["n_components"] = loop_config.pca_components
-        elif loop_config.pca_variance_fraction is not None:
-            kwargs["variance_fraction"] = loop_config.pca_variance_fraction
+        if pca_components is not None:
+            kwargs["n_components"] = pca_components
+        elif pca_variance_fraction is not None:
+            kwargs["variance_fraction"] = pca_variance_fraction
+        by_class = {int(k): labeled_feats[labeled_labels == k]
+                    for k in np.unique(labeled_labels) if (labeled_labels == k).sum() >= 2}
         if by_class:
             pca_model = fit_class_pca(by_class, **kwargs)
         else:
             pca_model = ClassPcaModel(labeled_feats.shape[1], {})
         pca_fallback = fit_class_pca({0: labeled_feats}, **kwargs)
-    return labeled_feats, labeled_labels, pca_model, pca_fallback
+    return ScoringContext(labeled_feats, labeled_labels, pca_model, pca_fallback,
+                          symmetric_featuresim, tau)
 
 
-def _ood_scores(strategy, state, values, loop_config, labeled_feats, labeled_labels,
-                pca_model, pca_fallback, seed_tag):
-    """Score a sample set with the strategy's own function, higher = more OOD."""
-    if strategy.uses_stochastic:
-        tensor = stochastic_proba(state, values, loop_config.tau,
-                                  seed=_derived_seed(loop_config.seed, *seed_tag))
-        return score_bald(tensor)
-    z = encode_values(state, values.astype(np.float64))
-    probs = predict_proba_from_features(state, z)
-    name = strategy.name
-    if name in ("entropy", "random"):
-        # random has no scoring function of its own; predictive entropy stands in
-        return score_entropy(probs)
-    if name == "featuresim":
-        scores = featuresim_scores(z, probs.argmax(axis=1), labeled_feats, labeled_labels,
-                                   symmetric=loop_config.symmetric_featuresim)
-        return -scores  # selection direction is min, negate so higher = more OOD
-    if name == "fre":
-        return fre_scores_batch(z, probs.argmax(axis=1), pca_model, pca_fallback)
-    if name == "coreset":
-        min_d2 = np.full(z.shape[0], np.inf)
-        sq_z = np.einsum("nd,nd->n", z, z)
-        for start in range(0, labeled_feats.shape[0], 256):
-            block = labeled_feats[start : start + 256]
-            d2 = sq_z[:, None] - 2.0 * z @ block.T + np.einsum("nd,nd->n", block, block)
-            np.minimum(min_d2, d2.min(axis=1), out=min_d2)
-        return np.sqrt(np.clip(min_d2, 0.0, None))
-    raise ConfigError(f"no OOD scorer for strategy {name}")  # pragma: no cover
+def _ood_scores(strategy, state, values, ctx, seed, *seed_tag):
+    """Score a sample set with the strategy's own scorer, higher = more OOD."""
+    scores, _ = strategy.score(state, values,
+                               replace(ctx, bald_seed=_derived_seed(seed, *seed_tag)))
+    return -scores if strategy.direction == "min" else scores
 
 
 def _evaluate(state, test, ood, shifted_tests, train_labels, pool_state, oracle,
-              n_classes, strategy, loop_config, cost, selection, t,
-              labeled_feats, labeled_labels, pca_model, pca_fallback, truncated):
+              n_classes, strategy, seed, cost, selection, t, ctx, truncated):
     test_probs = predict_proba_from_features(
         state, encode_values(state, test.values.astype(np.float64)))
     per_shift = []
@@ -383,12 +343,8 @@ def _evaluate(state, test, ood, shifted_tests, train_labels, pool_state, oracle,
 
     auroc_ood = None
     if ood is not None and ood.n > 0:
-        in_scores = _ood_scores(strategy, state, test.values, loop_config,
-                                labeled_feats, labeled_labels, pca_model, pca_fallback,
-                                ("ood-in", t))
-        out_scores = _ood_scores(strategy, state, ood.values, loop_config,
-                                 labeled_feats, labeled_labels, pca_model, pca_fallback,
-                                 ("ood-out", t))
+        in_scores = _ood_scores(strategy, state, test.values, ctx, seed, "ood-in", t)
+        out_scores = _ood_scores(strategy, state, ood.values, ctx, seed, "ood-out", t)
         auroc_ood = auroc(in_scores, out_scores)
 
     cumulative_counts = np.bincount(train_labels, minlength=n_classes)

@@ -5,52 +5,26 @@ to candidate ids; selectors turn scored candidates into exactly M ids with
 deterministic ascending-id tie-breaking. The per-class quota selector takes
 the best candidates per predicted class and refills any deficit from the
 globally best leftovers.
+
+Each strategy's score is defined once, by the scorer in its registry entry;
+the loop's query, the loop's OOD scoring and ``conal score`` all call it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import kernels
+from . import kernels, model
 from .errors import ConfigError, DataError, UsageError
 from .pca import ClassPcaModel, fre_score, fre_scores
 
 logger = logging.getLogger(__name__)
 
 VALID_STRATEGIES = ("random", "entropy", "bald", "coreset", "featuresim", "fre")
-
-
-@dataclass(frozen=True)
-class StrategyInfo:
-    """Static description of a query strategy."""
-
-    name: str
-    direction: str | None     # "min" or "max" for score-based strategies
-    selector: str             # per_class | global | kcenter | random
-    default_loss: str         # training loss the strategy pairs with
-    uses_stochastic: bool = False
-
-
-STRATEGIES: dict[str, StrategyInfo] = {
-    "random": StrategyInfo("random", None, "random", "cross_entropy"),
-    "entropy": StrategyInfo("entropy", "max", "global", "cross_entropy"),
-    "bald": StrategyInfo("bald", "max", "global", "cross_entropy", uses_stochastic=True),
-    "coreset": StrategyInfo("coreset", None, "kcenter", "cross_entropy"),
-    "featuresim": StrategyInfo("featuresim", "min", "per_class", "contrastive"),
-    "fre": StrategyInfo("fre", "max", "per_class", "contrastive"),
-}
-
-
-def get_strategy(name: str) -> StrategyInfo:
-    try:
-        return STRATEGIES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown strategy {name!r}; valid names: {', '.join(VALID_STRATEGIES)}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +139,95 @@ def fre_scores_batch(z_query: np.ndarray, predicted: np.ndarray, pca_model: Clas
         else:
             raise UsageError(f"class {k} has no fitted subspace and no fallback was given")
     return scores
+
+
+# ---------------------------------------------------------------------------
+# one scorer per strategy
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScoringContext:
+    """What a scorer reads besides the model and the rows it scores; the
+    labeled features are the labeled set encoded by the current model."""
+
+    labeled_feats: np.ndarray | None
+    labeled_labels: np.ndarray | None
+    pca_model: ClassPcaModel | None
+    pca_fallback: ClassPcaModel | None
+    symmetric_featuresim: bool
+    tau: int
+    bald_seed: int = 0  # the loop derives one per call; conal score keeps 0
+
+
+def _encode_and_predict(state, values):
+    z = model.encode_values(state, values)
+    probs = model.predict_proba_from_features(state, z)
+    return z, probs, probs.argmax(axis=1)
+
+
+def _entropy_scorer(state, values, ctx):
+    _, probs, predicted = _encode_and_predict(state, values)
+    return score_entropy(probs), predicted
+
+
+def _bald_scorer(state, values, ctx):
+    tensor = model.stochastic_proba(state, values, ctx.tau, seed=ctx.bald_seed)
+    return score_bald(tensor), tensor.mean(axis=0).argmax(axis=1)
+
+
+def _coreset_scorer(state, values, ctx):
+    """Distance to the nearest labeled feature; large means poorly covered."""
+    z, _, predicted = _encode_and_predict(state, values)
+    return np.sqrt(kernels.nearest_sq_dist(z, ctx.labeled_feats)), predicted
+
+
+def _featuresim_scorer(state, values, ctx):
+    z, _, predicted = _encode_and_predict(state, values)
+    return featuresim_scores(z, predicted, ctx.labeled_feats, ctx.labeled_labels,
+                             symmetric=ctx.symmetric_featuresim), predicted
+
+
+def _fre_scorer(state, values, ctx):
+    z, _, predicted = _encode_and_predict(state, values)
+    return fre_scores_batch(z, predicted, ctx.pca_model, ctx.pca_fallback), predicted
+
+
+@dataclass(frozen=True)
+class StrategyInfo:
+    """Static description of a query strategy."""
+
+    name: str
+    direction: str | None     # "min" or "max" for score-based strategies
+    selector: str             # per_class | global | kcenter | random
+    default_loss: str         # training loss the strategy pairs with
+    score: Callable           # (state, values, ScoringContext) -> (scores, predicted)
+    needs_labeled: bool = False  # the scorer reads the encoded labeled set
+    uses_pca: bool = False       # the scorer reads per-class PCA subspaces
+
+
+STRATEGIES: dict[str, StrategyInfo] = {
+    # random has no scoring rule of its own; predictive entropy stands in
+    # wherever a score is needed (OOD detection)
+    "random": StrategyInfo("random", None, "random", "cross_entropy", _entropy_scorer),
+    "entropy": StrategyInfo("entropy", "max", "global", "cross_entropy", _entropy_scorer),
+    "bald": StrategyInfo("bald", "max", "global", "cross_entropy", _bald_scorer),
+    "coreset": StrategyInfo("coreset", None, "kcenter", "cross_entropy", _coreset_scorer,
+                            needs_labeled=True),
+    "featuresim": StrategyInfo("featuresim", "min", "per_class", "contrastive",
+                               _featuresim_scorer, needs_labeled=True),
+    "fre": StrategyInfo("fre", "max", "per_class", "contrastive", _fre_scorer,
+                        needs_labeled=True, uses_pca=True),
+}
+
+
+def get_strategy(name: str) -> StrategyInfo:
+    try:
+        return STRATEGIES[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown strategy {name!r}; valid names: {', '.join(VALID_STRATEGIES)}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +359,7 @@ def select_kcenter_greedy(unlabeled_values: np.ndarray, unlabeled_ids: np.ndarra
         if m > 1:
             picks.extend(kernels.kcenter_greedy(values, min_d2, m - 1).tolist())
     else:
-        sq_v = np.einsum("nd,nd->n", values, values)
-        min_d2 = np.full(values.shape[0], np.inf)
-        chunk = 256
-        for start in range(0, labeled_values.shape[0], chunk):
-            block = labeled_values[start : start + chunk]
-            d2 = sq_v[:, None] - 2.0 * values @ block.T + np.einsum("nd,nd->n", block, block)
-            np.minimum(min_d2, d2.min(axis=1), out=min_d2)
-        np.maximum(min_d2, 0.0, out=min_d2)
+        min_d2 = kernels.nearest_sq_dist(values, labeled_values)
         picks = kernels.kcenter_greedy(values, min_d2, m).tolist()
     return [str(ids[i]) for i in picks]
 

@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 import pytest
 
-import conal.kernels as kernels
 from conal.config import build_experiment
 from conal.data import ShiftSpec, balanced_test_spec, generate_mixture
 from conal.loop import LoopConfig, run_active_learning
@@ -159,8 +158,6 @@ def test_criterion_4_kcenter_two_approximation():
 
 def test_criterion_5_cost_model():
     # pool of 10560 (balanced), subset 10000, feature dim 32, tau = 50
-    kernels.max_dot(np.ones((4, 3)), np.ones((2, 3)))  # warm the JIT
-    kernels.kcenter_greedy(np.ones((4, 3)), np.zeros(4), 1)
     from conal.data import DatasetSpec
     ds = DatasetSpec(k=10, d=32, n_per_class=1056, imbalance_ratio=1.0,
                      class_separation=4.5, noise_sigma=1.0, seed=3)

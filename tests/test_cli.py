@@ -255,6 +255,58 @@ class TestScore:
                      "--strategy", "entropy", "--out", str(tmp_path / "s.csv")]) == 3
 
 
+class TestScoreParity:
+    """`conal score` with the loop's final model and labeled set reproduces the
+    loop's own OOD scores, so the last report's AUROC comes back exactly."""
+
+    @pytest.mark.parametrize("strategy", ["entropy", "coreset", "featuresim", "fre"])
+    def test_auroc_matches_last_report(self, tmp_path, strategy, caplog):
+        from conal.data import ShiftSpec, balanced_test_spec, generate_ood
+        from conal.io import save_features
+        from conal.loop import LoopConfig, run_active_learning
+        from conal.metrics import auroc
+
+        # class sizes 30, 5, 1: the whole pool gets labeled, so class 2 ends
+        # with a single labeled sample and fre has no subspace for it
+        ds = DatasetSpec(k=3, d=6, n_per_class=30, imbalance_ratio=30.0,
+                         class_separation=4.0, seed=4)
+        pool = generate_mixture(ds, id_prefix="tr-")
+        test = generate_mixture(balanced_test_spec(ds, 15), id_prefix="te-")
+        ood = generate_ood(ds, 25, ds.seed + 2)
+        model = ModelConfig(d_in=6, n_classes=3, d_hidden=12, d_feat=6, d_proj=4,
+                            epochs=3, batch_size=32, seed=0)
+        loop = LoopConfig(budget=40, acquisition_size=20, subset_size=20,
+                          strategy=strategy, seed=0, tau=3)
+        result = run_active_learning(pool, test, model, loop, ood=ood,
+                                     shifts=[ShiftSpec("additive_gaussian", 1)])
+        assert len(result.pool.labeled_ids) == pool.n
+
+        ckpt = tmp_path / "final.ckpt"
+        save_model(result.final_state, ckpt)
+        rows = {str(sid): i for i, sid in enumerate(pool.ids)}
+        labeled = pool.take([rows[sid] for sid in result.pool.labeled_ids])
+        save_features(labeled, tmp_path / "labeled.bin")
+        save_features(test, tmp_path / "test.bin")
+        save_features(ood, tmp_path / "ood.bin")
+
+        caplog.clear()
+        scores = {}
+        for part in ("test", "ood"):
+            out = tmp_path / f"{part}.csv"
+            assert main(["score", str(tmp_path / f"{part}.bin"), "--checkpoint", str(ckpt),
+                         "--strategy", strategy, "--labeled", str(tmp_path / "labeled.bin"),
+                         "--out", str(out)]) == 0
+            with open(out) as fh:
+                scores[part] = np.array([float(r["score"]) for r in csv.DictReader(fh)])
+        if strategy == "fre":
+            assert any(r.getMessage().startswith("fre: class 2 has no fitted subspace")
+                       for r in caplog.records)
+
+        sign = -1.0 if strategy == "featuresim" else 1.0
+        assert auroc(sign * scores["test"], sign * scores["ood"]) == \
+            result.reports[-1].auroc_ood
+
+
 class TestFailureHandling:
     def test_mid_run_failure_leaves_marker(self, tiny_config, tmp_path, monkeypatch):
         import conal.cli as cli_mod

@@ -1,4 +1,4 @@
-"""The compiled and pure-numpy kernel twins must agree."""
+"""Kernel outputs against brute force and at their edge cases."""
 
 import numpy as np
 import pytest
@@ -6,31 +6,9 @@ import pytest
 from conal import kernels
 
 
-pytestmark = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(123)
-
-
-def test_use_numba_forces_paths():
-    with kernels.use_numba(False):
-        assert not kernels.numba_active()
-    with kernels.use_numba(True):
-        assert kernels.numba_active()
-
-
-def test_kcenter_twins_agree(rng):
-    points = rng.standard_normal((300, 6))
-    seeds = rng.standard_normal((4, 6))
-    diff = points[:, None, :] - seeds[None, :, :]
-    min_d2 = (diff ** 2).sum(axis=2).min(axis=1)
-    with kernels.use_numba(True):
-        a = kernels.kcenter_greedy(points, min_d2, 25)
-    with kernels.use_numba(False):
-        b = kernels.kcenter_greedy(points, min_d2, 25)
-    assert np.array_equal(a, b)
 
 
 def test_max_dot_matches_brute_force(rng):
@@ -47,17 +25,6 @@ def test_max_dot_rejects_empty_refs(rng):
         kernels.max_dot(rng.standard_normal((3, 4)), np.zeros((0, 4)))
 
 
-def test_bin_stats_twins_agree(rng):
-    conf = rng.uniform(0.25, 1.0, size=500)
-    correct = (rng.random(500) < conf).astype(np.float64)
-    with kernels.use_numba(True):
-        a = kernels.confidence_bin_stats(conf, correct, 15)
-    with kernels.use_numba(False):
-        b = kernels.confidence_bin_stats(conf, correct, 15)
-    for x, y in zip(a, b):
-        np.testing.assert_allclose(x, y, rtol=1e-12)
-
-
 def test_bin_stats_confidence_one_lands_in_last_bin():
     conf = np.array([1.0, 0.999, 0.0])
     correct = np.array([1.0, 0.0, 1.0])
@@ -66,8 +33,10 @@ def test_bin_stats_confidence_one_lands_in_last_bin():
     assert counts[0] == 1
 
 
-def test_env_flag_disables(monkeypatch):
-    monkeypatch.setenv("CONAL_DISABLE_NUMBA", "1")
-    assert not kernels.numba_active()
-    monkeypatch.setenv("CONAL_DISABLE_NUMBA", "0")
-    assert kernels.numba_active()
+def test_nearest_sq_dist_matches_brute_force(rng):
+    points = rng.standard_normal((40, 5))
+    centers = rng.standard_normal((300, 5))  # more than one 256-row chunk
+    slow = ((points[:, None, :] - centers[None]) ** 2).sum(axis=2).min(axis=1)
+    np.testing.assert_allclose(kernels.nearest_sq_dist(points, centers), slow,
+                               rtol=1e-10, atol=1e-10)
+    assert np.all(kernels.nearest_sq_dist(points, np.zeros((0, 5))) == np.inf)

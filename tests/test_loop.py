@@ -5,7 +5,7 @@ import pytest
 
 from conal.data import DatasetSpec, ShiftSpec, balanced_test_spec, generate_mixture, generate_ood
 from conal.errors import ConfigError, DataError
-from conal.loop import LoopConfig, Oracle, PoolState, oracle_label, run_active_learning
+from conal.loop import LoopConfig, Oracle, PoolState, run_active_learning
 from conal.model import ModelConfig
 
 warnings.filterwarnings("ignore", category=UserWarning)
@@ -42,7 +42,7 @@ class TestOracle:
     def test_unknown_id_errors(self):
         pool, _, _ = small_setup()
         with pytest.raises(DataError):
-            oracle_label(pool, ["nope"])
+            Oracle(pool).label(["nope"])
 
 
 class TestLoopConfig:
