@@ -15,9 +15,9 @@ from .model import (AugmentedBatch, ModelConfig, ModelState, encode, init_model,
                     stochastic_proba, supcon_loss, train)
 from .pca import (ClassPcaModel, ClassSubspace, fit_class_pca, fre_score,
                   fre_scores, load_class_pca, save_class_pca)
-from .strategies import (ScoredCandidate, SelectionRequest, SelectionResult,
-                         StrategyInfo, get_strategy, score_bald, score_entropy,
-                         score_featuresim, score_fre, select_kcenter_greedy,
-                         select_per_class, select_random)
+from .strategies import (SelectionRequest, SelectionResult, StrategyInfo, get_strategy,
+                         score_bald, score_entropy, score_featuresim, score_fre,
+                         select_global, select_kcenter_greedy, select_per_class,
+                         select_random)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,6 +15,7 @@ name/shape/dtype entries) followed by the raw arrays in manifest order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -72,8 +73,14 @@ def _load_binary(path: Path) -> FeatureMatrix:
     blob = path.read_bytes()
     if blob[:5] != FEATURE_MAGIC:
         raise DataError(f"{path}: bad magic, not a feature file")
+    if len(blob) < 14:
+        raise DataError(f"{path}: truncated header")
     n, d, has_labels = struct.unpack_from("<IIB", blob, 5)
+    if has_labels > 1:
+        raise DataError(f"{path}: corrupt header (label flag {has_labels})")
     offset = 5 + 9
+    if offset + (4 * d + 2 * has_labels) * n > len(blob):
+        raise DataError(f"{path}: truncated, header promises {n} x {d} values")
     values = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset).reshape(n, d)
     offset += 4 * n * d
     labels = None
@@ -81,13 +88,16 @@ def _load_binary(path: Path) -> FeatureMatrix:
         labels = np.frombuffer(blob, dtype="<u2", count=n, offset=offset).astype(np.int64)
         offset += 2 * n
     ids = []
-    for i in range(n):
-        (length,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        ids.append(blob[offset : offset + length].decode("utf-8"))
-        offset += length
+    try:
+        for _ in range(n):
+            (length,) = struct.unpack_from("<H", blob, offset)
+            offset += 2
+            ids.append(blob[offset : offset + length].decode("utf-8"))
+            offset += length
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: truncated or corrupt id table ({exc})") from None
     if offset != len(blob):
-        raise DataError(f"{path}: {len(blob) - offset} trailing bytes")
+        raise DataError(f"{path}: the id table ends at byte {offset} of {len(blob)}")
     return FeatureMatrix(values.copy(), np.array(ids), labels)
 
 
@@ -146,12 +156,10 @@ def _load_csv(path: Path) -> FeatureMatrix:
         )
     values = np.array(rows, dtype=np.float32)
     id_arr = np.array(ids)
-    if len(np.unique(id_arr)) != len(id_arr):
-        seen = set()
-        for row_idx, sid in enumerate(ids, start=1):
-            if sid in seen:
-                raise DataError(f"{path}: row {row_idx}: duplicate id {sid!r}")
-            seen.add(sid)
+    _, first_rows = np.unique(id_arr, return_index=True)
+    if first_rows.size != id_arr.size:
+        row_idx = np.setdiff1d(np.arange(id_arr.size), first_rows)[0]
+        raise DataError(f"{path}: row {row_idx + 1}: duplicate id {ids[row_idx]!r}")
     return FeatureMatrix(values, id_arr, parsed_labels)
 
 
@@ -183,16 +191,25 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     blob = path.read_bytes()
     if blob[:5] != MODEL_MAGIC:
         raise DataError(f"{path}: bad magic, not a checkpoint container")
-    (header_len,) = struct.unpack_from("<I", blob, 5)
-    header = json.loads(blob[9 : 9 + header_len].decode("utf-8"))
-    offset = 9 + header_len
+    try:
+        # a header cut short fails to parse, since no proper prefix of it is JSON
+        offset = 9 + struct.unpack_from("<I", blob, 5)[0]
+        header = json.loads(blob[9:offset].decode("utf-8"))
+        meta = dict(header["meta"])
+        manifest = [(str(e["name"]), tuple(int(x) for x in e["shape"]), e["dtype"])
+                    for e in header["manifest"]]
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: truncated or corrupt header ({exc!r})") from None
+    if any(dtype != "f8" or min(shape, default=0) < 0 for _, shape, dtype in manifest):
+        raise DataError(f"{path}: corrupt manifest")
+    needed = 8 * sum(math.prod(shape) for _, shape, _ in manifest)
+    if offset + needed != len(blob):
+        raise DataError(f"{path}: payload has {len(blob) - offset} bytes, "
+                        f"manifest needs {needed}")
     arrays = {}
-    for entry in header["manifest"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape, _ in manifest:
+        count = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        arrays[entry["name"]] = arr.copy()
+        arrays[name] = arr.copy()
         offset += 8 * count
-    if offset != len(blob):
-        raise DataError(f"{path}: {len(blob) - offset} trailing bytes")
-    return header["meta"], arrays
+    return meta, arrays

@@ -6,6 +6,10 @@ ground-truth labels, retrains the model from scratch on everything labeled so
 far, and evaluates the full metric suite. Runs are deterministic per seed;
 the initial random batch depends only on the seed, not the strategy, so
 strategies fork from identical starting pools.
+
+Sample ids are strings only at the boundary. The pool is sorted by id once
+on entry, so inside the loop a sample is its row index, and a row's order
+is its id's order: the selectors' ascending-id tie-break holds on rows.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .model import (ModelConfig, ModelState, encode_values, init_model,
                     predict_proba_from_features, stochastic_proba, train)
 from .pca import ClassPcaModel, fit_class_pca
 from .seeding import rng_for
-from .strategies import (ScoredCandidate, ScoringContext, SelectionRequest, SelectionResult,
+from .strategies import (ScoringContext, SelectionRequest, SelectionResult,
                          StrategyInfo, featuresim_scores, fre_scores_batch, get_strategy,
                          score_bald, score_entropy, select_global,
                          select_kcenter_greedy, select_per_class, select_random)
@@ -66,64 +70,80 @@ class LoopConfig:
 
 
 class Oracle:
-    """Ground-truth label lookups for the pool universe."""
+    """Ground-truth label lookups by row of the pool universe."""
 
     def __init__(self, data: FeatureMatrix):
         if data.labels is None:
             raise DataError("oracle needs a fully labeled universe")
-        self._labels = {str(sid): int(lbl) for sid, lbl in zip(data.ids, data.labels)}
+        self._labels = data.labels
 
-    def label(self, ids) -> np.ndarray:
-        out = np.empty(len(ids), dtype=np.int64)
-        for i, sid in enumerate(ids):
-            try:
-                out[i] = self._labels[str(sid)]
-            except KeyError:
-                raise DataError(f"unknown sample id {sid!r}") from None
-        return out
+    def label(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= self._labels.size):
+            raise DataError(f"sample rows outside [0, {self._labels.size})")
+        return self._labels[rows]
 
 
 @dataclass
 class PoolState:
-    """Disjoint labeled/unlabeled id sets plus per-iteration history."""
+    """Labeled mask and per-iteration batches over an id-sorted universe.
+
+    Inside the loop a sample is its row in ``universe``, which is also its
+    rank in id order. ``labeled_ids``, ``unlabeled_ids`` and ``history`` read
+    the same state out as ids.
+    """
 
     universe: np.ndarray
-    labeled_ids: list[str] = field(default_factory=list)
-    unlabeled_ids: np.ndarray = None
-    history: list[list[str]] = field(default_factory=list)
+    labeled: np.ndarray = field(init=False)
+    batches: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.unlabeled_ids is None:
-            self.unlabeled_ids = np.sort(self.universe)
+        self.labeled = np.zeros(self.universe.size, dtype=bool)
 
     @property
-    def iteration(self) -> int:
-        return len(self.history)
+    def labeled_rows(self) -> np.ndarray:
+        """Labeled rows in acquisition order."""
+        return np.concatenate(self.batches) if self.batches else np.empty(0, np.int64)
 
-    def acquire(self, ids: list[str]) -> None:
-        batch = set(ids)
-        if len(batch) != len(ids):
+    @property
+    def unlabeled_rows(self) -> np.ndarray:
+        return np.flatnonzero(~self.labeled)
+
+    @property
+    def labeled_ids(self) -> list:
+        return self.universe[self.labeled_rows].tolist()
+
+    @property
+    def unlabeled_ids(self) -> np.ndarray:
+        return self.universe[~self.labeled]
+
+    @property
+    def history(self) -> list[list]:
+        return [self.universe[rows].tolist() for rows in self.batches]
+
+    def acquire(self, rows) -> None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= self.universe.size):
+            raise DataError("acquisition batch contains rows outside the universe")
+        if np.unique(rows).size != rows.size:
             raise DataError("acquisition batch contains duplicates")
-        if set(self.labeled_ids) & batch:
+        if self.labeled[rows].any():
             raise DataError("acquisition batch overlaps the labeled pool")
-        self.labeled_ids.extend(ids)
-        keep = ~np.isin(self.unlabeled_ids, list(batch))
-        if keep.sum() != len(self.unlabeled_ids) - len(ids):
-            raise DataError("acquisition batch contains ids outside the unlabeled pool")
-        self.unlabeled_ids = self.unlabeled_ids[keep]
-        self.history.append(list(ids))
+        self.labeled[rows] = True
+        self.batches.append(rows)
 
     def check_invariants(self, acquisition_size: int, truncated: bool) -> None:
-        labeled = set(self.labeled_ids)
-        unlabeled = set(str(s) for s in self.unlabeled_ids)
-        if labeled & unlabeled:
+        n = self.universe.size
+        times_acquired = np.bincount(self.labeled_rows, minlength=n)
+        acquired = times_acquired[:n] > 0
+        if (acquired & ~self.labeled).any():
             raise DataError("labeled and unlabeled pools overlap")
-        if labeled | unlabeled != set(str(s) for s in self.universe):
+        if times_acquired.size != n or (self.labeled & ~acquired).any():
             raise DataError("pools no longer partition the universe")
-        if len(labeled) != len(self.labeled_ids):
+        if times_acquired.max(initial=0) > 1:
             raise DataError("a sample was acquired twice")
-        full_batches = self.history if not truncated else self.history[:-1]
-        if any(len(batch) != acquisition_size for batch in full_batches):
+        full_batches = self.batches if not truncated else self.batches[:-1]
+        if any(rows.size != acquisition_size for rows in full_batches):
             raise DataError("a non-final iteration acquired a wrong-sized batch")
 
 
@@ -159,6 +179,9 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
         raise ConfigError("subset_size exceeds the initial pool size")
     strategy = get_strategy(loop_config.strategy)
     loss_kind = loop_config.loss_override or strategy.default_loss
+    # sort once: from here on a sample is its row, and rows ascend with ids
+    ids = pool.ids.astype(str)
+    pool = FeatureMatrix(pool.values, ids, pool.labels).take(np.argsort(ids))
     oracle = Oracle(pool)
     seed = loop_config.seed
     m_target = loop_config.acquisition_size
@@ -167,10 +190,10 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
         shifts = full_shift_suite()
     shifted_tests = [(s, apply_shift(test, s, loop_config.shift_seed)) for s in shifts]
 
-    ids = np.array([str(s) for s in pool.ids])
-    row_of = {sid: i for i, sid in enumerate(ids)}
-    pool_state = PoolState(universe=ids)
-    feature_store: dict[str, np.ndarray] = {}
+    pool_state = PoolState(universe=pool.ids)
+    # accumulate mode: per row, the embedding by the first model after its acquisition
+    feature_store = (np.zeros((pool.n, model_config.d_feat))
+                     if loop_config.accumulate_features else None)
 
     state: ModelState | None = None
     ctx: ScoringContext | None = None
@@ -180,21 +203,19 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     truncated = False
 
     for t in range(1, loop_config.iterations + 1):
-        n_unlabeled = len(pool_state.unlabeled_ids)
+        n_unlabeled = pool.n - np.count_nonzero(pool_state.labeled)
         if n_unlabeled == 0:
             break
         m_now = min(m_target, n_unlabeled)
-        if m_now < m_target:
-            truncated = True
+        truncated = m_now < m_target  # the last iteration: the loop stops after it
 
         if t == 1:
-            acquired = select_random(pool_state.unlabeled_ids, m_now,
-                                     rng_for(seed, "acquire-init"))
             cost = QueryCost(0, 0.0)
-            selection = SelectionResult(acquired, 0)
+            selection = SelectionResult(select_random(
+                pool_state.unlabeled_rows, m_now, rng_for(seed, "acquire-init")), 0)
         else:
             cost, selection = _score_and_select(
-                state, pool, pool_state, row_of, loop_config, strategy, t, m_now, ctx,
+                state, pool, pool_state, loop_config, strategy, t, m_now, ctx,
             )
         pool_state.acquire(selection.ids)
         pool_state.check_invariants(m_target, truncated)
@@ -204,19 +225,20 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
             "per_class_taken": selection.per_class_taken,
         })
 
-        labeled_rows = np.array([row_of[sid] for sid in pool_state.labeled_ids])
-        train_labels = oracle.label(pool_state.labeled_ids)
-        train_fm = FeatureMatrix(pool.values[labeled_rows],
-                                 np.array(pool_state.labeled_ids), train_labels)
+        labeled_rows = pool_state.labeled_rows
+        train_labels = oracle.label(labeled_rows)
+        train_fm = FeatureMatrix(pool.values[labeled_rows], pool.ids[labeled_rows],
+                                 train_labels)
         iter_config = replace(model_config, seed=_derived_seed(seed, "model", t),
                               loss_kind=loss_kind, d_in=pool.d)
         state = train(init_model(iter_config), train_fm)
 
         ctx = _bookkeeping(state, train_fm, strategy, loop_config, feature_store,
-                           pool_state, pool, row_of)
+                           pool_state, pool)
 
         reports.append(_evaluate(
-            state, test, ood, shifted_tests, train_labels, pool_state, oracle,
+            state, test, ood, shifted_tests, train_labels,
+            oracle.label(pool_state.batches[-1]),
             model_config.n_classes, strategy, seed, cost, selection, t, ctx, truncated,
         ))
         if truncated:
@@ -225,36 +247,32 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     return RunResult(reports, pool_state, state, truncated, selection_log)
 
 
-def _score_and_select(state, pool, pool_state, row_of, loop_config, strategy, t, m_now, ctx):
-    """Scoring phase: draw a fresh subset, score it, select m_now ids."""
+def _score_and_select(state, pool, pool_state, loop_config, strategy, t, m_now, ctx):
+    """Scoring phase: draw a fresh subset, score it, select m_now rows."""
     seed = loop_config.seed
     rng_subset = rng_for(seed, "subset", t)
-    n_sub = min(loop_config.subset_size, len(pool_state.unlabeled_ids))
-    subset_idx = rng_subset.choice(len(pool_state.unlabeled_ids), size=n_sub, replace=False)
-    subset_ids = np.sort(pool_state.unlabeled_ids[subset_idx])
-    subset_values = pool.values[[row_of[str(sid)] for sid in subset_ids]]
+    unlabeled = pool_state.unlabeled_rows
+    n_sub = min(loop_config.subset_size, unlabeled.size)
+    subset = np.sort(unlabeled[rng_subset.choice(unlabeled.size, size=n_sub, replace=False)])
+    subset_values = pool.values[subset]
 
     passes_before = state.forward_pass_count
     t_before = time.perf_counter()
 
     if strategy.selector == "random":
-        selection = SelectionResult(select_random(subset_ids, m_now, rng_for(seed, "pick", t)), 0)
+        selection = SelectionResult(select_random(subset, m_now, rng_for(seed, "pick", t)), 0)
     elif strategy.selector == "kcenter":
         z_u = encode_values(state, subset_values)
         selection = SelectionResult(
-            select_kcenter_greedy(z_u, subset_ids, ctx.labeled_feats, m_now), 0)
+            select_kcenter_greedy(z_u, subset, ctx.labeled_feats, m_now), 0)
     else:
         scores, predicted = strategy.score(
             state, subset_values, replace(ctx, bald_seed=_derived_seed(seed, "bald", t)))
-        candidates = [
-            ScoredCandidate(str(sid), int(c), float(s), strategy.name)
-            for sid, c, s in zip(subset_ids, predicted, scores)
-        ]
         request = SelectionRequest(m_now, state.config.n_classes, strategy.direction)
         if strategy.selector == "per_class" or loop_config.force_per_class:
-            selection = select_per_class(candidates, request)
+            selection = select_per_class(subset, predicted, scores, request)
         else:
-            selection = select_global(candidates, request)
+            selection = select_global(subset, predicted, scores, request)
 
     t_after = time.perf_counter()
     cost = QueryCost.from_snapshots(passes_before, state.forward_pass_count,
@@ -263,7 +281,7 @@ def _score_and_select(state, pool, pool_state, row_of, loop_config, strategy, t,
 
 
 def _bookkeeping(state, train_fm, strategy, loop_config, feature_store, pool_state,
-                 pool, row_of) -> ScoringContext:
+                 pool) -> ScoringContext:
     """Per-iteration labeled-feature cache and scoring context.
 
     By default labeled features are recomputed with the current model; in
@@ -272,12 +290,9 @@ def _bookkeeping(state, train_fm, strategy, loop_config, feature_store, pool_sta
     """
     # every strategy's OOD scorer can need labeled features, so always maintain them
     if loop_config.accumulate_features:
-        new_ids = pool_state.history[-1]
-        rows = np.array([row_of[sid] for sid in new_ids])
-        new_feats = encode_values(state, pool.values[rows].astype(np.float64))
-        for sid, feat in zip(new_ids, new_feats):
-            feature_store[sid] = feat
-        labeled_feats = np.stack([feature_store[sid] for sid in pool_state.labeled_ids])
+        rows = pool_state.batches[-1]
+        feature_store[rows] = encode_values(state, pool.values[rows].astype(np.float64))
+        labeled_feats = feature_store[pool_state.labeled_rows]
     else:
         labeled_feats = encode_values(state, train_fm.values.astype(np.float64))
     return scoring_context(strategy, labeled_feats, train_fm.labels,
@@ -322,8 +337,8 @@ def _ood_scores(strategy, state, values, ctx, seed, *seed_tag):
     return -scores if strategy.direction == "min" else scores
 
 
-def _evaluate(state, test, ood, shifted_tests, train_labels, pool_state, oracle,
-              n_classes, strategy, seed, cost, selection, t, ctx, truncated):
+def _evaluate(state, test, ood, shifted_tests, train_labels, batch_labels, n_classes,
+              strategy, seed, cost, selection, t, ctx, truncated):
     test_probs = predict_proba_from_features(
         state, encode_values(state, test.values.astype(np.float64)))
     per_shift = []
@@ -348,12 +363,11 @@ def _evaluate(state, test, ood, shifted_tests, train_labels, pool_state, oracle,
         auroc_ood = auroc(in_scores, out_scores)
 
     cumulative_counts = np.bincount(train_labels, minlength=n_classes)
-    batch_labels = oracle.label(pool_state.history[-1])
     batch_counts = np.bincount(batch_labels, minlength=n_classes)
 
     return IterationReport(
         iteration=t,
-        labeled_count=len(pool_state.labeled_ids),
+        labeled_count=train_labels.size,
         accuracy=accuracy(test_probs, test.labels),
         ece=ece(test_probs, test.labels),
         nll=nll(test_probs, test.labels),

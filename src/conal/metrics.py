@@ -81,16 +81,9 @@ def auroc(scores_in: np.ndarray, scores_out: np.ndarray) -> float:
     if scores_in.size == 0 or scores_out.size == 0:
         raise DataError("auroc needs both score sets nonempty")
     combined = np.concatenate([scores_in, scores_out])
-    order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty(combined.size, dtype=np.float64)
-    sorted_scores = combined[order]
-    i = 0
-    while i < combined.size:
-        j = i
-        while j + 1 < combined.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    _, tie_group, counts = np.unique(combined, return_inverse=True, return_counts=True,
+                                     equal_nan=False)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[tie_group]  # average 1-based rank
     n_in = scores_in.size
     n_out = scores_out.size
     rank_sum_out = ranks[n_in:].sum()

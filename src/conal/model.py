@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -575,8 +575,6 @@ def _assert_finite(state: ModelState) -> None:
 
 
 def save_model(state: ModelState, path) -> None:
-    from dataclasses import asdict
-
     meta = {
         "kind": "model",
         "config": asdict(state.config),
@@ -594,13 +592,12 @@ def load_model(path) -> ModelState:
     meta, arrays = read_container(path)
     if meta.get("kind") != "model":
         raise DataError(f"{path}: container holds {meta.get('kind')!r}, not a model")
-    raw = dict(meta["config"])
-    config = ModelConfig(**raw)
-    state = ModelState(
-        config=config,
-        w1=arrays["w1"], b1=arrays["b1"], w2=arrays["w2"], b2=arrays["b2"],
-        v1=arrays["v1"], c1=arrays["c1"], v2=arrays["v2"], c2=arrays["c2"],
-        wc=arrays.get("wc"), bc=arrays.get("bc"),
-        trained_loss_kind=meta.get("trained_loss_kind"),
-    )
-    return state
+    raw = meta.get("config")
+    keys = {f.name for f in fields(ModelConfig)}
+    if not isinstance(raw, dict) or set(raw) != keys:
+        raise DataError(f"{path}: model config must have exactly the keys {sorted(keys)}")
+    encoder = {"w1", "b1", "w2", "b2", "v1", "c1", "v2", "c2"}
+    if set(arrays) not in (encoder, encoder | {"wc", "bc"}):
+        raise DataError(f"{path}: arrays {sorted(arrays)} are not a model's")
+    return ModelState(config=ModelConfig(**raw), **arrays,
+                      trained_loss_kind=meta.get("trained_loss_kind"))

@@ -1,10 +1,13 @@
 """Acquisition scoring functions and sample selectors.
 
-Every strategy is a pure scorer plus a selection rule. Scorers attach scores
-to candidate ids; selectors turn scored candidates into exactly M ids with
-deterministic ascending-id tie-breaking. The per-class quota selector takes
-the best candidates per predicted class and refills any deficit from the
-globally best leftovers.
+Every strategy is a pure scorer plus a selection rule. Scorers return one
+score and one predicted class per candidate row; selectors take parallel
+arrays of candidate ids, predicted classes and scores and return exactly M
+ids, ranked by ``np.lexsort`` with deterministic ascending-id tie-breaking.
+Ids may be any sortable dtype: the loop passes pool row indices, which are
+ranks in id order. The per-class quota selector takes the best candidates
+per predicted class and refills any deficit from the globally best
+leftovers.
 
 Each strategy's score is defined once, by the scorer in its registry entry;
 the loop's query, the loop's OOD scoring and ``conal score`` all call it.
@@ -70,15 +73,12 @@ def score_featuresim(z_query: np.ndarray, class_features: np.ndarray,
     features; the query itself is left unnormalized unless ``symmetric``.
     Low values mark samples unlike everything labeled, so selection is min.
     """
-    z_query = np.asarray(z_query, dtype=np.float64)
     refs = np.asarray(class_features, dtype=np.float64)
     if refs.ndim != 2 or refs.shape[0] == 0:
         raise DataError("class_features must be a nonempty 2-D array")
-    if symmetric:
-        z_query = z_query / max(np.linalg.norm(z_query), 1e-300)
-    norms = np.linalg.norm(refs, axis=1)
-    unit = refs / np.clip(norms, 1e-300, None)[:, None]
-    return float(kernels.max_dot(z_query[None, :], unit)[0])
+    one_class = np.zeros(refs.shape[0], dtype=np.int64)
+    return float(featuresim_scores(np.asarray(z_query, dtype=np.float64)[None, :],
+                                   one_class[:1], refs, one_class, symmetric)[0])
 
 
 def featuresim_scores(z_query: np.ndarray, predicted: np.ndarray,
@@ -236,14 +236,6 @@ def get_strategy(name: str) -> StrategyInfo:
 
 
 @dataclass(frozen=True)
-class ScoredCandidate:
-    sample_id: str
-    predicted_class: int
-    score: float
-    strategy_tag: str = ""
-
-
-@dataclass(frozen=True)
 class SelectionRequest:
     m: int
     k: int
@@ -258,86 +250,72 @@ class SelectionRequest:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    ids: list[str]
+    ids: list
     deficit_fills: int
     per_class_taken: dict[int, int] = field(default_factory=dict)
 
 
-def select_per_class(candidates: list[ScoredCandidate], request: SelectionRequest
-                     ) -> SelectionResult:
+def _rank(ids, predicted, scores, request: SelectionRequest):
+    """Validated candidate arrays and their best-first order (ids break ties)."""
+    ids, predicted = np.asarray(ids), np.asarray(predicted, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if ids.ndim != 1 or not ids.shape == predicted.shape == scores.shape:
+        raise DataError("ids, predicted classes and scores must be 1-D of one length")
+    if not np.isfinite(scores).all():
+        raise DataError("a candidate has a non-finite score")
+    if ((predicted < 0) | (predicted >= request.k)).any():
+        raise DataError(f"a candidate's predicted class is outside [0, {request.k})")
+    sign = 1.0 if request.direction == "min" else -1.0
+    return ids, predicted, np.lexsort((ids, sign * scores))
+
+
+def _result(ids, predicted, picks, deficit_fills: int, k: int) -> SelectionResult:
+    taken = np.bincount(predicted[picks], minlength=k)
+    return SelectionResult(ids[picks].tolist(), deficit_fills,
+                           {c: int(n) for c, n in enumerate(taken)})
+
+
+def select_per_class(ids, predicted, scores, request: SelectionRequest) -> SelectionResult:
     """Take the per-class best candidates under equal quotas, then refill.
 
     Quotas are floor(M/K) per predicted class with the remainder spread
     round-robin by ascending class index. Classes short of their quota leave
     a deficit that is refilled from the globally best unselected candidates.
-    Ties break by ascending sample id; exactly min(M, #candidates) ids return.
+    Ties break by ascending id; exactly min(M, #candidates) ids return, per
+    class in ascending class order, then the refills.
     """
-    for cand in candidates:
-        if not np.isfinite(cand.score):
-            raise DataError(f"candidate {cand.sample_id!r} has non-finite score")
-        if not 0 <= cand.predicted_class < request.k:
-            raise DataError(
-                f"candidate {cand.sample_id!r} predicted class {cand.predicted_class} "
-                f"outside [0, {request.k})"
-            )
-    if not candidates:
+    ids, predicted, order = _rank(ids, predicted, scores, request)
+    if not ids.size:
         logger.warning("select_per_class: empty candidate set")
-        return SelectionResult([], 0)
-
-    sign = 1.0 if request.direction == "min" else -1.0
-    key = lambda c: (sign * c.score, c.sample_id)
-
     base, remainder = divmod(request.m, request.k)
-    quotas = [base + (1 if c < remainder else 0) for c in range(request.k)]
+    quotas = base + (np.arange(request.k) < remainder)
 
-    by_class: dict[int, list[ScoredCandidate]] = {}
-    for cand in candidates:
-        by_class.setdefault(cand.predicted_class, []).append(cand)
+    # best-first within each class, classes in ascending order
+    grouped = order[np.argsort(predicted[order], kind="stable")]
+    counts = np.bincount(predicted, minlength=request.k)
+    within = np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    chosen = grouped[within < quotas[predicted[grouped]]]
 
-    chosen: list[ScoredCandidate] = []
-    chosen_ids: set[str] = set()
-    per_class_taken: dict[int, int] = {}
-    for c in range(request.k):
-        group = sorted(by_class.get(c, []), key=key)[: quotas[c]]
-        chosen.extend(group)
-        chosen_ids.update(cand.sample_id for cand in group)
-        per_class_taken[c] = len(group)
-
-    target = min(request.m, len(candidates))
-    deficit_fills = 0
-    if len(chosen) < target:
-        leftovers = sorted(
-            (c for c in candidates if c.sample_id not in chosen_ids), key=key
-        )
-        for cand in leftovers[: target - len(chosen)]:
-            chosen.append(cand)
-            per_class_taken[cand.predicted_class] = (
-                per_class_taken.get(cand.predicted_class, 0) + 1
-            )
-            deficit_fills += 1
-    return SelectionResult([c.sample_id for c in chosen], deficit_fills, per_class_taken)
+    taken = np.zeros(ids.size, dtype=bool)
+    taken[chosen] = True
+    fills = order[~taken[order]][: min(request.m, ids.size) - chosen.size]
+    return _result(ids, predicted, np.concatenate([chosen, fills]), fills.size, request.k)
 
 
-def select_global(candidates: list[ScoredCandidate], request: SelectionRequest
-                  ) -> SelectionResult:
+def select_global(ids, predicted, scores, request: SelectionRequest) -> SelectionResult:
     """Plain best-M selection in the strategy's direction, ids break ties."""
-    sign = 1.0 if request.direction == "min" else -1.0
-    ranked = sorted(candidates, key=lambda c: (sign * c.score, c.sample_id))
-    picked = ranked[: min(request.m, len(ranked))]
-    taken: dict[int, int] = {}
-    for cand in picked:
-        taken[cand.predicted_class] = taken.get(cand.predicted_class, 0) + 1
-    return SelectionResult([c.sample_id for c in picked], 0, taken)
+    ids, predicted, order = _rank(ids, predicted, scores, request)
+    return _result(ids, predicted, order[: request.m], 0, request.k)
 
 
 def select_kcenter_greedy(unlabeled_values: np.ndarray, unlabeled_ids: np.ndarray,
-                          labeled_values: np.ndarray, m: int) -> list[str]:
+                          labeled_values: np.ndarray, m: int) -> list:
     """Farthest-point greedy cover seeded by the labeled features.
 
     Repeatedly picks the unlabeled point farthest from its nearest center,
     labeled points included as initial centers. With no labeled seeds, the
     first pick is the point farthest from the unlabeled mean. Ties break by
-    ascending sample id.
+    ascending id.
     """
     values = np.asarray(unlabeled_values, dtype=np.float64)
     ids = np.asarray(unlabeled_ids)
@@ -361,13 +339,12 @@ def select_kcenter_greedy(unlabeled_values: np.ndarray, unlabeled_ids: np.ndarra
     else:
         min_d2 = kernels.nearest_sq_dist(values, labeled_values)
         picks = kernels.kcenter_greedy(values, min_d2, m).tolist()
-    return [str(ids[i]) for i in picks]
+    return ids[picks].tolist()
 
 
-def select_random(ids, m: int, rng: np.random.Generator) -> list[str]:
+def select_random(ids, m: int, rng: np.random.Generator) -> list:
     """Uniform choice of m ids without replacement, order-independent."""
     ids = np.sort(np.asarray(ids))
     if m > ids.size:
         raise DataError(f"cannot select {m} of {ids.size} ids")
-    picked = rng.choice(ids.size, size=m, replace=False)
-    return [str(ids[i]) for i in picked]
+    return ids[rng.choice(ids.size, size=m, replace=False)].tolist()

@@ -19,7 +19,7 @@ from conal.metrics import QueryCost, auroc, brier, ece, mce, nll, sampling_bias
 from conal.model import ModelConfig, contrastive_loss_and_grads, init_model
 from conal.pca import fit_class_pca, fre_scores
 from conal.seeding import rng_for
-from conal.strategies import (ScoredCandidate, SelectionRequest, score_bald,
+from conal.strategies import (SelectionRequest, score_bald,
                               score_entropy, score_featuresim, score_fre,
                               select_kcenter_greedy, select_per_class,
                               select_random)
@@ -342,16 +342,18 @@ def test_criterion_10_fixed_points():
     close(score_fre(sub.mean + 2.0 * v, 0, model), 2.0, 1e-9)
 
     # per-class selection
-    cands = [ScoredCandidate(f"s{k}{j}", k, float(j))
-             for k in range(10) for j in range(3)]
-    result = select_per_class(cands, SelectionRequest(10, 10, "min"))
+    ids = np.array([f"s{k}{j}" for k in range(10) for j in range(3)])
+    result = select_per_class(ids, np.repeat(np.arange(10), 3),
+                              np.tile(np.arange(3.0), 10), SelectionRequest(10, 10, "min"))
     checks.append(sorted(int(s[1]) for s in result.ids) == list(range(10)))
-    cands = ([ScoredCandidate("a0", 0, 0.5)]
-             + [ScoredCandidate(f"b{j}", 1, float(j)) for j in range(10)])
-    result = select_per_class(cands, SelectionRequest(4, 2, "min"))
+    ids = np.array(["a0"] + [f"b{j}" for j in range(10)])
+    result = select_per_class(ids, np.array([0] + [1] * 10),
+                              np.concatenate([[0.5], np.arange(10.0)]),
+                              SelectionRequest(4, 2, "min"))
     checks.append(len(result.ids) == 4 and result.per_class_taken == {0: 1, 1: 3})
-    tie = [ScoredCandidate("b", 0, 1.0), ScoredCandidate("a", 0, 1.0)]
-    checks.append(select_per_class(tie, SelectionRequest(1, 1, "min")).ids == ["a"])
+    tie = select_per_class(np.array(["b", "a"]), np.array([0, 0]), np.array([1.0, 1.0]),
+                           SelectionRequest(1, 1, "min"))
+    checks.append(tie.ids == ["a"])
 
     # k-center greedy
     ids = np.array([f"p{i}" for i in range(4)])

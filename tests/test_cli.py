@@ -249,6 +249,16 @@ class TestScore:
                      "--strategy", "featuresim",
                      "--out", str(tmp_path / "s.csv")]) == 2
 
+    @pytest.mark.parametrize("target, size", [("queries", 8), ("queries", 20),
+                                              ("queries", 200), ("checkpoint", 7),
+                                              ("checkpoint", 40)])
+    def test_truncated_input_exits_3(self, artifacts, target, size):
+        ckpt, _, q_path, tmp_path = artifacts
+        path = ckpt if target == "checkpoint" else q_path
+        path.write_bytes(path.read_bytes()[:size])
+        assert main(["score", str(q_path), "--checkpoint", str(ckpt),
+                     "--strategy", "entropy", "--out", str(tmp_path / "s.csv")]) == 3
+
     def test_missing_checkpoint_exits_3(self, artifacts):
         _, lab_path, q_path, tmp_path = artifacts
         assert main(["score", str(q_path), "--checkpoint", str(tmp_path / "no.ckpt"),

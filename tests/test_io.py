@@ -42,6 +42,47 @@ class TestBinaryFormat:
             save_features(labeled, tmp_path / "x", "parquet")
 
 
+class TestTruncation:
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_feature_file_cut_anywhere(self, with_labels, tmp_path):
+        data = generate_mixture(DatasetSpec(k=2, d=2, n_per_class=3, seed=5), id_prefix="é-")
+        path = tmp_path / "feats.bin"
+        save_features(data if with_labels else data.without_labels(), path, "binary")
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(DataError):
+                load_features(cut, "binary")
+
+    def test_container_cut_anywhere(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        write_container(path, {"kind": "model"}, {"w": np.ones((2, 3)), "b": np.zeros(2)})
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(DataError):
+                read_container(cut)
+
+    def test_corrupt_label_flag(self, labeled, tmp_path):
+        path = tmp_path / "feats.bin"
+        save_features(labeled, path, "binary")
+        blob = bytearray(path.read_bytes())
+        blob[13] = 7
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="label flag"):
+            load_features(path, "binary")
+
+    @pytest.mark.parametrize("header", [b"not json", b"[1, 2]", b'{"meta": {}}',
+                                        b'{"meta": {}, "manifest": [{"name": "w"}]}'])
+    def test_corrupt_container_header(self, header, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"MODL1" + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(DataError, match="corrupt header"):
+            read_container(path)
+
+
 class TestCsvFormat:
     def test_round_trip_within_tolerance(self, labeled, tmp_path):
         path = tmp_path / "feats.csv"

@@ -30,19 +30,18 @@ class TestOracle:
     def test_returns_stored_labels(self):
         pool, _, _ = small_setup()
         oracle = Oracle(pool)
-        ids = [str(s) for s in pool.ids[:5]]
-        np.testing.assert_array_equal(oracle.label(ids), pool.labels[:5])
+        np.testing.assert_array_equal(oracle.label(np.arange(5)), pool.labels[:5])
 
     def test_repeated_queries_identical(self):
         pool, _, _ = small_setup()
         oracle = Oracle(pool)
-        ids = [str(pool.ids[3])]
-        assert oracle.label(ids)[0] == oracle.label(ids)[0]
+        assert oracle.label([3])[0] == oracle.label([3])[0]
 
     def test_unknown_id_errors(self):
         pool, _, _ = small_setup()
-        with pytest.raises(DataError):
-            Oracle(pool).label(["nope"])
+        for rows in ([pool.n], [-1]):
+            with pytest.raises(DataError):
+                Oracle(pool).label(rows)
 
 
 class TestLoopConfig:
@@ -63,6 +62,26 @@ class TestLoopConfig:
         with pytest.raises(ConfigError):
             run_active_learning(pool, test, model,
                                 quick_loop(subset=pool.n + 1), shifts=[])
+
+
+def _unmark_labeled(state):
+    """A labeled row is marked unlabeled again."""
+    state.labeled[state.batches[0][0]] = False
+
+
+def _mark_unacquired(state):
+    """An unlabeled row is marked labeled without being acquired."""
+    state.labeled[state.unlabeled_rows[0]] = True
+
+
+def _repeat_batch(state):
+    state.batches.append(state.batches[0].copy())
+
+
+def _move_row(state):
+    """The first batch's last row moves to the second batch."""
+    first, second = state.batches
+    state.batches[:] = [first[:-1], np.concatenate([first[-1:], second])]
 
 
 class TestPoolBookkeeping:
@@ -97,13 +116,49 @@ class TestPoolBookkeeping:
     def test_acquire_rejects_duplicates(self):
         state = PoolState(universe=np.array(["a", "b", "c"]))
         with pytest.raises(DataError):
-            state.acquire(["a", "a"])
+            state.acquire([0, 0])
 
     def test_acquire_rejects_already_labeled(self):
         state = PoolState(universe=np.array(["a", "b", "c"]))
-        state.acquire(["a"])
+        state.acquire([0])
         with pytest.raises(DataError):
-            state.acquire(["a"])
+            state.acquire([0])
+
+    def test_acquire_rejects_rows_outside_universe(self):
+        state = PoolState(universe=np.array(["a", "b", "c"]))
+        for rows in ([3], [-1]):
+            with pytest.raises(DataError):
+                state.acquire(rows)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_unmark_labeled, "overlap"),
+        (_mark_unacquired, "partition"),
+        (_repeat_batch, "acquired twice"),
+        (_move_row, "wrong-sized batch"),
+    ])
+    def test_check_invariants_detects_corruption(self, corrupt, message):
+        state = PoolState(universe=np.array([f"s{i}" for i in range(10)]))
+        state.acquire([4, 1, 7])
+        state.acquire([0, 9, 2])
+        state.check_invariants(3, truncated=False)
+        corrupt(state)
+        with pytest.raises(DataError, match=message):
+            state.check_invariants(3, truncated=False)
+
+    @pytest.mark.parametrize("strategy", ["entropy", "coreset", "featuresim"])
+    def test_row_order_is_not_id_order(self, strategy):
+        pool, test, model = small_setup()
+        ood = generate_ood(DatasetSpec(k=4, d=8, n_per_class=10,
+                                       class_separation=4.0, seed=0), 40, 7)
+        shifts = [ShiftSpec("additive_gaussian", 3)]
+        by_id = pool.take(np.argsort(pool.ids))
+        permuted = pool.take(np.random.default_rng(12).permutation(pool.n))
+        runs = [run_active_learning(p, test, model, quick_loop(strategy), ood=ood,
+                                    shifts=shifts) for p in (by_id, permuted)]
+        assert runs[0].pool.history == runs[1].pool.history
+        rows = [[{k: v for k, v in r.to_dict().items() if k != "query_wall_ms"}
+                 for r in run.reports] for run in runs]
+        assert rows[0] == rows[1]
 
 
 class TestDeterminism:

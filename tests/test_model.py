@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from conal.model import (AugmentedBatch, ModelConfig, contrastive_loss_and_grads
                          make_augmented_batch, predict_proba,
                          predict_proba_from_features, project, project_values,
                          save_model, stochastic_proba, supcon_loss, train)
+from conal.io import write_container
 from conal.seeding import rng_for
 
 
@@ -392,3 +395,32 @@ class TestCheckpoint:
         probs_a = predict_proba_from_features(state, np.zeros((1, 6)))
         probs_b = predict_proba_from_features(back, np.zeros((1, 6)))
         np.testing.assert_array_equal(probs_a, probs_b)
+
+    def test_cut_checkpoint_is_a_data_error(self, tmp_path):
+        data = generate_mixture(DatasetSpec(k=3, d=4, n_per_class=15, seed=14))
+        path = tmp_path / "model.ckpt"
+        save_model(train(init_model(small_config(epochs=1)), data), path)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(DataError):
+                load_model(cut)
+
+    @pytest.mark.parametrize("edit", ["drop_key", "add_key", "drop_array", "add_array"])
+    def test_config_keys_and_arrays_checked(self, edit, tmp_path):
+        state = init_model(small_config())
+        meta = {"kind": "model", "config": dataclasses.asdict(state.config)}
+        arrays = dict(state.encoder_projection_params())
+        if edit == "drop_key":
+            del meta["config"]["lr"]
+        elif edit == "add_key":
+            meta["config"]["width"] = 3
+        elif edit == "drop_array":
+            del arrays["c2"]
+        else:
+            arrays["extra"] = np.zeros(2)
+        path = tmp_path / "model.ckpt"
+        write_container(path, meta, arrays)
+        with pytest.raises(DataError):
+            load_model(path)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conal.errors import ConfigError, DataError, UsageError
 from conal.pca import fit_class_pca
 from conal.seeding import rng_for
-from conal.strategies import (ScoredCandidate, SelectionRequest, VALID_STRATEGIES,
+from conal.strategies import (SelectionRequest, VALID_STRATEGIES,
                               featuresim_scores, fre_scores_batch, get_strategy,
                               score_bald, score_entropy, score_featuresim, score_fre,
                               select_global, select_kcenter_greedy, select_per_class,
@@ -136,14 +136,16 @@ class TestFreStrategy:
 
 
 def make_candidates(entries):
-    return [ScoredCandidate(sid, cls, score) for sid, cls, score in entries]
+    """(ids, predicted, scores) arrays from (id, class, score) triples."""
+    ids, predicted, scores = zip(*entries) if entries else ((), (), ())
+    return np.array(ids), np.array(predicted, dtype=np.int64), np.array(scores)
 
 
 class TestSelectPerClass:
     def test_one_per_class_when_m_equals_k(self):
         cands = make_candidates(
             [(f"s{k}{j}", k, float(j)) for k in range(10) for j in range(3)])
-        result = select_per_class(cands, SelectionRequest(10, 10, "min"))
+        result = select_per_class(*cands, SelectionRequest(10, 10, "min"))
         assert len(result.ids) == 10
         assert result.deficit_fills == 0
         classes = sorted(int(sid[1]) for sid in result.ids)
@@ -153,7 +155,7 @@ class TestSelectPerClass:
         # class 0 has one candidate, class 1 has ten; M=4 -> 1 + 3
         cands = make_candidates([("a0", 0, 0.5)] +
                                 [(f"b{j}", 1, float(j)) for j in range(10)])
-        result = select_per_class(cands, SelectionRequest(4, 2, "min"))
+        result = select_per_class(*cands, SelectionRequest(4, 2, "min"))
         assert len(result.ids) == 4
         assert result.per_class_taken[0] == 1
         assert result.per_class_taken[1] == 3
@@ -161,26 +163,26 @@ class TestSelectPerClass:
 
     def test_tie_breaks_by_ascending_id(self):
         cands = make_candidates([("b", 0, 1.0), ("a", 0, 1.0), ("c", 0, 2.0)])
-        result = select_per_class(cands, SelectionRequest(1, 1, "min"))
+        result = select_per_class(*cands, SelectionRequest(1, 1, "min"))
         assert result.ids == ["a"]
-        result = select_per_class(cands, SelectionRequest(1, 1, "max"))
+        result = select_per_class(*cands, SelectionRequest(1, 1, "max"))
         assert result.ids == ["c"]
 
     def test_direction_max(self):
         cands = make_candidates([("a", 0, 1.0), ("b", 0, 9.0), ("c", 1, 5.0), ("d", 1, 2.0)])
-        result = select_per_class(cands, SelectionRequest(2, 2, "max"))
+        result = select_per_class(*cands, SelectionRequest(2, 2, "max"))
         assert sorted(result.ids) == ["b", "c"]
 
     def test_remainder_round_robin_by_class_index(self):
         # M=5, K=3 -> quotas 2,2,1
         cands = make_candidates(
             [(f"s{k}{j}", k, float(j)) for k in range(3) for j in range(5)])
-        result = select_per_class(cands, SelectionRequest(5, 3, "min"))
+        result = select_per_class(*cands, SelectionRequest(5, 3, "min"))
         assert result.per_class_taken == {0: 2, 1: 2, 2: 1}
 
     def test_returns_min_of_m_and_candidates(self):
         cands = make_candidates([("a", 0, 1.0), ("b", 1, 2.0)])
-        result = select_per_class(cands, SelectionRequest(10, 3, "min"))
+        result = select_per_class(*cands, SelectionRequest(10, 3, "min"))
         assert sorted(result.ids) == ["a", "b"]
 
     def test_no_duplicates_and_exact_m(self):
@@ -188,7 +190,7 @@ class TestSelectPerClass:
         cands = make_candidates(
             [(f"s{i:04d}", int(rng.integers(0, 5)), float(rng.standard_normal()))
              for i in range(200)])
-        result = select_per_class(cands, SelectionRequest(40, 5, "max"))
+        result = select_per_class(*cands, SelectionRequest(40, 5, "max"))
         assert len(result.ids) == 40
         assert len(set(result.ids)) == 40
 
@@ -198,27 +200,27 @@ class TestSelectPerClass:
             [(f"s{i:04d}", int(rng.integers(0, 4)), float(rng.standard_normal()))
              for i in range(300)])
         m, k = 21, 4
-        result = select_per_class(cands, SelectionRequest(m, k, "min"))
+        result = select_per_class(*cands, SelectionRequest(m, k, "min"))
         quota_cap = -(-m // k)  # ceil
         for cls, taken in result.per_class_taken.items():
             assert taken <= quota_cap + result.deficit_fills
 
     def test_empty_candidates_warns(self, caplog):
         with caplog.at_level("WARNING"):
-            result = select_per_class([], SelectionRequest(5, 2, "min"))
+            result = select_per_class(*make_candidates([]), SelectionRequest(5, 2, "min"))
         assert result.ids == []
 
     def test_rejects_bad_scores_and_classes(self):
         with pytest.raises(DataError):
-            select_per_class(make_candidates([("a", 0, np.nan)]),
+            select_per_class(*make_candidates([("a", 0, np.nan)]),
                              SelectionRequest(1, 2, "min"))
         with pytest.raises(DataError):
-            select_per_class(make_candidates([("a", 5, 1.0)]),
+            select_per_class(*make_candidates([("a", 5, 1.0)]),
                              SelectionRequest(1, 2, "min"))
 
     def test_select_global_top_m(self):
         cands = make_candidates([("a", 0, 1.0), ("b", 0, 3.0), ("c", 1, 2.0)])
-        result = select_global(cands, SelectionRequest(2, 2, "max"))
+        result = select_global(*cands, SelectionRequest(2, 2, "max"))
         assert result.ids == ["b", "c"]
 
 
