@@ -196,17 +196,19 @@ def cmd_run(args) -> None:
     print(f"run complete: {out}")
 
 
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and sample std (ddof=1) across seeds; the std of one value is 0.0."""
+    return (float(np.mean(values)),
+            float(np.std(values, ddof=1)) if len(values) > 1 else 0.0)
+
+
 def _write_curves(rows, path) -> None:
     """Long-format curves: one row per (run, iteration, metric), with the
     per-(strategy, iteration, metric) mean and std across seeds attached."""
     stats: dict[tuple, list[float]] = {}
     for strategy, seed, iteration, metric, value in rows:
         stats.setdefault((strategy, iteration, metric), []).append(value)
-    aggregated = {
-        key: (float(np.mean(vals)),
-              float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0)
-        for key, vals in stats.items()
-    }
+    aggregated = {key: _mean_std(vals) for key, vals in stats.items()}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["strategy", "seed", "iteration", "metric", "value",
@@ -246,12 +248,7 @@ def cmd_report(args) -> None:
             row = [strategy]
             for metric in final_metrics:
                 values = [r[metric] for r in finals if r[metric] is not None]
-                if values:
-                    mean = float(np.mean(values))
-                    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-                    row += [repr(mean), repr(std)]
-                else:
-                    row += ["", ""]
+                row += [repr(v) for v in _mean_std(values)] if values else ["", ""]
             writer.writerow(row)
 
     iterations = sorted({r["iteration"] for reports in per_cell.values() for r in reports})
@@ -272,12 +269,7 @@ def cmd_report(args) -> None:
                         for r in reports
                         if r["iteration"] == iteration and r[metric] is not None
                     ]
-                    if values:
-                        mean = float(np.mean(values))
-                        std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-                        row += [repr(mean), repr(std)]
-                    else:
-                        row += ["", ""]
+                    row += [repr(v) for v in _mean_std(values)] if values else ["", ""]
                 writer.writerow(row)
     print(f"wrote summary tables to {report_dir}")
 

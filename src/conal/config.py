@@ -17,22 +17,73 @@ from .loop import LoopConfig
 from .model import ModelConfig
 from .strategies import get_strategy
 
-_KNOWN_KEYS = {
-    "data.source", "data.k", "data.d", "data.n_per_class", "data.imbalance_ratio",
-    "data.class_separation", "data.noise_sigma", "data.seed",
-    "data.test_n_per_class", "data.ood_n",
-    "data.train_path", "data.test_path", "data.ood_path", "data.format",
-    "model.d_hidden", "model.d_feat", "model.d_proj", "model.temperature",
-    "model.lr", "model.momentum", "model.weight_decay", "model.epochs",
-    "model.batch_size", "model.aug_sigma", "model.dropout_rate",
-    "model.lr_decay_epoch", "model.classifier_steps", "model.classifier_lr",
-    "loop.budget", "loop.acquisition_size", "loop.subset_size", "loop.tau",
-    "loop.accumulate_features", "loop.force_per_class", "loop.loss_override",
-    "loop.symmetric_featuresim", "loop.pca_variance_fraction", "loop.pca_components",
-    "loop.shift_seed",
-    "shift.kinds", "shift.intensities",
-    "run.strategies", "run.seeds", "run.out",
+# Every config key with its type and preset default; [int] and [str] are
+# comma-separated lists. The model defaults are the desk-scale preset (the
+# ModelConfig class carries the method's reference defaults instead).
+_KEYS = {
+    "data.source": (str, "synthetic"),
+    "data.k": (int, 10),
+    "data.d": (int, 32),
+    "data.n_per_class": (int, 5000),
+    "data.imbalance_ratio": (float, 50.0),
+    "data.class_separation": (float, 4.5),
+    "data.noise_sigma": (float, 1.0),
+    "data.seed": (int, 0),
+    "data.test_n_per_class": (int, 200),
+    "data.ood_n": (int, 1000),
+    "data.train_path": (str, None),
+    "data.test_path": (str, None),
+    "data.ood_path": (str, None),
+    "data.format": (str, "binary"),
+    "model.d_hidden": (int, 64),
+    "model.d_feat": (int, 32),
+    "model.d_proj": (int, 16),
+    "model.temperature": (float, 0.2),
+    "model.lr": (float, 0.1),
+    "model.momentum": (float, 0.9),
+    "model.weight_decay": (float, 0.01),
+    "model.epochs": (int, 60),
+    "model.batch_size": (int, 64),
+    "model.aug_sigma": (float, 0.2),
+    "model.dropout_rate": (float, 0.3),
+    "model.lr_decay_epoch": (int, None),
+    "model.classifier_steps": (int, 200),
+    "model.classifier_lr": (float, 1.0),
+    "loop.budget": (int, 1000),
+    "loop.acquisition_size": (int, 100),
+    "loop.subset_size": (int, 2000),
+    "loop.tau": (int, 50),
+    "loop.accumulate_features": (bool, False),
+    "loop.force_per_class": (bool, False),
+    "loop.loss_override": (str, None),
+    "loop.symmetric_featuresim": (bool, False),
+    "loop.pca_variance_fraction": (float, None),
+    "loop.pca_components": (int, None),
+    "loop.shift_seed": (int, 20259),
+    "shift.kinds": ([str], SHIFT_KINDS),
+    "shift.intensities": ([int], (1, 2, 3, 4, 5)),
+    "run.strategies": ([str], ("featuresim", "random")),
+    "run.seeds": ([int], (0, 1, 2, 3, 4)),
+    "run.out": (str, "runs"),
 }
+
+# Where a key's value lives in ExperimentConfig, for the keys that are not
+# the same-named field of DatasetSpec (data.*), ModelConfig (model.*) or
+# LoopConfig (loop.*). data.k and data.d also size the DatasetSpec.
+_ATTRS = {
+    "data.source": "source", "data.k": "model.n_classes", "data.d": "model.d_in",
+    "data.test_n_per_class": "test_n_per_class", "data.ood_n": "ood_n",
+    "data.train_path": "train_path", "data.test_path": "test_path",
+    "data.ood_path": "ood_path", "data.format": "file_format",
+    "shift.kinds": "shift_kinds", "shift.intensities": "shift_intensities",
+    "run.strategies": "strategies", "run.seeds": "seeds", "run.out": "out",
+}
+
+
+def _attr(key: str) -> tuple[str, str]:
+    """(owner, field) holding a key's value; owner "" is ExperimentConfig itself."""
+    owner, _, name = _ATTRS.get(key, key.replace("data.", "dataset.", 1)).rpartition(".")
+    return owner, name
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -46,7 +97,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("meta."):
             continue
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -61,30 +112,22 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def _get(values, key, cast, default):
-    if key not in values:
-        return default
-    raw = values[key]
+def _parse(key: str, raw: str):
+    kind = _KEYS[key][0]
+    cast = kind[0] if isinstance(kind, list) else kind
     try:
-        if cast is bool:
+        if isinstance(kind, list):
+            return [cast(part.strip()) for part in raw.split(",") if part.strip()]
+        if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return cast(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"config key {key}: cannot parse {raw!r} as {cast.__name__}") from None
-
-
-def _get_list(values, key, cast, default):
-    if key not in values:
-        return list(default)
-    raw = values[key]
-    try:
-        return [cast(part.strip()) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"config key {key}: cannot parse {raw!r} as {cast.__name__} list") from None
+        what = f"{cast.__name__} list" if isinstance(kind, list) else cast.__name__
+        raise ConfigError(f"config key {key}: cannot parse {raw!r} as {what}") from None
 
 
 @dataclass
@@ -132,149 +175,41 @@ class ExperimentConfig:
                 raise ConfigError(f"data.ood_path does not exist: {self.ood_path}")
         elif self.source != "synthetic":
             raise ConfigError("data.source must be 'synthetic' or 'files'")
+        self.model.validate()
+        self.loop.validate()
 
 
 def build_experiment(values: dict[str, str]) -> ExperimentConfig:
-    source = _get(values, "data.source", str, "synthetic")
+    # the loop's strategy is replaced per sweep cell
+    parts = {"": {}, "dataset": {}, "model": {}, "loop": {"strategy": "random"}}
+    for key, (kind, default) in _KEYS.items():
+        owner, name = _attr(key)
+        if key in values:
+            parts[owner][name] = _parse(key, values[key])
+        else:
+            parts[owner][name] = list(default) if isinstance(kind, list) else default
+    model = ModelConfig(**parts["model"])
     dataset = None
-    if source == "synthetic":
-        dataset = DatasetSpec(
-            k=_get(values, "data.k", int, 10),
-            d=_get(values, "data.d", int, 32),
-            n_per_class=_get(values, "data.n_per_class", int, 5000),
-            imbalance_ratio=_get(values, "data.imbalance_ratio", float, 50.0),
-            class_separation=_get(values, "data.class_separation", float, 4.5),
-            noise_sigma=_get(values, "data.noise_sigma", float, 1.0),
-            seed=_get(values, "data.seed", int, 0),
-        )
-        n_classes = dataset.k
-        d_in = dataset.d
-    else:
-        n_classes = _get(values, "data.k", int, 10)
-        d_in = _get(values, "data.d", int, 32)
-
-    # model defaults here are the desk-scale preset (the ModelConfig class
-    # carries the method's reference defaults instead)
-    model = ModelConfig(
-        d_in=d_in,
-        n_classes=n_classes,
-        d_hidden=_get(values, "model.d_hidden", int, 64),
-        d_feat=_get(values, "model.d_feat", int, 32),
-        d_proj=_get(values, "model.d_proj", int, 16),
-        temperature=_get(values, "model.temperature", float, 0.2),
-        lr=_get(values, "model.lr", float, 0.1),
-        momentum=_get(values, "model.momentum", float, 0.9),
-        weight_decay=_get(values, "model.weight_decay", float, 0.01),
-        epochs=_get(values, "model.epochs", int, 60),
-        batch_size=_get(values, "model.batch_size", int, 64),
-        aug_sigma=_get(values, "model.aug_sigma", float, 0.2),
-        dropout_rate=_get(values, "model.dropout_rate", float, 0.3),
-        lr_decay_epoch=_get(values, "model.lr_decay_epoch", int, None),
-        classifier_steps=_get(values, "model.classifier_steps", int, 200),
-        classifier_lr=_get(values, "model.classifier_lr", float, 1.0),
-    )
-
-    loop = LoopConfig(
-        budget=_get(values, "loop.budget", int, 1000),
-        acquisition_size=_get(values, "loop.acquisition_size", int, 100),
-        subset_size=_get(values, "loop.subset_size", int, 2000),
-        strategy="random",  # replaced per sweep cell
-        tau=_get(values, "loop.tau", int, 50),
-        accumulate_features=_get(values, "loop.accumulate_features", bool, False),
-        force_per_class=_get(values, "loop.force_per_class", bool, False),
-        loss_override=_get(values, "loop.loss_override", str, None),
-        symmetric_featuresim=_get(values, "loop.symmetric_featuresim", bool, False),
-        pca_variance_fraction=_get(values, "loop.pca_variance_fraction", float, None),
-        pca_components=_get(values, "loop.pca_components", int, None),
-        shift_seed=_get(values, "loop.shift_seed", int, 20259),
-    )
-
-    config = ExperimentConfig(
-        source=source,
-        dataset=dataset,
-        test_n_per_class=_get(values, "data.test_n_per_class", int, 200),
-        ood_n=_get(values, "data.ood_n", int, 1000),
-        train_path=_get(values, "data.train_path", str, None),
-        test_path=_get(values, "data.test_path", str, None),
-        ood_path=_get(values, "data.ood_path", str, None),
-        file_format=_get(values, "data.format", str, "binary"),
-        model=model,
-        loop=loop,
-        shift_kinds=_get_list(values, "shift.kinds", str, SHIFT_KINDS),
-        shift_intensities=_get_list(values, "shift.intensities", int, (1, 2, 3, 4, 5)),
-        strategies=_get_list(values, "run.strategies", str, ("featuresim", "random")),
-        seeds=_get_list(values, "run.seeds", int, (0, 1, 2, 3, 4)),
-        out=_get(values, "run.out", str, "runs"),
-    )
+    if parts[""]["source"] == "synthetic":
+        dataset = DatasetSpec(k=model.n_classes, d=model.d_in, **parts["dataset"])
+    config = ExperimentConfig(dataset=dataset, model=model, loop=LoopConfig(**parts["loop"]),
+                              **parts[""])
     config.validate()
     return config
 
 
 def echo_config(config: ExperimentConfig, extra_meta: dict | None = None) -> str:
-    """Render a config back into the flat file format (a reusable manifest)."""
-    lines = []
-    if extra_meta:
-        for key, value in sorted(extra_meta.items()):
-            lines.append(f"meta.{key} = {value}")
-    lines.append(f"data.source = {config.source}")
-    if config.dataset is not None:
-        ds = config.dataset
-        lines += [
-            f"data.k = {ds.k}",
-            f"data.d = {ds.d}",
-            f"data.n_per_class = {ds.n_per_class}",
-            f"data.imbalance_ratio = {ds.imbalance_ratio}",
-            f"data.class_separation = {ds.class_separation}",
-            f"data.noise_sigma = {ds.noise_sigma}",
-            f"data.seed = {ds.seed}",
-        ]
-    else:
-        lines += [
-            f"data.k = {config.model.n_classes}",
-            f"data.d = {config.model.d_in}",
-        ]
-        for key, value in (("train_path", config.train_path),
-                           ("test_path", config.test_path),
-                           ("ood_path", config.ood_path)):
-            if value is not None:
-                lines.append(f"data.{key} = {value}")
-        lines.append(f"data.format = {config.file_format}")
-    lines += [
-        f"data.test_n_per_class = {config.test_n_per_class}",
-        f"data.ood_n = {config.ood_n}",
-        f"model.d_hidden = {config.model.d_hidden}",
-        f"model.d_feat = {config.model.d_feat}",
-        f"model.d_proj = {config.model.d_proj}",
-        f"model.temperature = {config.model.temperature}",
-        f"model.lr = {config.model.lr}",
-        f"model.momentum = {config.model.momentum}",
-        f"model.weight_decay = {config.model.weight_decay}",
-        f"model.epochs = {config.model.epochs}",
-        f"model.batch_size = {config.model.batch_size}",
-        f"model.aug_sigma = {config.model.aug_sigma}",
-        f"model.dropout_rate = {config.model.dropout_rate}",
-        f"model.classifier_steps = {config.model.classifier_steps}",
-        f"model.classifier_lr = {config.model.classifier_lr}",
-        f"loop.budget = {config.loop.budget}",
-        f"loop.acquisition_size = {config.loop.acquisition_size}",
-        f"loop.subset_size = {config.loop.subset_size}",
-        f"loop.tau = {config.loop.tau}",
-        f"loop.accumulate_features = {config.loop.accumulate_features}",
-        f"loop.force_per_class = {config.loop.force_per_class}",
-        f"loop.symmetric_featuresim = {config.loop.symmetric_featuresim}",
-        f"loop.shift_seed = {config.loop.shift_seed}",
-        f"shift.kinds = {','.join(config.shift_kinds)}",
-        f"shift.intensities = {','.join(str(i) for i in config.shift_intensities)}",
-        f"run.strategies = {','.join(config.strategies)}",
-        f"run.seeds = {','.join(str(s) for s in config.seeds)}",
-        f"run.out = {config.out}",
-    ]
-    if config.model.lr_decay_epoch is not None:
-        lines.append(f"model.lr_decay_epoch = {config.model.lr_decay_epoch}")
-    if config.loop.loss_override is not None:
-        lines.append(f"loop.loss_override = {config.loop.loss_override}")
-    if config.loop.pca_variance_fraction is not None:
-        lines.append(f"loop.pca_variance_fraction = {config.loop.pca_variance_fraction}")
-    if config.loop.pca_components is not None:
-        lines.append(f"loop.pca_components = {config.loop.pca_components}")
+    """Render a config back into the flat file format (a reusable manifest).
+
+    Keys whose value is None are left out: unset optional keys, and the
+    dataset keys of a file-backed config.
+    """
+    lines = [f"meta.{key} = {value}" for key, value in sorted((extra_meta or {}).items())]
+    for key, (kind, _) in _KEYS.items():
+        owner, name = _attr(key)
+        holder = getattr(config, owner) if owner else config
+        value = None if holder is None else getattr(holder, name)
+        if value is not None:
+            text = ",".join(str(v) for v in value) if isinstance(kind, list) else value
+            lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

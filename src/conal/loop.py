@@ -24,7 +24,7 @@ from .errors import ConfigError, DataError
 from .metrics import (IterationReport, QueryCost, accuracy, auroc, brier, ece,
                       mce, nll, sampling_bias)
 # names imported but not called here stay bound for perfbench/tracing.py to wrap
-from .model import (ModelConfig, ModelState, encode_values, init_model,
+from .model import (LOSS_KINDS, ModelConfig, ModelState, encode_values, init_model,
                     predict_proba_from_features, stochastic_proba, train)
 from .pca import ClassPcaModel, fit_class_pca
 from .seeding import rng_for
@@ -54,15 +54,23 @@ class LoopConfig:
         get_strategy(self.strategy)
         if self.acquisition_size < 1:
             raise ConfigError("acquisition_size must be positive")
-        if self.budget % self.acquisition_size != 0:
+        if self.budget < 1 or self.budget % self.acquisition_size != 0:
             raise ConfigError(
-                f"budget {self.budget} is not divisible by acquisition size "
+                f"budget {self.budget} is not a positive multiple of acquisition size "
                 f"{self.acquisition_size}"
             )
         if self.subset_size < self.acquisition_size:
             raise ConfigError("subset_size must be at least the acquisition size")
         if self.tau < 2:
             raise ConfigError("tau must be >= 2")
+        if self.pca_components is not None and self.pca_variance_fraction is not None:
+            raise ConfigError("set pca_components or pca_variance_fraction, not both")
+        if self.pca_variance_fraction is not None and not 0 < self.pca_variance_fraction <= 1:
+            raise ConfigError("pca_variance_fraction must lie in (0, 1]")
+        if self.pca_components is not None and self.pca_components < 1:
+            raise ConfigError("pca_components must be >= 1")
+        if self.loss_override is not None and self.loss_override not in LOSS_KINDS:
+            raise ConfigError(f"loss_override must be one of {LOSS_KINDS}")
 
     @property
     def iterations(self) -> int:
@@ -314,11 +322,7 @@ def scoring_context(strategy: StrategyInfo, labeled_feats: np.ndarray | None,
     """
     pca_model = pca_fallback = None
     if strategy.uses_pca:
-        kwargs = {}
-        if pca_components is not None:
-            kwargs["n_components"] = pca_components
-        elif pca_variance_fraction is not None:
-            kwargs["variance_fraction"] = pca_variance_fraction
+        kwargs = {"n_components": pca_components, "variance_fraction": pca_variance_fraction}
         by_class = {int(k): labeled_feats[labeled_labels == k]
                     for k in np.unique(labeled_labels) if (labeled_labels == k).sum() >= 2}
         if by_class:

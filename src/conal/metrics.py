@@ -7,7 +7,7 @@ All functions are pure; natural logarithms throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -156,24 +156,7 @@ class IterationReport:
     mce_normalization: str = MCE_NORMALIZATION
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "labeled_count": self.labeled_count,
-            "accuracy": self.accuracy,
-            "ece": self.ece,
-            "nll": self.nll,
-            "brier": self.brier,
-            "sampling_bias": self.sampling_bias,
-            "auroc_ood": self.auroc_ood,
-            "mce": self.mce,
-            "per_shift": self.per_shift,
-            "query_wall_ms": self.query_wall_ms,
-            "forward_passes_used": self.forward_passes_used,
-            "sampling_bias_acquired": self.sampling_bias_acquired,
-            "deficit_fills": self.deficit_fills,
-            "truncated": self.truncated,
-            "mce_normalization": self.mce_normalization,
-        }
+        return asdict(self)
 
 
 CURVE_METRICS = ("accuracy", "ece", "nll", "brier", "sampling_bias", "auroc_ood", "mce")

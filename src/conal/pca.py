@@ -110,15 +110,14 @@ def _pick_dimension(spectrum: np.ndarray, rank: int, n_components: int | None,
 
 
 def fit_class_pca(features_by_class: dict[int, np.ndarray], n_components: int | None = None,
-                  variance_fraction: float | None = None, center: bool = True) -> ClassPcaModel:
+                  variance_fraction: float | None = None) -> ClassPcaModel:
     """Fit one subspace per class from its labeled features.
 
     Exactly one of ``n_components`` (fixed dimension, capped at min(D, n-1))
     or ``variance_fraction`` (smallest dimension whose eigenvalue prefix sum
     reaches that fraction of total variance) selects the kept dimension;
     the default is a 0.95 variance fraction. Classes with fewer than 2
-    samples fall back to a mean-only subspace with a warning. ``center=False``
-    skips mean subtraction (kept for ablation; the mean is stored as zero).
+    samples fall back to a mean-only subspace with a warning.
     """
     if n_components is not None and variance_fraction is not None:
         raise ConfigError("pass n_components or variance_fraction, not both")
@@ -142,7 +141,7 @@ def fit_class_pca(features_by_class: dict[int, np.ndarray], n_components: int | 
         elif feats.shape[1] != d:
             raise DataError(f"class {k}: dimension {feats.shape[1]} != {d}")
         n_k = feats.shape[0]
-        mean = feats.mean(axis=0) if center else np.zeros(d)
+        mean = feats.mean(axis=0)
         if n_k < 2:
             warnings.warn(f"class {k} has {n_k} sample(s); using a mean-only subspace",
                           stacklevel=2)

@@ -1,11 +1,12 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from conal.cli import main
-from conal.config import build_experiment, load_config_file, parse_config_text
+from conal.config import build_experiment, echo_config, load_config_file, parse_config_text
 from conal.data import DatasetSpec, generate_mixture
 from conal.errors import ConfigError
 from conal.io import load_features
@@ -77,6 +78,13 @@ class TestConfigParsing:
         assert config.loop.acquisition_size == 100
         assert config.loop.subset_size == 2000
         assert len(config.seeds) == 5
+
+    @pytest.mark.parametrize("key,raw", [("loop.budget", "1e3"), ("model.lr", "fast"),
+                                         ("loop.force_per_class", "maybe"),
+                                         ("run.seeds", "0,one")])
+    def test_unparsable_value_names_key(self, key, raw):
+        with pytest.raises(ConfigError, match=re.escape(f"config key {key}: cannot parse")):
+            build_experiment({key: raw})
 
     def test_strategy_typo_lists_names(self):
         with pytest.raises(ConfigError, match="featuresim"):
@@ -341,6 +349,25 @@ class TestFailureHandling:
                        + f"run.out = {tmp_path / 'o'}\n")
         assert main(["run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("bad,message", [
+        ("loop.pca_components = 2\nloop.pca_variance_fraction = 0.5", "not both"),
+        ("loop.pca_variance_fraction = 7", "pca_variance_fraction must lie"),
+        ("loop.loss_override = hinge", "loss_override must be one of"),
+        ("loop.pca_components = 0", "pca_components must be >= 1"),
+        ("model.temperature = 0", "temperature must be positive"),
+        ("loop.budget = 0", "budget 0 is not a positive multiple"),
+    ], ids=["both_pca_keys", "fraction_7", "loss_hinge", "components_0", "temperature_0",
+            "budget_0"])
+    def test_bad_loop_or_model_value_rejected_before_any_cell(self, tmp_path, capsys, bad,
+                                                              message):
+        keys = {line.split("=")[0].strip() for line in bad.splitlines()}
+        kept = [line for line in TINY_CONFIG.splitlines() if line.split("=")[0].strip() not in keys]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(kept + [bad, f"run.out = {tmp_path / 'o'}"]) + "\n")
+        assert main(["run", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestManifestEcho:
     def test_manifest_parses_and_matches(self, tiny_config, tmp_path):
@@ -348,7 +375,31 @@ class TestManifestEcho:
         manifest = load_config_file(tmp_path / "out" / "manifest.cfg")
         original = build_experiment(load_config_file(tiny_config))
         echoed = build_experiment(manifest)
-        assert echoed.dataset == original.dataset
-        assert echoed.model == original.model
-        assert echoed.seeds == original.seeds
-        assert echoed.strategies == original.strategies
+        assert echoed == original
+
+    @pytest.mark.parametrize("source,pca_key", [("synthetic", "loop.pca_components = 3"),
+                                                ("files", "loop.pca_variance_fraction = 0.5")])
+    def test_every_optional_key_round_trips(self, tmp_path, source, pca_key):
+        for name in ("train", "test", "ood"):
+            (tmp_path / f"{name}.csv").write_text("")
+        text = (TINY_CONFIG + pca_key + f"""
+data.source = {source}
+data.train_path = {tmp_path / 'train.csv'}
+data.test_path = {tmp_path / 'test.csv'}
+data.ood_path = {tmp_path / 'ood.csv'}
+data.format = csv
+model.lr_decay_epoch = 2
+model.classifier_steps = 17
+model.classifier_lr = 0.5
+loop.loss_override = cross_entropy
+loop.accumulate_features = true
+loop.force_per_class = yes
+loop.symmetric_featuresim = 1
+loop.shift_seed = 7
+run.out = {tmp_path / 'out'}
+""")
+        original = build_experiment(parse_config_text(text))
+        echoed = build_experiment(parse_config_text(echo_config(original, {"tool": "x"})))
+        assert echoed == original
+        assert echoed.loop.loss_override == "cross_entropy"
+        assert echoed.ood_path == str(tmp_path / "ood.csv")

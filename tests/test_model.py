@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conal.data import DatasetSpec, FeatureMatrix, generate_mixture
 from conal.errors import ConfigError, DataError, UsageError
-from conal.model import (AugmentedBatch, ModelConfig, contrastive_loss_and_grads,
+from conal.model import (LOSS_KINDS, AugmentedBatch, ModelConfig, contrastive_loss_and_grads,
                          encode, encode_values, init_model, load_model,
                          make_augmented_batch, predict_proba,
                          predict_proba_from_features, project, project_values,
@@ -256,11 +257,17 @@ class TestTrain:
         with pytest.warns(UserWarning, match="single labeled sample"):
             train(init_model(config), fm(values, labels))
 
-    def test_training_loss_recorded(self):
-        data = generate_mixture(DatasetSpec(k=2, d=4, n_per_class=16, seed=9))
-        config = small_config(n_classes=2, epochs=3)
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    def test_training_loss_recorded(self, loss_kind):
+        data = generate_mixture(DatasetSpec(k=2, d=4, n_per_class=20, seed=9))
+        config = small_config(n_classes=2, epochs=3, loss_kind=loss_kind)
         state = train(init_model(config), data)
         assert len(state.training_loss) == 3
+        assert all(np.isfinite(loss) and loss > 0 for loss in state.training_loss)
+        # one pass per minibatch, plus the contrastive classifier's encode of the set
+        batches = math.ceil(data.n / config.batch_size)
+        encode_passes = batches if loss_kind == "contrastive" else 0
+        assert state.forward_pass_count == config.epochs * batches + encode_passes
 
 
 class TestPredictProba:
