@@ -27,9 +27,10 @@ from .data import (DEFAULT_SHIFT_MAGNITUDES, ShiftSpec, balanced_test_spec,
                    generate_mixture, generate_ood)
 from .errors import ConalError, ConfigError, DataError
 from .io import load_features, save_features
-from .loop import run_active_learning, scoring_context
+from .loop import run_cells, scoring_context
 from .metrics import CURVE_METRICS, read_reports_jsonl, write_reports_jsonl
 # names imported but not called here stay bound for perfbench/tracing.py to wrap
+from .loop import run_active_learning
 from .model import encode_values, load_model, predict_proba_from_features, stochastic_proba
 from .pca import fit_class_pca
 from .strategies import (VALID_STRATEGIES, featuresim_scores, fre_scores_batch,
@@ -122,6 +123,13 @@ def _materialize_data(config: ExperimentConfig):
                if config.ood_path else None)
         if train.labels is None or test.labels is None:
             raise DataError("train and test feature files must be labeled")
+        for name, other in (("test", test), ("OOD", ood)):
+            if other is not None and other.d != train.d:
+                raise DataError(f"the {name} file has {other.d} features per row, "
+                                f"the train file {train.d}")
+        k = config.model.n_classes
+        if test.labels.max(initial=0) >= k:
+            raise DataError(f"test labels must lie in [0, {k}) for data.k = {k}")
     return train, test, ood
 
 
@@ -166,32 +174,36 @@ def cmd_run(args) -> None:
     (out / "manifest.cfg").write_text(echo_config(config, _meta(config)),
                                       encoding="utf-8")
 
+    cells = [replace(config.loop, strategy=strategy, seed=seed)
+             for strategy in config.strategies for seed in config.seeds]
+    cell_dirs = [out / f"{cell.strategy}_seed{cell.seed}" for cell in cells]
+    for cell, cell_dir in zip(cells, cell_dirs):
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        cell_meta = _meta(config)
+        cell_meta.update({"strategy": cell.strategy, "seed": cell.seed})
+        (cell_dir / "manifest.cfg").write_text(echo_config(config, cell_meta),
+                                               encoding="utf-8")
+    outcomes = run_cells(train, test, config.model, cells, ood=ood, shifts=shifts)
+
     rows = []  # (strategy, seed, iteration, metric, value)
-    for strategy in config.strategies:
-        for seed in config.seeds:
-            cell_dir = out / f"{strategy}_seed{seed}"
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            cell_config = replace(config.loop, strategy=strategy, seed=seed)
-            cell_meta = _meta(config)
-            cell_meta.update({"strategy": strategy, "seed": seed})
-            (cell_dir / "manifest.cfg").write_text(
-                echo_config(config, cell_meta), encoding="utf-8")
-            try:
-                result = run_active_learning(train, test, config.model, cell_config,
-                                             ood=ood, shifts=shifts)
-            except Exception as exc:
-                (cell_dir / "FAILED.txt").write_text(f"{type(exc).__name__}: {exc}\n",
-                                                     encoding="utf-8")
-                raise
-            write_reports_jsonl(result.reports, cell_dir / "report.jsonl")
-            for report in result.reports:
-                as_dict = report.to_dict()
-                for metric in CURVE_METRICS:
-                    value = as_dict[metric]
-                    if value is not None:
-                        rows.append((strategy, seed, report.iteration, metric, value))
-            print(f"finished {strategy} seed {seed}: "
-                  f"final accuracy {result.reports[-1].accuracy:.4f}")
+    failures = []
+    for cell, cell_dir, result in zip(cells, cell_dirs, outcomes):
+        if isinstance(result, BaseException):
+            (cell_dir / "FAILED.txt").write_text(f"{type(result).__name__}: {result}\n",
+                                                 encoding="utf-8")
+            failures.append(result)
+            continue
+        write_reports_jsonl(result.reports, cell_dir / "report.jsonl")
+        for report in result.reports:
+            as_dict = report.to_dict()
+            for metric in CURVE_METRICS:
+                value = as_dict[metric]
+                if value is not None:
+                    rows.append((cell.strategy, cell.seed, report.iteration, metric, value))
+        print(f"finished {cell.strategy} seed {cell.seed}: "
+              f"final accuracy {result.reports[-1].accuracy:.4f}")
+    if failures:
+        raise failures[0]
     _write_curves(rows, out / "curves.csv")
     print(f"run complete: {out}")
 

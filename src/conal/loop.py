@@ -10,10 +10,15 @@ strategies fork from identical starting pools.
 Sample ids are strings only at the boundary. The pool is sorted by id once
 on entry, so inside the loop a sample is its row index, and a row's order
 is its id's order: the selectors' ascending-id tie-break holds on rows.
+
+``run_cells`` runs a sweep's (strategy, seed) cells on up to one worker
+process per usable CPU. A cell's outputs depend only on its own config, so
+the worker count changes wall time, never results.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -253,6 +258,69 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
             break
 
     return RunResult(reports, pool_state, state, truncated, selection_log)
+
+
+# BLAS reads these once, when numpy loads: a worker gets them at spawn
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _worker_count(n_cells: int) -> int:
+    """One worker process per usable CPU, and never more than there are cells."""
+    return min(n_cells, len(os.sched_getaffinity(0)))
+
+
+def run_cells(pool: FeatureMatrix, test: FeatureMatrix, model_config: ModelConfig,
+              cells: list[LoopConfig], ood: FeatureMatrix | None = None,
+              shifts: list[ShiftSpec] | None = None) -> list[RunResult | BaseException]:
+    """Run ``run_active_learning`` for every cell on the same data and model.
+
+    Returns one entry per cell, in cell order: the cell's ``RunResult``, or
+    the exception it raised. Every cell runs, whichever fail. With one
+    worker the cells run here, one after another. With more, they run in
+    spawned worker processes, one cell per task, each worker with one BLAS
+    thread; a cell's exception comes back with its own type.
+    """
+    workers = _worker_count(len(cells))
+    if workers <= 1:
+        outcomes = []
+        for cell in cells:
+            try:
+                outcomes.append(run_active_learning(pool, test, model_config, cell,
+                                                    ood=ood, shifts=shifts))
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    inputs = (pool, test, model_config, ood, shifts)
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
+                             _init_worker, inputs) as executor:
+        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:  # the workers start, and copy the environment, as cells are submitted
+            futures = [executor.submit(_run_cell, cell) for cell in cells]
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    del os.environ[name]
+                else:
+                    os.environ[name] = value
+        return [future.exception() or future.result() for future in futures]
+
+
+_worker_inputs: tuple = ()  # a worker's (pool, test, model_config, ood, shifts)
+
+
+def _init_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _run_cell(loop_config: LoopConfig) -> RunResult:
+    pool, test, model_config, ood, shifts = _worker_inputs
+    return run_active_learning(pool, test, model_config, loop_config, ood=ood, shifts=shifts)
 
 
 def _score_and_select(state, pool, pool_state, loop_config, strategy, t, m_now, ctx):

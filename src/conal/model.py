@@ -8,6 +8,8 @@ momentum SGD with weight decay, where a per-loss step function returns one
 batch's loss and gradients and the encoder's forward and backward passes are
 shared. Every encoder forward batch bumps a thread-safe counter so query
 strategies can be cost-accounted by forward passes rather than wall time.
+The counter pickles with its count, so a trained state, and a whole
+``RunResult``, can come back from a worker process with its pass tally.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ class ModelConfig:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        for name in ("classifier_steps", "classifier_lr", "aug_sigma", "lr_decay_epoch"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be >= 0")
 
     @property
     def decay_epoch(self) -> int:
@@ -89,6 +95,13 @@ class _ForwardCounter:
     @property
     def value(self) -> int:
         return self._value
+
+    def __getstate__(self):
+        return (self._value,)  # a lock does not pickle; the copy gets its own
+
+    def __setstate__(self, state) -> None:
+        (self._value,) = state
+        self._lock = threading.Lock()
 
 
 @dataclass
@@ -161,8 +174,8 @@ def _encoder_forward(state: ModelState, x: np.ndarray, hidden_mask: np.ndarray |
     return h, h @ state.w2 + state.b2
 
 
-def encode_values(state: ModelState, values: np.ndarray, hidden_mask: np.ndarray | None = None,
-                  count: bool = True) -> np.ndarray:
+def encode_values(state: ModelState, values: np.ndarray,
+                  hidden_mask: np.ndarray | None = None) -> np.ndarray:
     """Encoder features (n, d_feat) in float64; counts one pass per batch."""
     values = np.asarray(values, dtype=np.float64)
     _check_d_in(state, values)
@@ -176,8 +189,7 @@ def encode_values(state: ModelState, values: np.ndarray, hidden_mask: np.ndarray
         rows = slice(i * b, (i + 1) * b)
         mask = None if hidden_mask is None else hidden_mask[rows]
         out[rows] = _encoder_forward(state, values[rows], mask)[1]
-    if count:
-        state.counter.add(n_batches)
+    state.counter.add(n_batches)
     return out
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from conal.config import build_experiment
 from conal.data import ShiftSpec, balanced_test_spec, generate_mixture
-from conal.loop import LoopConfig, run_active_learning
+from conal.loop import LoopConfig, run_active_learning, run_cells
 from conal.metrics import QueryCost, auroc, brier, ece, mce, nll, sampling_bias
 from conal.model import ModelConfig, contrastive_loss_and_grads, init_model
 from conal.pca import fit_class_pca, fre_scores
@@ -200,26 +200,29 @@ def preset_runs():
     pool = generate_mixture(ds, id_prefix="tr-")
     test = generate_mixture(balanced_test_spec(ds, config.test_n_per_class),
                             id_prefix="te-")
-    runs = {}
     start = time.perf_counter()
 
-    def run_cell(strategy, seed, shifts):
-        loop = LoopConfig(budget=config.loop.budget,
+    def cell(strategy, seed):
+        return LoopConfig(budget=config.loop.budget,
                           acquisition_size=config.loop.acquisition_size,
                           subset_size=config.loop.subset_size,
                           strategy=strategy, seed=seed)
-        runs[(strategy, seed)] = run_active_learning(
-            pool, test, config.model, loop, shifts=shifts)
 
     rep0 = config.seeds  # [0..4]
-    for strategy in ("featuresim", "fre", "entropy", "random"):
-        for seed in rep0:
-            shifts = [LEVEL3_SHIFT] if strategy in ("featuresim", "random") else []
-            run_cell(strategy, seed, shifts)
-    for rep in range(1, 5):
-        for strategy in ("featuresim", "random"):
-            for seed in [10 * rep + j for j in range(5)]:
-                run_cell(strategy, seed, [])
+    # cells sharing a shift list run in one call, in parallel where CPUs allow
+    by_shifts = (
+        ([LEVEL3_SHIFT], [cell(s, seed) for s in ("featuresim", "random") for seed in rep0]),
+        ([], [cell(s, seed) for s in ("fre", "entropy") for seed in rep0]
+         + [cell(s, 10 * rep + j) for rep in range(1, 5)
+            for s in ("featuresim", "random") for j in range(5)]),
+    )
+    runs = {}
+    for shifts, cells in by_shifts:
+        for loop, result in zip(cells, run_cells(pool, test, config.model, cells,
+                                                 shifts=shifts)):
+            if isinstance(result, BaseException):
+                raise result
+            runs[(loop.strategy, loop.seed)] = result
     elapsed = time.perf_counter() - start
     print(f"\npreset runs: {len(runs)} cells in {elapsed:.0f}s")
     return {"runs": runs, "seeds": rep0, "elapsed": elapsed,

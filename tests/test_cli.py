@@ -7,9 +7,9 @@ import pytest
 
 from conal.cli import main
 from conal.config import build_experiment, echo_config, load_config_file, parse_config_text
-from conal.data import DatasetSpec, generate_mixture
+from conal.data import DatasetSpec, FeatureMatrix, generate_mixture
 from conal.errors import ConfigError
-from conal.io import load_features
+from conal.io import load_features, save_features
 from conal.model import ModelConfig, init_model, save_model, train
 
 TINY_CONFIG = """
@@ -169,6 +169,23 @@ class TestRun:
         cells = [p.name for p in (tmp_path / "solo").iterdir() if p.is_dir()]
         assert cells == ["random_seed1"]
 
+    def test_worker_count_changes_no_output(self, tiny_config, tmp_path, monkeypatch):
+        import os
+
+        import conal.loop as loop_mod
+
+        blas_env = {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
+        for workers in (1, 2):
+            monkeypatch.setattr(loop_mod, "_worker_count", lambda n, w=workers: w)
+            assert main(["run", str(tiny_config), "--out", str(tmp_path / f"w{workers}")]) == 0
+            assert {k: v for k, v in os.environ.items()
+                    if k.endswith("_NUM_THREADS")} == blas_env
+        one, two = tmp_path / "w1", tmp_path / "w2"
+        assert (one / "curves.csv").read_bytes() == (two / "curves.csv").read_bytes()
+        for cell in ("featuresim_seed0", "featuresim_seed1", "random_seed0", "random_seed1"):
+            assert read_jsonl_masked(one / cell / "report.jsonl") == \
+                read_jsonl_masked(two / cell / "report.jsonl")
+
     def test_curves_schema(self, tiny_config, tmp_path):
         main(["run", str(tiny_config)])
         with open(tmp_path / "out" / "curves.csv") as fh:
@@ -327,7 +344,7 @@ class TestScoreParity:
 
 class TestFailureHandling:
     def test_mid_run_failure_leaves_marker(self, tiny_config, tmp_path, monkeypatch):
-        import conal.cli as cli_mod
+        import conal.loop as loop_mod
 
         calls = {"n": 0}
 
@@ -335,12 +352,16 @@ class TestFailureHandling:
             calls["n"] += 1
             raise RuntimeError("simulated mid-run crash")
 
-        monkeypatch.setattr(cli_mod, "run_active_learning", explode)
+        # a spawned worker imports its own conal.loop and never sees the patch
+        monkeypatch.setattr(loop_mod, "_worker_count", lambda n: 1)
+        monkeypatch.setattr(loop_mod, "run_active_learning", explode)
         assert main(["run", str(tiny_config)]) == 4
+        assert calls["n"] == 4  # every cell runs, whichever fail
         marker = tmp_path / "out" / "featuresim_seed0" / "FAILED.txt"
         assert marker.exists()
         assert "simulated mid-run crash" in marker.read_text()
         assert (tmp_path / "out" / "manifest.cfg").exists()  # partial outputs kept
+        assert not (tmp_path / "out" / "curves.csv").exists()
 
     def test_subset_size_validated_before_running(self, tmp_path):
         cfg = tmp_path / "big.cfg"
@@ -356,8 +377,13 @@ class TestFailureHandling:
         ("loop.pca_components = 0", "pca_components must be >= 1"),
         ("model.temperature = 0", "temperature must be positive"),
         ("loop.budget = 0", "budget 0 is not a positive multiple"),
+        ("model.classifier_steps = -1", "classifier_steps must be >= 0"),
+        ("model.classifier_lr = -0.5", "classifier_lr must be >= 0"),
+        ("model.aug_sigma = -0.1", "aug_sigma must be >= 0"),
+        ("model.lr_decay_epoch = -2", "lr_decay_epoch must be >= 0"),
     ], ids=["both_pca_keys", "fraction_7", "loss_hinge", "components_0", "temperature_0",
-            "budget_0"])
+            "budget_0", "classifier_steps_neg", "classifier_lr_neg", "aug_sigma_neg",
+            "lr_decay_epoch_neg"])
     def test_bad_loop_or_model_value_rejected_before_any_cell(self, tmp_path, capsys, bad,
                                                               message):
         keys = {line.split("=")[0].strip() for line in bad.splitlines()}
@@ -367,6 +393,61 @@ class TestFailureHandling:
         assert main(["run", str(cfg)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+    @staticmethod
+    def _files_config(tmp_path, edit):
+        """The tiny data set written as files, ``edit(name, fm)`` applied to each
+        of train, test and OOD, and a config that runs on the edited files."""
+        data = tmp_path / "data"
+        gen = tmp_path / "gen.cfg"
+        gen.write_text(TINY_CONFIG + f"run.out = {data}\n")
+        assert main(["gen", str(gen)]) == 0
+        for name in ("train", "test", "ood"):
+            path = data / f"{name}.bin"
+            save_features(edit(name, load_features(path)), path)
+        cfg = tmp_path / "files.cfg"
+        cfg.write_text(TINY_CONFIG + "data.source = files\n"
+                       + "".join(f"data.{name}_path = {data / name}.bin\n"
+                                 for name in ("train", "test", "ood"))
+                       + f"run.out = {tmp_path / 'o'}\n")
+        return cfg
+
+    @pytest.mark.parametrize("bad_part,change", [
+        ("test", "narrow"), ("ood", "narrow"), ("test", "label_7"),
+    ], ids=["test_width_5", "ood_width_5", "test_label_7"])
+    def test_bad_file_inputs_rejected_before_any_cell(self, tmp_path, capsys, bad_part,
+                                                      change):
+        def edit(name, fm):
+            if name != bad_part:
+                return fm
+            if change == "narrow":
+                return FeatureMatrix(fm.values[:, :5], fm.ids, fm.labels)
+            labels = fm.labels.copy()
+            labels[0] = 7
+            return FeatureMatrix(fm.values, fm.ids, labels)
+
+        cfg = self._files_config(tmp_path, edit)
+        assert main(["run", str(cfg)]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_train_label_fails_every_cell(self, tmp_path, capsys):
+        def edit(name, fm):
+            if name != "train":
+                return fm
+            return FeatureMatrix(fm.values, fm.ids, np.where(fm.labels == 0, 7, fm.labels))
+
+        cfg = self._files_config(tmp_path, edit)
+        assert main(["run", str(cfg)]) == 3
+        assert "labels exceed configured class count" in capsys.readouterr().err
+        out = tmp_path / "o"
+        cells = [p for p in out.iterdir() if p.is_dir()]
+        assert len(cells) == 4
+        for cell in cells:
+            assert "DataError" in (cell / "FAILED.txt").read_text()
+            assert not (cell / "report.jsonl").exists()
+        assert not (out / "curves.csv").exists()
 
 
 class TestManifestEcho:

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -187,6 +188,23 @@ class TestDeterminism:
         a = run_active_learning(pool, test, model, quick_loop("random", seed=0), shifts=[])
         b = run_active_learning(pool, test, model, quick_loop("random", seed=1), shifts=[])
         assert a.pool.history != b.pool.history
+
+    def test_run_result_pickle_round_trip(self):
+        pool, test, model = small_setup()
+        result = run_active_learning(pool, test, model, quick_loop("featuresim"), shifts=[])
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy.reports == result.reports
+        assert copy.pool.history == result.pool.history
+        np.testing.assert_array_equal(copy.pool.labeled, result.pool.labeled)
+        assert copy.selection_log == result.selection_log
+        assert copy.truncated == result.truncated
+        for name, value in result.final_state.encoder_projection_params().items():
+            np.testing.assert_array_equal(getattr(copy.final_state, name), value)
+        passes = result.final_state.forward_pass_count
+        assert passes > 0 and copy.final_state.forward_pass_count == passes
+        copy.final_state.counter.add(2)  # the copy's counter has a working lock
+        assert copy.final_state.forward_pass_count == passes + 2
+        assert result.final_state.forward_pass_count == passes
 
 
 class TestBudgetEdges:

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from conal.errors import DataError
 from conal.metrics import (IterationReport, QueryCost, accuracy, auroc, brier,
-                           ece, mce, nll, sampling_bias)
+                           ece, mce, nll, read_reports_jsonl, sampling_bias,
+                           write_reports_jsonl)
 
 
 class TestEce:
@@ -203,6 +204,29 @@ class TestIterationReport:
                     "query_wall_ms", "forward_passes_used"):
             assert key in d
         assert d["mce_normalization"] == "none"
+
+    def test_interrupted_write_leaves_the_old_report_whole(self, tmp_path, monkeypatch):
+        reports = [IterationReport(iteration=t, labeled_count=10 * t, accuracy=0.9,
+                                   ece=0.05, nll=0.3, brier=0.2, sampling_bias=0.1,
+                                   auroc_ood=None, mce=None) for t in (1, 2)]
+        path = tmp_path / "report.jsonl"
+        write_reports_jsonl(reports, path)
+        before = path.read_bytes()
+        assert read_reports_jsonl(path)[1]["iteration"] == 2
+
+        calls = {"n": 0}
+        real_to_dict = IterationReport.to_dict
+
+        def to_dict_then_die(report):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise KeyboardInterrupt  # killed after the first row
+            return real_to_dict(report)
+
+        monkeypatch.setattr(IterationReport, "to_dict", to_dict_then_die)
+        with pytest.raises(KeyboardInterrupt):
+            write_reports_jsonl(reports[:1] + reports, path)
+        assert path.read_bytes() == before
 
 
 class TestAccuracy:

@@ -61,7 +61,7 @@ class TestEncode:
         state.w1 = np.eye(4); state.b1 = np.zeros(4)
         state.w2 = np.eye(4); state.b2 = np.zeros(4)
         x = np.array([[0.3, -1.2, 0.0, 2.0]])
-        out = encode_values(state, x, count=False)
+        out = encode_values(state, x)
         np.testing.assert_allclose(out, np.tanh(x), atol=1e-12)
 
     def test_forward_pass_counting(self):
