@@ -243,7 +243,12 @@ def cmd_report(args) -> None:
     per_cell = {}
     for cell in cells:
         strategy, _, seed = cell.name.rpartition("_seed")
-        per_cell[(strategy, int(seed))] = read_reports_jsonl(cell / "report.jsonl")
+        try:
+            key = (strategy, int(seed))
+        except ValueError:
+            raise DataError(f"{cell}: a cell directory must be named "
+                            "<strategy>_seed<int>") from None
+        per_cell[key] = read_reports_jsonl(cell / "report.jsonl")
 
     strategies = sorted({key[0] for key in per_cell})
     report_dir = run_dir / "report"
@@ -293,6 +298,8 @@ def cmd_score(args) -> None:
             "random has no scoring function; "
             f"scoreable strategies: {', '.join(n for n in VALID_STRATEGIES if n != 'random')}"
         )
+    if args.tau < 2:
+        raise ConfigError(f"--tau must be >= 2, got {args.tau}")
     state = load_model(args.checkpoint)
     queries = load_features(args.features, args.format)
 

@@ -9,7 +9,7 @@ format's precision); numerical routines upcast to float64 internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -187,25 +187,18 @@ class ShiftSpec:
 
     kind: str
     intensity: int
-    magnitudes: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ConfigError(
                 f"unknown shift kind {self.kind!r}; valid kinds: {', '.join(SHIFT_KINDS)}"
             )
-        if not self.magnitudes:
-            object.__setattr__(self, "magnitudes", DEFAULT_SHIFT_MAGNITUDES[self.kind])
-        if len(self.magnitudes) != 5:
-            raise ConfigError("magnitude schedule must cover intensities 1..5")
-        if not all(a < b for a, b in zip(self.magnitudes, self.magnitudes[1:])):
-            raise ConfigError("magnitude schedule must strictly increase with intensity")
         if not 1 <= self.intensity <= 5:
             raise ConfigError(f"intensity must be in 1..5, got {self.intensity}")
 
     @property
     def magnitude(self) -> float:
-        return self.magnitudes[self.intensity - 1]
+        return DEFAULT_SHIFT_MAGNITUDES[self.kind][self.intensity - 1]
 
 
 def full_shift_suite(kinds=SHIFT_KINDS, intensities=(1, 2, 3, 4, 5)) -> list[ShiftSpec]:
@@ -218,10 +211,7 @@ def apply_shift(data: FeatureMatrix, shift: ShiftSpec, seed: int) -> FeatureMatr
     x = data.values.astype(np.float64)
     mag = shift.magnitude
     if shift.kind == "additive_gaussian":
-        if mag == 0.0:
-            shifted = data.values.copy()
-        else:
-            shifted = x + mag * rng.standard_normal(x.shape)
+        shifted = x + mag * rng.standard_normal(x.shape)
     elif shift.kind == "feature_scale":
         shifted = x * mag
     elif shift.kind == "feature_dropout_mask":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -115,11 +115,8 @@ def mce(per_shift_errors) -> float:
     No baseline normalization is applied (reports carry an explicit
     ``mce_normalization: none`` marker).
     """
-    if isinstance(per_shift_errors, dict):
-        values = list(per_shift_errors.values())
-    else:
-        values = list(np.asarray(per_shift_errors, dtype=np.float64).ravel())
-    if not values:
+    values = np.asarray(per_shift_errors, dtype=np.float64).ravel()
+    if not values.size:
         raise DataError("mce undefined with no shift cells")
     return float(np.mean(values))
 
@@ -174,5 +171,15 @@ def write_reports_jsonl(reports: list[IterationReport], path) -> None:
 
 
 def read_reports_jsonl(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """The rows of a ``report.jsonl``. A DataError unless there is at least one
+    and each is a JSON object holding every ``IterationReport`` field."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh if line.strip()]
+    except ValueError as exc:  # bad UTF-8, or a line that is not JSON
+        raise DataError(f"{path}: unreadable report ({exc})") from None
+    names = {f.name for f in fields(IterationReport)}
+    if not rows or not all(isinstance(row, dict) and names <= row.keys() for row in rows):
+        raise DataError(f"{path}: not one or more lines, each a JSON object holding "
+                        f"every field of {sorted(names)}")
+    return rows

@@ -6,18 +6,17 @@ All math runs in float64 with hand-written forward/backward passes. Both
 losses train through one minibatch loop, ``_sgd``: shuffled epochs of
 momentum SGD with weight decay, where a per-loss step function returns one
 batch's loss and gradients and the encoder's forward and backward passes are
-shared. Every encoder forward batch bumps a thread-safe counter so query
-strategies can be cost-accounted by forward passes rather than wall time.
-The counter pickles with its count, so a trained state, and a whole
-``RunResult``, can come back from a worker process with its pass tally.
+shared. Every encoder forward batch adds one to ``forward_pass_count`` so
+query strategies can be cost-accounted by forward passes rather than wall
+time. The count is a plain field, so a trained state, and a whole
+``RunResult``, comes back from a worker process with its pass tally.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -77,33 +76,6 @@ class ModelConfig:
         return int(math.floor(0.8 * self.epochs))
 
 
-class _ForwardCounter:
-    """Monotone, thread-safe forward-pass counter."""
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self):
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def add(self, amount: int) -> None:
-        if amount < 0:
-            raise ValueError("counter can only increase")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def __getstate__(self):
-        return (self._value,)  # a lock does not pickle; the copy gets its own
-
-    def __setstate__(self, state) -> None:
-        (self._value,) = state
-        self._lock = threading.Lock()
-
-
 @dataclass
 class ModelState:
     config: ModelConfig
@@ -119,39 +91,36 @@ class ModelState:
     bc: np.ndarray | None = None
     trained_loss_kind: str | None = None
     training_loss: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
-    counter: _ForwardCounter = field(default_factory=_ForwardCounter)
-
-    @property
-    def forward_pass_count(self) -> int:
-        return self.counter.value
+    forward_pass_count: int = 0
 
     def encoder_projection_params(self) -> dict[str, np.ndarray]:
-        return {
-            "w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
-            "v1": self.v1, "c1": self.c1, "v2": self.v2, "c2": self.c2,
-        }
+        return {name: getattr(self, name) for name in _ENCODER_PROJECTION}
+
+
+_ENCODER_PROJECTION = ("w1", "b1", "w2", "b2", "v1", "c1", "v2", "c2")
+
+
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every weight array's shape: encoder, projection head, classifier."""
+    return {"w1": (config.d_in, config.d_hidden), "b1": (config.d_hidden,),
+            "w2": (config.d_hidden, config.d_feat), "b2": (config.d_feat,),
+            "v1": (config.d_feat, config.d_feat), "c1": (config.d_feat,),
+            "v2": (config.d_feat, config.d_proj), "c2": (config.d_proj,),
+            "wc": (config.d_feat, config.n_classes), "bc": (config.n_classes,)}
 
 
 def init_model(config: ModelConfig) -> ModelState:
-    """Fresh state with Glorot-scaled weights drawn from ``config.seed``."""
+    """Glorot weights drawn from ``config.seed`` in ``_ENCODER_PROJECTION`` order; zero biases."""
     config.validate()
     rng = rng_for(config.seed, "init")
+    shapes = _param_shapes(config)
 
     def glorot(fan_in, fan_out):
         return rng.standard_normal((fan_in, fan_out)) * math.sqrt(2.0 / (fan_in + fan_out))
 
-    return ModelState(
-        config=config,
-        w1=glorot(config.d_in, config.d_hidden),
-        b1=np.zeros(config.d_hidden),
-        w2=glorot(config.d_hidden, config.d_feat),
-        b2=np.zeros(config.d_feat),
-        v1=glorot(config.d_feat, config.d_feat),
-        c1=np.zeros(config.d_feat),
-        v2=glorot(config.d_feat, config.d_proj),
-        c2=np.zeros(config.d_proj),
-    )
+    return ModelState(config=config, **{
+        name: glorot(*shapes[name]) if len(shapes[name]) == 2 else np.zeros(shapes[name])
+        for name in _ENCODER_PROJECTION})
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +158,8 @@ def encode_values(state: ModelState, values: np.ndarray,
         rows = slice(i * b, (i + 1) * b)
         mask = None if hidden_mask is None else hidden_mask[rows]
         out[rows] = _encoder_forward(state, values[rows], mask)[1]
-    state.counter.add(n_batches)
+    state.forward_pass_count += n_batches
     return out
-
-
-def encode(state: ModelState, x: FeatureMatrix) -> FeatureMatrix:
-    """Feature matrix of encoder outputs; ids (and labels) carry over."""
-    z = encode_values(state, x.values)
-    return FeatureMatrix(z.astype(np.float32), x.ids.copy(),
-                         None if x.labels is None else x.labels.copy())
 
 
 def _unit_rows(p: np.ndarray):
@@ -213,29 +175,6 @@ def _unit_rows(p: np.ndarray):
         p[dead, 0] = 1.0
         norms[dead] = 1.0
     return p / norms[:, None], norms, dead
-
-
-def project_values(state: ModelState, z: np.ndarray) -> np.ndarray:
-    """L2-normalized projection-head outputs (n, d_proj).
-
-    Rows that are exactly zero before normalization are replaced by the first
-    unit basis vector and tallied in ``state.diagnostics``.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != state.config.d_feat:
-        raise DataError(f"features have shape {z.shape}, expected (*, {state.config.d_feat})")
-    p, _, dead = _unit_rows(np.tanh(z @ state.v1 + state.c1) @ state.v2 + state.c2)
-    if np.any(dead):
-        state.diagnostics["zero_projection_rows"] = (
-            state.diagnostics.get("zero_projection_rows", 0) + int(dead.sum())
-        )
-    return p
-
-
-def project(state: ModelState, z: FeatureMatrix) -> FeatureMatrix:
-    p = project_values(state, z.values)
-    return FeatureMatrix(p.astype(np.float32), z.ids.copy(),
-                         None if z.labels is None else z.labels.copy())
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -254,33 +193,21 @@ def predict_proba_from_features(state: ModelState, z: np.ndarray) -> np.ndarray:
     return _softmax(z @ state.wc + state.bc)
 
 
-def predict_proba(state: ModelState, x: FeatureMatrix | np.ndarray) -> np.ndarray:
-    """Row-stochastic (n, K) class probabilities."""
-    if state.wc is None:
-        raise UsageError("classifier not trained; call train() first")
-    values = x.values if isinstance(x, FeatureMatrix) else x
-    z = encode_values(state, values)
-    return predict_proba_from_features(state, z)
-
-
-def stochastic_proba(state: ModelState, x: FeatureMatrix | np.ndarray, tau: int,
-                     dropout_rate: float | None = None, seed: int = 0) -> np.ndarray:
+def stochastic_proba(state: ModelState, values: np.ndarray, tau: int,
+                     seed: int = 0) -> np.ndarray:
     """(tau, n, K) probabilities from tau dropout-masked encoder passes.
 
     Each pass multiplies the encoder hidden layer by an i.i.d. Bernoulli keep
-    mask scaled by 1/(1-rate), then classifies as usual.
+    mask scaled by 1/(1-config.dropout_rate), then classifies as usual.
     """
     if tau < 2:
         raise UsageError(f"tau must be >= 2, got {tau}")
     if state.wc is None:
         raise UsageError("classifier not trained; call train() first")
-    rate = state.config.dropout_rate if dropout_rate is None else dropout_rate
-    if not 0 <= rate < 1:
-        raise ConfigError("dropout_rate must lie in [0, 1)")
-    if rate == 0.0 and tau > 1:
+    rate = state.config.dropout_rate
+    if rate == 0.0:
         warnings.warn("dropout_rate is 0: all stochastic passes are identical",
                       stacklevel=2)
-    values = x.values if isinstance(x, FeatureMatrix) else x
     values = np.asarray(values, dtype=np.float64)
     _check_d_in(state, values)
     n = values.shape[0]
@@ -302,28 +229,13 @@ def stochastic_proba(state: ModelState, x: FeatureMatrix | np.ndarray, tau: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AugmentedBatch:
-    """Two jittered views per source row, stacked; labels repeat per view."""
-
-    values: np.ndarray
-    labels: np.ndarray
-    view_of: np.ndarray
-
-    def __post_init__(self):
-        n = self.values.shape[0]
-        if n % 2 or self.labels.shape != (n,) or self.view_of.shape != (n,):
-            raise DataError("augmented batch must hold exactly 2 views per source row")
-
-
 def make_augmented_batch(values: np.ndarray, labels: np.ndarray, aug_sigma: float,
-                         rng: np.random.Generator) -> AugmentedBatch:
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Two jittered views per source row, stacked, and their labels."""
     values = np.asarray(values, dtype=np.float64)
     jitter = rng.standard_normal((2,) + values.shape)
     stacked = np.concatenate([values + aug_sigma * jitter[0], values + aug_sigma * jitter[1]])
-    idx = np.arange(values.shape[0])
-    return AugmentedBatch(stacked, np.concatenate([labels, labels]),
-                          np.concatenate([idx, idx]))
+    return stacked, np.concatenate([labels, labels])
 
 
 def supcon_loss(projections: np.ndarray, labels: np.ndarray, temperature: float) -> float:
@@ -500,18 +412,18 @@ def _sgd(state: ModelState, x: np.ndarray, y: np.ndarray, rng, step) -> None:
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, grads = step(state, rng, x[idx], y[idx])
-            state.counter.add(1)
+            state.forward_pass_count += 1
             opt.step(state, grads)
             epoch_loss += loss
         state.training_loss.append(epoch_loss / max(math.ceil(n / cfg.batch_size), 1))
 
 
 def _contrastive_step(state: ModelState, rng, x: np.ndarray, y: np.ndarray):
-    batch = make_augmented_batch(x, y, state.config.aug_sigma, rng)
-    loss, grads = contrastive_loss_and_grads(state, batch.values, batch.labels)
+    values, labels = make_augmented_batch(x, y, state.config.aug_sigma, rng)
+    loss, grads = contrastive_loss_and_grads(state, values, labels)
     # the loss is a sum over anchors; step with the per-anchor mean so the
     # step size is independent of batch size
-    rows = batch.values.shape[0]
+    rows = values.shape[0]
     return loss, {k: g / rows for k, g in grads.items()}
 
 
@@ -561,6 +473,8 @@ def save_model(state: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
+    """Read a checkpoint; a DataError unless its config is valid and every
+    array has the shape that config gives it."""
     meta, arrays = read_container(path)
     if meta.get("kind") != "model":
         raise DataError(f"{path}: container holds {meta.get('kind')!r}, not a model")
@@ -568,8 +482,20 @@ def load_model(path) -> ModelState:
     keys = {f.name for f in fields(ModelConfig)}
     if not isinstance(raw, dict) or set(raw) != keys:
         raise DataError(f"{path}: model config must have exactly the keys {sorted(keys)}")
-    encoder = {"w1", "b1", "w2", "b2", "v1", "c1", "v2", "c2"}
-    if set(arrays) not in (encoder, encoder | {"wc", "bc"}):
+    integer_keys = [f.name for f in fields(ModelConfig) if f.type.startswith("int")]
+    if any(type(raw[key]) is not int for key in integer_keys if raw[key] is not None):
+        raise DataError(f"{path}: model config values {integer_keys} must be integers")
+    config = ModelConfig(**raw)
+    try:
+        config.validate()
+    except (ConfigError, TypeError) as exc:  # TypeError: a value of the wrong type
+        raise DataError(f"{path}: invalid model config: {exc}") from None
+    shapes = _param_shapes(config)
+    if set(arrays) not in (set(_ENCODER_PROJECTION), set(shapes)):
         raise DataError(f"{path}: arrays {sorted(arrays)} are not a model's")
-    return ModelState(config=ModelConfig(**raw), **arrays,
+    for name, value in arrays.items():
+        if value.shape != shapes[name]:
+            raise DataError(f"{path}: array {name} has shape {value.shape}, "
+                            f"the config gives {shapes[name]}")
+    return ModelState(config=config, **arrays,
                       trained_loss_kind=meta.get("trained_loss_kind"))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, UsageError
-from .io import read_container, write_container
 
 
 @dataclass(frozen=True)
@@ -176,28 +175,3 @@ def fre_scores(model: ClassPcaModel, z: np.ndarray, k: int) -> np.ndarray:
         residual = centered
     return np.linalg.norm(residual, axis=1)
 
-
-def save_class_pca(model: ClassPcaModel, path) -> None:
-    meta = {"kind": "pca", "d": model.d, "classes": sorted(model.classes),
-            "n_fit": {str(k): sub.n_fit for k, sub in model.classes.items()}}
-    arrays = {}
-    for k, sub in model.classes.items():
-        arrays[f"mean_{k}"] = sub.mean
-        arrays[f"basis_{k}"] = sub.basis
-        arrays[f"spectrum_{k}"] = sub.spectrum
-    write_container(path, meta, arrays)
-
-
-def load_class_pca(path) -> ClassPcaModel:
-    meta, arrays = read_container(path)
-    if meta.get("kind") != "pca":
-        raise DataError(f"{path}: container holds {meta.get('kind')!r}, not a pca model")
-    classes = {}
-    for k in meta["classes"]:
-        classes[int(k)] = ClassSubspace(
-            arrays[f"mean_{k}"],
-            arrays[f"basis_{k}"],
-            arrays[f"spectrum_{k}"],
-            int(meta["n_fit"][str(k)]),
-        )
-    return ClassPcaModel(int(meta["d"]), classes)

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from conal.cli import main
 from conal.config import build_experiment, echo_config, load_config_file, parse_config_text
 from conal.data import DatasetSpec, FeatureMatrix, generate_mixture
 from conal.errors import ConfigError
-from conal.io import load_features, save_features
+from conal.io import load_features, read_container, save_features, write_container
+from conal.metrics import IterationReport
 from conal.model import ModelConfig, init_model, save_model, train
 
 TINY_CONFIG = """
@@ -223,6 +228,26 @@ class TestReport:
     def test_missing_run_dir_exits_3(self, tmp_path):
         assert main(["report", str(tmp_path / "nowhere")]) == 3
 
+    @pytest.mark.parametrize("bad, code", [("none", 0), ("truncated_line", 3),
+                                           ("missing_metric", 3), ("empty", 3),
+                                           ("cell_name", 3)])
+    def test_malformed_run_dir(self, tmp_path, bad, code):
+        row = IterationReport(1, 20, 0.5, 0.1, 1.0, 0.5, 0.1, None, None).to_dict()
+        name = "featuresim_seed0"
+        if bad == "missing_metric":
+            del row["accuracy"]
+        elif bad == "cell_name":
+            name = "featuresim_seedX"
+        text = json.dumps(row) + "\n"
+        if bad == "truncated_line":
+            text = text[: len(text) // 2]
+        elif bad == "empty":
+            text = ""
+        cell = tmp_path / "run" / name
+        cell.mkdir(parents=True)
+        (cell / "report.jsonl").write_text(text)
+        assert main(["report", str(tmp_path / "run")]) == code
+
 
 class TestScore:
     @pytest.fixture
@@ -288,6 +313,26 @@ class TestScore:
         _, lab_path, q_path, tmp_path = artifacts
         assert main(["score", str(q_path), "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--strategy", "entropy", "--out", str(tmp_path / "s.csv")]) == 3
+
+    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("batch_size", 2.5),
+                                            ("d_feat", "x"), ("temperature", "x"),
+                                            ("w2", "five columns")])
+    def test_corrupt_checkpoint_contents_exit_3(self, artifacts, key, value):
+        ckpt, _, q_path, tmp_path = artifacts
+        meta, arrays = read_container(ckpt)
+        if key == "w2":
+            arrays["w2"] = arrays["w2"][:, :5]
+        else:
+            meta["config"][key] = value
+        write_container(ckpt, meta, arrays)
+        assert main(["score", str(q_path), "--checkpoint", str(ckpt),
+                     "--strategy", "entropy", "--out", str(tmp_path / "s.csv")]) == 3
+
+    @pytest.mark.parametrize("tau", [0, 1])
+    def test_bad_tau_exits_2_before_reading_files(self, tmp_path, tau):
+        assert main(["score", str(tmp_path / "no.bin"), "--checkpoint",
+                     str(tmp_path / "no.ckpt"), "--strategy", "bald", "--tau", str(tau),
+                     "--out", str(tmp_path / "s.csv")]) == 2
 
 
 class TestScoreParity:
@@ -484,3 +529,15 @@ run.out = {tmp_path / 'out'}
         assert echoed == original
         assert echoed.loop.loss_override == "cross_entropy"
         assert echoed.ood_path == str(tmp_path / "ood.csv")
+
+
+def test_benchmark_tracer_installs():
+    """The benchmark's tracer wraps names that conal.cli, conal.loop and the
+    conal modules bind; deleting one of them breaks ``--trace 1``."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "perfbench"),
+                                                       str(root / "src")]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import tracing; tracing.install(tracing.Tracer())"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -90,12 +90,6 @@ class TestApplyShift:
     def _data(self, n=50, d=8, seed=5):
         return generate_mixture(DatasetSpec(k=2, d=d, n_per_class=n // 2, seed=seed))
 
-    def test_zero_magnitude_override_is_identity(self):
-        data = self._data()
-        spec = ShiftSpec("additive_gaussian", 1, magnitudes=(0.0, 0.1, 0.2, 0.3, 0.4))
-        out = apply_shift(data, spec, seed=0)
-        assert np.array_equal(out.values, data.values)
-
     def test_feature_scale_scales_norms(self):
         data = self._data()
         spec = ShiftSpec("feature_scale", 3)  # magnitude 1.5
@@ -141,8 +135,6 @@ class TestApplyShift:
     def test_magnitudes_strictly_increase(self):
         for kind, mags in DEFAULT_SHIFT_MAGNITUDES.items():
             assert all(a < b for a, b in zip(mags, mags[1:])), kind
-        with pytest.raises(ConfigError):
-            ShiftSpec("additive_gaussian", 2, magnitudes=(0.5, 0.5, 1.0, 1.5, 2.0))
 
 
 class TestOod:

@@ -173,7 +173,7 @@ class TestSamplingBias:
 
 class TestMce:
     def test_all_zero(self):
-        assert mce({("a", 1): 0.0, ("a", 2): 0.0}) == 0.0
+        assert mce([0.0, 0.0]) == 0.0
 
     def test_constant_error(self):
         assert mce([0.37, 0.37, 0.37]) == pytest.approx(0.37, abs=1e-12)

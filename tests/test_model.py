@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from conal.data import DatasetSpec, FeatureMatrix, generate_mixture
 from conal.errors import ConfigError, DataError, UsageError
-from conal.model import (LOSS_KINDS, AugmentedBatch, ModelConfig, contrastive_loss_and_grads,
-                         encode, encode_values, init_model, load_model,
-                         make_augmented_batch, predict_proba,
-                         predict_proba_from_features, project, project_values,
-                         save_model, stochastic_proba, supcon_loss, train)
+from conal.model import (LOSS_KINDS, ModelConfig, _unit_rows, contrastive_loss_and_grads,
+                         encode_values, init_model, load_model, make_augmented_batch,
+                         predict_proba_from_features, save_model, stochastic_proba,
+                         supcon_loss, train)
 from conal.io import write_container
 from conal.seeding import rng_for
 
@@ -28,6 +27,10 @@ def fm(values, labels=None, prefix="x"):
     values = np.asarray(values)
     ids = np.array([f"{prefix}{i:05d}" for i in range(values.shape[0])])
     return FeatureMatrix(values, ids, labels)
+
+
+def predict(state, data):
+    return predict_proba_from_features(state, encode_values(state, data.values))
 
 
 class TestConfig:
@@ -46,13 +49,13 @@ class TestEncode:
     def test_zero_weights_give_zero_features(self):
         state = init_model(small_config())
         state.w1[:] = 0; state.b1[:] = 0; state.w2[:] = 0; state.b2[:] = 0
-        out = encode(state, fm(np.random.default_rng(0).standard_normal((5, 4))))
-        assert np.allclose(out.values, 0.0)
+        out = encode_values(state, np.random.default_rng(0).standard_normal((5, 4)))
+        assert np.allclose(out, 0.0)
 
     def test_empty_input(self):
         state = init_model(small_config())
-        out = encode(state, fm(np.zeros((0, 4))))
-        assert out.n == 0
+        out = encode_values(state, np.zeros((0, 4)))
+        assert out.shape == (0, 6)
         assert state.forward_pass_count == 0
 
     def test_identity_configuration_applies_nonlinearity(self):
@@ -85,37 +88,30 @@ class TestEncode:
 
 
 class TestProject:
+    """Row normalization of the projection head's outputs in the contrastive
+    forward pass."""
+
     def test_rows_unit_norm(self):
-        state = init_model(small_config())
-        z = np.random.default_rng(2).standard_normal((7, 6))
-        p = project_values(state, z)
-        np.testing.assert_allclose(np.linalg.norm(p, axis=1), 1.0, atol=1e-6)
+        p, _, dead = _unit_rows(np.random.default_rng(2).standard_normal((7, 4)))
+        np.testing.assert_allclose(np.linalg.norm(p, axis=1), 1.0, atol=1e-12)
+        assert not dead.any()
 
     def test_deterministic(self):
-        state = init_model(small_config())
-        z = np.random.default_rng(3).standard_normal((4, 6))
-        np.testing.assert_array_equal(project_values(state, z), project_values(state, z))
+        raw = np.random.default_rng(3).standard_normal((4, 4))
+        np.testing.assert_array_equal(_unit_rows(raw.copy())[0], _unit_rows(raw.copy())[0])
 
     def test_pairwise_dots_bounded(self):
-        state = init_model(small_config())
-        p = project_values(state, np.random.default_rng(4).standard_normal((3, 6)))
+        p, _, _ = _unit_rows(np.random.default_rng(4).standard_normal((3, 4)))
         dots = p @ p.T
         assert dots.min() >= -1 - 1e-9 and dots.max() <= 1 + 1e-9
 
     def test_zero_row_replaced_and_flagged(self):
-        state = init_model(small_config())
-        state.v1[:] = 0; state.c1[:] = 0; state.v2[:] = 0; state.c2[:] = 0
-        p = project_values(state, np.ones((2, 6)))
-        np.testing.assert_array_equal(p, np.tile([1.0, 0, 0, 0], (2, 1)))
-        assert state.diagnostics["zero_projection_rows"] == 2
-
-    def test_feature_matrix_wrapper(self):
-        state = init_model(small_config())
-        z = encode(state, fm(np.random.default_rng(5).standard_normal((4, 4))))
-        p = project(state, z)
-        assert p.d == 4
-        np.testing.assert_allclose(np.linalg.norm(p.values.astype(np.float64), axis=1),
-                                   1.0, atol=1e-6)
+        raw = np.zeros((3, 4))
+        raw[1] = [0.0, 3.0, 0.0, 4.0]
+        p, norms, dead = _unit_rows(raw)
+        np.testing.assert_array_equal(p, [[1.0, 0, 0, 0], [0, 0.6, 0, 0.8], [1.0, 0, 0, 0]])
+        np.testing.assert_array_equal(norms, [1.0, 5.0, 1.0])
+        np.testing.assert_array_equal(dead, [True, False, True])
 
 
 class TestSupconLoss:
@@ -219,7 +215,7 @@ class TestTrain:
         config = ModelConfig(d_in=2, n_classes=2, d_hidden=16, d_feat=8, d_proj=4,
                              epochs=30, batch_size=32, lr=0.1, seed=1)
         state = train(init_model(config), data)
-        probs = predict_proba(state, data)
+        probs = predict(state, data)
         assert (probs.argmax(axis=1) == y).mean() >= 0.95
 
     def test_bit_identical_given_seed(self):
@@ -247,7 +243,7 @@ class TestTrain:
         config = small_config(loss_kind="cross_entropy", epochs=40, lr=0.1)
         state = train(init_model(config), data)
         assert state.trained_loss_kind == "cross_entropy"
-        probs = predict_proba(state, data)
+        probs = predict(state, data)
         assert (probs.argmax(axis=1) == data.labels).mean() > 0.9
 
     def test_singleton_class_warns_but_trains(self):
@@ -277,7 +273,7 @@ class TestPredictProba:
 
     def test_rows_sum_to_one(self):
         state, data = self._trained()
-        probs = predict_proba(state, data)
+        probs = predict(state, data)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
         assert probs.min() > 0.0 and probs.max() < 1.0
 
@@ -285,7 +281,7 @@ class TestPredictProba:
         state, data = self._trained()
         state.wc = np.zeros_like(state.wc)
         state.bc = np.zeros_like(state.bc)
-        probs = predict_proba(state, data)
+        probs = predict(state, data)
         np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-12)
 
     def test_shift_invariance_of_softmax(self):
@@ -312,29 +308,10 @@ class TestPredictProba:
         np.testing.assert_allclose(probs[0], [e / (e + 1), 1 / (e + 1)], atol=1e-9)
         assert probs[0, 0] == pytest.approx(0.731, abs=5e-4)
 
-
-class TestCounterConcurrency:
-    def test_concurrent_increments_are_linearizable(self):
-        import threading
-
-        state = init_model(small_config(batch_size=5))
-        x = np.zeros((13, 4))  # ceil(13/5) = 3 batches per call
-
-        def worker():
-            for _ in range(50):
-                encode_values(state, x)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert state.forward_pass_count == 8 * 50 * 3
-
     def test_untrained_errors(self):
         state = init_model(small_config())
         with pytest.raises(UsageError):
-            predict_proba(state, fm(np.zeros((2, 4))))
+            predict_proba_from_features(state, np.zeros((2, 6)))
 
 
 class TestStochasticProba:
@@ -344,15 +321,16 @@ class TestStochasticProba:
 
     def test_rate_zero_slices_identical(self):
         state, data = self._trained()
+        state.config = dataclasses.replace(state.config, dropout_rate=0.0)
         with pytest.warns(UserWarning, match="identical"):
-            tensor = stochastic_proba(state, data, tau=3, dropout_rate=0.0, seed=0)
+            tensor = stochastic_proba(state, data.values, tau=3, seed=0)
         np.testing.assert_array_equal(tensor[0], tensor[1])
         np.testing.assert_array_equal(tensor[0], tensor[2])
 
     def test_seed_reproducible(self):
         state, data = self._trained()
-        a = stochastic_proba(state, data, tau=4, dropout_rate=0.3, seed=5)
-        b = stochastic_proba(state, data, tau=4, dropout_rate=0.3, seed=5)
+        a = stochastic_proba(state, data.values, tau=4, seed=5)
+        b = stochastic_proba(state, data.values, tau=4, seed=5)
         np.testing.assert_array_equal(a, b)
 
     def test_pass_counting_is_tau_times_single(self):
@@ -361,31 +339,27 @@ class TestStochasticProba:
         encode_values(state, data.values)
         single = state.forward_pass_count - single_before
         before = state.forward_pass_count
-        stochastic_proba(state, data, tau=50, dropout_rate=0.3, seed=1)
+        stochastic_proba(state, data.values, tau=50, seed=1)
         assert state.forward_pass_count - before == 50 * single
 
     def test_slices_row_stochastic(self):
         state, data = self._trained()
-        tensor = stochastic_proba(state, data, tau=3, dropout_rate=0.4, seed=2)
+        state.config = dataclasses.replace(state.config, dropout_rate=0.4)
+        tensor = stochastic_proba(state, data.values, tau=3, seed=2)
         np.testing.assert_allclose(tensor.sum(axis=2), 1.0, atol=1e-6)
 
     def test_tau_validation(self):
         state, data = self._trained()
         with pytest.raises(UsageError):
-            stochastic_proba(state, data, tau=1, dropout_rate=0.3, seed=0)
+            stochastic_proba(state, data.values, tau=1, seed=0)
 
 
 class TestAugmentedBatch:
     def test_two_views_per_source(self):
         rng = rng_for(0, "aug")
-        batch = make_augmented_batch(np.zeros((5, 3)), np.arange(5), 0.1, rng)
-        assert batch.values.shape == (10, 3)
-        np.testing.assert_array_equal(batch.view_of, np.tile(np.arange(5), 2))
-        np.testing.assert_array_equal(batch.labels, np.tile(np.arange(5), 2))
-
-    def test_odd_row_count_rejected(self):
-        with pytest.raises(DataError):
-            AugmentedBatch(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros(3, dtype=int))
+        values, labels = make_augmented_batch(np.zeros((5, 3)), np.arange(5), 0.1, rng)
+        assert values.shape == (10, 3)
+        np.testing.assert_array_equal(labels, np.tile(np.arange(5), 2))
 
 
 class TestCheckpoint:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from conal.errors import ConfigError, DataError, UsageError
-from conal.pca import (class_covariance_eig, fit_class_pca, fre_score,
-                       fre_scores, load_class_pca, save_class_pca)
+from conal.pca import class_covariance_eig, fit_class_pca, fre_score, fre_scores
 
 
 @pytest.fixture
@@ -147,18 +146,3 @@ class TestFreScore:
         with pytest.raises(UsageError):
             fre_score(model, np.zeros(5), 3)
 
-
-class TestSerialization:
-    def test_round_trip(self, rng, tmp_path):
-        pts = {0: rng.standard_normal((20, 4)), 2: rng.standard_normal((3, 4))}
-        model = fit_class_pca(pts, variance_fraction=0.9)
-        path = tmp_path / "pca.ckpt"
-        save_class_pca(model, path)
-        back = load_class_pca(path)
-        assert back.d == model.d
-        assert set(back.classes) == set(model.classes)
-        for k in model.classes:
-            np.testing.assert_array_equal(back.classes[k].basis, model.classes[k].basis)
-            np.testing.assert_array_equal(back.classes[k].mean, model.classes[k].mean)
-            np.testing.assert_array_equal(back.classes[k].spectrum,
-                                          model.classes[k].spectrum)
