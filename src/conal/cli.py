@@ -23,12 +23,12 @@ import numpy as np
 from . import __version__
 from .config import (ExperimentConfig, build_experiment, echo_config,
                      load_config_file)
-from .data import (DEFAULT_SHIFT_MAGNITUDES, ShiftSpec, balanced_test_spec,
+from .data import (DEFAULT_SHIFT_MAGNITUDES, balanced_test_spec, full_shift_suite,
                    generate_mixture, generate_ood)
 from .errors import ConalError, ConfigError, DataError
 from .io import load_features, save_features
 from .loop import run_cells, scoring_context
-from .metrics import CURVE_METRICS, read_reports_jsonl, write_reports_jsonl
+from .metrics import CURVE_METRICS, MCE_NORMALIZATION, read_reports_jsonl, write_reports_jsonl
 # names imported but not called here stay bound for perfbench/tracing.py to wrap
 from .loop import run_active_learning
 from .model import encode_values, load_model, predict_proba_from_features, stochastic_proba
@@ -139,7 +139,7 @@ def _meta(config: ExperimentConfig) -> dict:
         "numpy_version": np.__version__,
         "shift_magnitudes": json.dumps(
             {k: DEFAULT_SHIFT_MAGNITUDES[k] for k in config.shift_kinds}),
-        "mce_normalization": "none",
+        "mce_normalization": MCE_NORMALIZATION,
     }
 
 
@@ -167,8 +167,7 @@ def cmd_run(args) -> None:
         raise ConfigError(
             f"loop.subset_size ({config.loop.subset_size}) exceeds the pool size ({train.n})"
         )
-    shifts = [ShiftSpec(kind, level) for kind in config.shift_kinds
-              for level in config.shift_intensities]
+    shifts = full_shift_suite(config.shift_kinds, config.shift_intensities)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.cfg").write_text(echo_config(config, _meta(config)),
@@ -185,7 +184,6 @@ def cmd_run(args) -> None:
                                                encoding="utf-8")
     outcomes = run_cells(train, test, config.model, cells, ood=ood, shifts=shifts)
 
-    rows = []  # (strategy, seed, iteration, metric, value)
     failures = []
     for cell, cell_dir, result in zip(cells, cell_dirs, outcomes):
         if isinstance(result, BaseException):
@@ -194,63 +192,74 @@ def cmd_run(args) -> None:
             failures.append(result)
             continue
         write_reports_jsonl(result.reports, cell_dir / "report.jsonl")
-        for report in result.reports:
-            as_dict = report.to_dict()
-            for metric in CURVE_METRICS:
-                value = as_dict[metric]
-                if value is not None:
-                    rows.append((cell.strategy, cell.seed, report.iteration, metric, value))
         print(f"finished {cell.strategy} seed {cell.seed}: "
               f"final accuracy {result.reports[-1].accuracy:.4f}")
     if failures:
         raise failures[0]
-    _write_curves(rows, out / "curves.csv")
+    _write_curves(_read_cells(cell_dirs), out / "curves.csv")
     print(f"run complete: {out}")
 
 
-def _mean_std(values) -> tuple[float, float]:
-    """Mean and sample std (ddof=1) across seeds; the std of one value is 0.0."""
-    return (float(np.mean(values)),
-            float(np.std(values, ddof=1)) if len(values) > 1 else 0.0)
+def _read_cells(cell_dirs) -> list[tuple[str, int, list[dict]]]:
+    """(strategy, seed, report rows) of each ``<strategy>_seed<int>`` directory, in order."""
+    cells = []
+    for cell_dir in cell_dirs:
+        strategy, _, seed = cell_dir.name.rpartition("_seed")
+        try:
+            seed = int(seed)
+        except ValueError:
+            raise DataError(f"{cell_dir}: a cell directory must be named "
+                            "<strategy>_seed<int>") from None
+        cells.append((strategy, seed, read_reports_jsonl(cell_dir / "report.jsonl")))
+    return cells
 
 
-def _write_curves(rows, path) -> None:
-    """Long-format curves: one row per (run, iteration, metric), with the
-    per-(strategy, iteration, metric) mean and std across seeds attached."""
-    stats: dict[tuple, list[float]] = {}
-    for strategy, seed, iteration, metric, value in rows:
-        stats.setdefault((strategy, iteration, metric), []).append(value)
-    aggregated = {key: _mean_std(vals) for key, vals in stats.items()}
+def _curve_values(cells):
+    """(strategy, seed, iteration, metric, value) of each non-null curve value, in cell order."""
+    for strategy, seed, rows in cells:
+        for row in rows:
+            for metric in CURVE_METRICS:
+                if row[metric] is not None:
+                    yield strategy, seed, row["iteration"], metric, row[metric]
+
+
+def _group(cells) -> dict[tuple, list]:
+    """(strategy, iteration, metric) -> its values across seeds, in cell order."""
+    groups: dict[tuple, list] = {}
+    for strategy, _, iteration, metric, value in _curve_values(cells):
+        groups.setdefault((strategy, iteration, metric), []).append(value)
+    return groups
+
+
+def _mean_std(values) -> list[str]:
+    """[mean, sample std (ddof=1)] as text, ["", ""] for no values; one value's std is 0.0."""
+    if not values:
+        return ["", ""]
+    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return [repr(float(np.mean(values))), repr(std)]
+
+
+def _write_curves(cells, path) -> None:
+    """One row per (cell, iteration, metric value), with the mean and std across seeds."""
+    groups = _group(cells)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["strategy", "seed", "iteration", "metric", "value",
-                         "mean", "std"])
-        for strategy, seed, iteration, metric, value in rows:
-            mean, std = aggregated[(strategy, iteration, metric)]
-            writer.writerow([strategy, seed, iteration, metric,
-                             repr(value), repr(mean), repr(std)])
+        writer.writerow(["strategy", "seed", "iteration", "metric", "value", "mean", "std"])
+        for strategy, seed, iteration, metric, value in _curve_values(cells):
+            writer.writerow([strategy, seed, iteration, metric, repr(value)]
+                            + _mean_std(groups[(strategy, iteration, metric)]))
 
 
 def cmd_report(args) -> None:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise DataError(f"run directory not found: {run_dir}")
-    cells = sorted(p for p in run_dir.iterdir()
-                   if p.is_dir() and (p / "report.jsonl").exists())
+    cells = _read_cells(sorted(p for p in run_dir.iterdir()
+                               if p.is_dir() and (p / "report.jsonl").exists()))
     if not cells:
         raise DataError(f"no run cells with report.jsonl under {run_dir}")
 
-    per_cell = {}
-    for cell in cells:
-        strategy, _, seed = cell.name.rpartition("_seed")
-        try:
-            key = (strategy, int(seed))
-        except ValueError:
-            raise DataError(f"{cell}: a cell directory must be named "
-                            "<strategy>_seed<int>") from None
-        per_cell[key] = read_reports_jsonl(cell / "report.jsonl")
-
-    strategies = sorted({key[0] for key in per_cell})
+    strategies = sorted({strategy for strategy, _, _ in cells})
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)
 
@@ -260,34 +269,23 @@ def cmd_report(args) -> None:
         writer.writerow(["strategy"] + [f"{m}_{s}" for m in final_metrics
                                         for s in ("mean", "std")])
         for strategy in strategies:
-            finals = [reports[-1] for (name, _), reports in per_cell.items()
-                      if name == strategy]
+            finals = [rows[-1] for name, _, rows in cells if name == strategy]
             row = [strategy]
             for metric in final_metrics:
-                values = [r[metric] for r in finals if r[metric] is not None]
-                row += [repr(v) for v in _mean_std(values)] if values else ["", ""]
+                row += _mean_std([r[metric] for r in finals if r[metric] is not None])
             writer.writerow(row)
 
-    iterations = sorted({r["iteration"] for reports in per_cell.values() for r in reports})
+    groups = _group(cells)
+    iterations = sorted({row["iteration"] for _, _, rows in cells for row in rows})
     for metric in CURVE_METRICS:
-        with open(report_dir / f"curve_{metric}.csv", "w", encoding="utf-8",
-                  newline="") as fh:
+        with open(report_dir / f"curve_{metric}.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            header = ["iteration"]
-            for strategy in strategies:
-                header += [f"{strategy}_mean", f"{strategy}_std"]
-            writer.writerow(header)
+            writer.writerow(["iteration"] + [f"{strategy}_{s}" for strategy in strategies
+                                             for s in ("mean", "std")])
             for iteration in iterations:
-                row = [iteration]
-                for strategy in strategies:
-                    values = [
-                        r[metric]
-                        for (name, _), reports in per_cell.items() if name == strategy
-                        for r in reports
-                        if r["iteration"] == iteration and r[metric] is not None
-                    ]
-                    row += [repr(v) for v in _mean_std(values)] if values else ["", ""]
-                writer.writerow(row)
+                writer.writerow([iteration] + [
+                    cell for strategy in strategies
+                    for cell in _mean_std(groups.get((strategy, iteration, metric), []))])
     print(f"wrote summary tables to {report_dir}")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import SHIFT_KINDS, DatasetSpec
+from .data import SHIFT_KINDS, DatasetSpec, full_shift_suite
 from .errors import ConfigError
 from .loop import LoopConfig
 from .model import ModelConfig
@@ -157,14 +157,7 @@ class ExperimentConfig:
             raise ConfigError("strategy list must be nonempty")
         for name in self.strategies:
             get_strategy(name)
-        for kind in self.shift_kinds:
-            if kind not in SHIFT_KINDS:
-                raise ConfigError(
-                    f"unknown shift kind {kind!r}; valid kinds: {', '.join(SHIFT_KINDS)}"
-                )
-        for level in self.shift_intensities:
-            if not 1 <= level <= 5:
-                raise ConfigError(f"shift intensity {level} outside 1..5")
+        full_shift_suite(self.shift_kinds, self.shift_intensities)
         if self.source == "files":
             for label, p in (("train", self.train_path), ("test", self.test_path)):
                 if p is None:

@@ -163,7 +163,7 @@ def generate_mixture(spec: DatasetSpec, id_prefix: str = "") -> FeatureMatrix:
     return FeatureMatrix(values, ids, labels)
 
 
-def generate_ood(spec: DatasetSpec, n: int, seed: int, id_prefix: str = "ood-") -> FeatureMatrix:
+def generate_ood(spec: DatasetSpec, n: int, seed: int) -> FeatureMatrix:
     """Unlabeled out-of-distribution set: the mixture mirrored through the origin.
 
     Mirrored centers sit at distance 2*separation from their own class and
@@ -177,7 +177,7 @@ def generate_ood(spec: DatasetSpec, n: int, seed: int, id_prefix: str = "ood-") 
     rng = rng_for(seed, "ood")
     assignment = rng.integers(0, spec.k, size=n)
     values = centers[assignment] + spec.noise_sigma * rng.standard_normal((n, spec.d))
-    ids = np.array([f"{id_prefix}{i:08d}" for i in range(n)])
+    ids = np.array([f"ood-{i:08d}" for i in range(n)])
     return FeatureMatrix(values.astype(np.float32), ids, None)
 
 
@@ -227,11 +227,7 @@ def apply_shift(data: FeatureMatrix, shift: ShiftSpec, seed: int) -> FeatureMatr
                          None if data.labels is None else data.labels.copy())
 
 
-def balanced_test_spec(spec: DatasetSpec, n_per_class: int, seed_offset: int = 1) -> DatasetSpec:
-    """Companion balanced test spec: same geometry, uniform class sizes."""
-    return replace(
-        spec,
-        n_per_class=n_per_class,
-        imbalance_ratio=1.0,
-        seed=spec.seed + seed_offset,
-    )
+def balanced_test_spec(spec: DatasetSpec, n_per_class: int) -> DatasetSpec:
+    """Companion balanced test spec: same geometry, uniform class sizes, the
+    next data seed."""
+    return replace(spec, n_per_class=n_per_class, imbalance_ratio=1.0, seed=spec.seed + 1)

@@ -106,7 +106,7 @@ def sampling_bias(class_counts, n_classes: int) -> float:
         raise DataError("sampling bias undefined for an empty acquisition")
     p = counts[counts > 0] / total
     entropy = float(-(p * np.log(p)).sum())
-    return 1.0 - entropy / np.log(n_classes)
+    return float(1.0 - entropy / np.log(n_classes))
 
 
 def mce(per_shift_errors) -> float:
@@ -171,8 +171,9 @@ def write_reports_jsonl(reports: list[IterationReport], path) -> None:
 
 
 def read_reports_jsonl(path) -> list[dict]:
-    """The rows of a ``report.jsonl``. A DataError unless there is at least one
-    and each is a JSON object holding every ``IterationReport`` field."""
+    """The rows of a ``report.jsonl``. A DataError unless there is at least one, each a JSON
+    object holding every ``IterationReport`` field, with an integer ``iteration`` and each
+    curve metric a number or null."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [json.loads(line) for line in fh if line.strip()]
@@ -182,4 +183,10 @@ def read_reports_jsonl(path) -> list[dict]:
     if not rows or not all(isinstance(row, dict) and names <= row.keys() for row in rows):
         raise DataError(f"{path}: not one or more lines, each a JSON object holding "
                         f"every field of {sorted(names)}")
+    for row in rows:
+        for name in ("iteration",) + CURVE_METRICS:
+            kinds = int if name == "iteration" else (int, float, type(None))
+            if isinstance(row[name], bool) or not isinstance(row[name], kinds):
+                raise DataError(f"{path}: {name} is {row[name]!r}, not "
+                                + ("an integer" if kinds is int else "a number or null"))
     return rows

@@ -360,16 +360,14 @@ def _warn_singleton_classes(labels: np.ndarray) -> None:
         )
 
 
-def train(state: ModelState, labeled: FeatureMatrix, config: ModelConfig | None = None) -> ModelState:
+def train(state: ModelState, labeled: FeatureMatrix) -> ModelState:
     """Train in place on a labeled feature matrix and return the state.
 
     Contrastive mode runs minibatch SGD on the contrastive loss through the
     encoder and projection head, then fits the linear classifier on frozen
     features with full-batch cross-entropy descent. Cross-entropy mode trains
-    encoder and classifier jointly. Deterministic given ``config.seed``.
+    encoder and classifier jointly. Deterministic given ``state.config.seed``.
     """
-    if config is not None:
-        state.config = config
     cfg = state.config
     cfg.validate()
     if labeled.labels is None:

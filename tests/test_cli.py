@@ -202,6 +202,25 @@ class TestRun:
         assert len(accuracy_rows) == 4 * 2  # 4 cells x 2 iterations
 
 
+    def test_curves_parse_and_match_report_tables(self, tiny_config, tmp_path):
+        assert main(["run", str(tiny_config)]) == 0
+        assert main(["report", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "curves.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            for column in ("value", "mean", "std"):
+                float(row[column])
+        tables = {}
+        for row in rows:
+            metric = row["metric"]
+            if metric not in tables:
+                with open(tmp_path / "out" / "report" / f"curve_{metric}.csv") as fh:
+                    tables[metric] = {r["iteration"]: r for r in csv.DictReader(fh)}
+            cell = tables[metric][row["iteration"]]
+            assert (row["mean"], row["std"]) == \
+                (cell[f"{row['strategy']}_mean"], cell[f"{row['strategy']}_std"])
+
+
 class TestReport:
     def test_report_outputs(self, tiny_config, tmp_path):
         main(["run", str(tiny_config)])
@@ -230,12 +249,14 @@ class TestReport:
 
     @pytest.mark.parametrize("bad, code", [("none", 0), ("truncated_line", 3),
                                            ("missing_metric", 3), ("empty", 3),
-                                           ("cell_name", 3)])
+                                           ("cell_name", 3), ("metric_not_number", 3)])
     def test_malformed_run_dir(self, tmp_path, bad, code):
         row = IterationReport(1, 20, 0.5, 0.1, 1.0, 0.5, 0.1, None, None).to_dict()
         name = "featuresim_seed0"
         if bad == "missing_metric":
             del row["accuracy"]
+        elif bad == "metric_not_number":
+            row["accuracy"] = "x"
         elif bad == "cell_name":
             name = "featuresim_seedX"
         text = json.dumps(row) + "\n"

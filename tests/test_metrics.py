@@ -148,7 +148,9 @@ class TestSamplingBias:
         assert sampling_bias([10, 0, 0], 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value_three_one(self):
-        assert sampling_bias([3, 1], 2) == pytest.approx(0.1887, abs=5e-5)
+        value = sampling_bias([3, 1], 2)
+        assert type(value) is float  # not np.float64, whose repr is not a plain number
+        assert value == pytest.approx(0.1887, abs=5e-5)
 
     def test_class_permutation_invariance(self):
         rng = np.random.default_rng(5)
