@@ -224,11 +224,19 @@ def _curve_values(cells):
 
 
 def _group(cells) -> dict[tuple, list]:
-    """(strategy, iteration, metric) -> its values across seeds, in cell order."""
+    """(strategy, iteration, metric) -> its values across seeds, in ascending seed order.
+
+    One order for every table: ``curves.csv`` (cells in config order) and the
+    report tables (cells in directory-name order) then sum alike.
+    """
     groups: dict[tuple, list] = {}
-    for strategy, _, iteration, metric, value in _curve_values(cells):
+    for strategy, _, iteration, metric, value in _curve_values(sorted(cells, key=_seed)):
         groups.setdefault((strategy, iteration, metric), []).append(value)
     return groups
+
+
+def _seed(cell) -> int:
+    return cell[1]
 
 
 def _mean_std(values) -> list[str]:
@@ -254,8 +262,9 @@ def cmd_report(args) -> None:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise DataError(f"run directory not found: {run_dir}")
-    cells = _read_cells(sorted(p for p in run_dir.iterdir()
-                               if p.is_dir() and (p / "report.jsonl").exists()))
+    cells = sorted(_read_cells(sorted(p for p in run_dir.iterdir()
+                                      if p.is_dir() and (p / "report.jsonl").exists())),
+                   key=_seed)
     if not cells:
         raise DataError(f"no run cells with report.jsonl under {run_dir}")
 

@@ -2,7 +2,7 @@
 
 Feature files
     CSV     header ``id,label,f0,...,f{d-1}``; empty label = unlabeled row;
-            UTF-8, LF line endings.
+            UTF-8, LF line endings; ids hold no comma or line break.
     binary  magic ``ALCV1`` | u32 n | u32 d | u8 has_labels | n*d LE f32
             values | (n LE u16 labels when labeled) | n ids, each a u16 LE
             byte length followed by UTF-8 bytes.
@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -28,6 +30,10 @@ FEATURE_MAGIC = b"ALCV1"
 MODEL_MAGIC = b"MODL1"
 
 FORMATS = ("binary", "csv")
+
+_CSV_BLOCK_ROWS = 4096  # rows formatted per write, and parsed per float conversion
+# ``,`` ends a CSV cell; the rest are every line break ``str.splitlines`` splits on
+_CSV_ID_BREAKS = re.compile("[,\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def save_features(data: FeatureMatrix, path: str | Path, format: str = "binary") -> None:
@@ -102,14 +108,21 @@ def _load_binary(path: Path) -> FeatureMatrix:
 
 
 def _save_csv(data: FeatureMatrix, path: Path) -> None:
+    ids = [str(sid) for sid in data.ids]
+    bad = next((sid for sid in ids if _CSV_ID_BREAKS.search(sid)), None)
+    if bad is not None:
+        raise DataError(f"sample id {bad!r} holds a comma or line break, "
+                        "which a CSV row cannot carry")
+    labels = [""] * data.n if data.labels is None else data.labels.tolist()
+    # 9 significant digits reproduce float32 values exactly
+    row = "%s,%s," + ",".join(["%.9g"] * data.d) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = ["id", "label"] + [f"f{j}" for j in range(data.d)]
-        fh.write(",".join(header) + "\n")
-        for i in range(data.n):
-            label = "" if data.labels is None else str(int(data.labels[i]))
-            # 9 significant digits reproduce float32 values exactly
-            row = [str(data.ids[i]), label] + [f"{v:.9g}" for v in data.values[i]]
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(["id", "label"] + [f"f{j}" for j in range(data.d)]) + "\n")
+        for start in range(0, data.n, _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            fh.write("".join([row % (sid, label, *values) for sid, label, values
+                              in zip(ids[start:stop], labels[start:stop],
+                                     data.values[start:stop].tolist())]))
 
 
 def _load_csv(path: Path) -> FeatureMatrix:
@@ -123,21 +136,22 @@ def _load_csv(path: Path) -> FeatureMatrix:
     d = len(header) - 2
     if d < 1:
         raise DataError(f"{path}: no feature columns in header")
-    ids, labels, rows = [], [], []
+    ids, labels, cells, blocks = [], [], [], []
     for row_idx, line in enumerate(lines[1:], start=1):
         if not line:
             continue
-        cells = line.split(",")
-        if len(cells) != d + 2:
+        row = line.split(",")
+        if len(row) != d + 2:
             raise DataError(
-                f"{path}: row {row_idx} has {len(cells) - 2} feature values, expected {d}"
+                f"{path}: row {row_idx} has {len(row) - 2} feature values, expected {d}"
             )
-        ids.append(cells[0])
-        labels.append(cells[1])
-        try:
-            rows.append([float(c) for c in cells[2:]])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {row_idx}: unparseable feature value ({exc})") from exc
+        ids.append(row[0])
+        labels.append(row[1])
+        cells += row[2:]
+        if len(ids) % _CSV_BLOCK_ROWS == 0:
+            blocks.append(_parse_values(path, lines, cells))
+            cells = []
+    blocks.append(_parse_values(path, lines, cells))
     n_labeled = sum(1 for cell in labels if cell != "")
     if n_labeled == 0:
         parsed_labels = None
@@ -154,13 +168,32 @@ def _load_csv(path: Path) -> FeatureMatrix:
             f"{path}: row {first_empty}: empty label in a labeled file "
             "(label all rows or none)"
         )
-    values = np.array(rows, dtype=np.float32)
+    values = np.concatenate(blocks).reshape(len(ids), d)
     id_arr = np.array(ids)
     _, first_rows = np.unique(id_arr, return_index=True)
     if first_rows.size != id_arr.size:
         row_idx = np.setdiff1d(np.arange(id_arr.size), first_rows)[0]
         raise DataError(f"{path}: row {row_idx + 1}: duplicate id {ids[row_idx]!r}")
     return FeatureMatrix(values, id_arr, parsed_labels)
+
+
+def _parse_values(path: Path, lines: list[str], cells: list[str]) -> np.ndarray:
+    """The float32 values of ``cells``; Python's ``float`` decides what parses."""
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float32, count=len(cells))
+    except ValueError:
+        _raise_first_bad_value(path, lines)
+
+
+def _raise_first_bad_value(path: Path, lines: list[str]) -> NoReturn:
+    """Raise the row-numbered ``DataError`` for the first feature cell ``float`` rejects."""
+    for row_idx, line in enumerate(lines[1:], start=1):
+        for cell in line.split(",")[2:]:
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise DataError(
+                    f"{path}: row {row_idx}: unparseable feature value ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

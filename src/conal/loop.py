@@ -19,6 +19,7 @@ the worker count changes wall time, never results.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -265,7 +266,15 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 def _worker_count(n_cells: int) -> int:
-    """One worker process per usable CPU, and never more than there are cells."""
+    """One worker process per usable CPU, and never more than there are cells.
+
+    One when a spawned worker could not re-import the ``__main__`` module,
+    because its ``__file__`` names no file, as for a script piped to
+    ``python -``.
+    """
+    main_file = getattr(sys.modules["__main__"], "__file__", None)
+    if main_file is not None and not os.path.isfile(main_file):
+        return 1
     return min(n_cells, len(os.sched_getaffinity(0)))
 
 

@@ -221,6 +221,43 @@ class TestRun:
                 (cell[f"{row['strategy']}_mean"], cell[f"{row['strategy']}_std"])
 
 
+    def test_means_sum_in_ascending_seed_order(self, tmp_path):
+        cfg = tmp_path / "seeds.cfg"
+        cfg.write_text(TINY_CONFIG.replace("run.strategies = featuresim,random",
+                                           "run.strategies = random")
+                       .replace("run.seeds = 0,1", "run.seeds = 2,10,0,1,3")
+                       + f"run.out = {tmp_path / 'o'}\n")
+        assert main(["run", str(cfg)]) == 0
+        assert main(["report", str(tmp_path / "o")]) == 0
+        values: dict = {}
+        for seed in (0, 1, 2, 3, 10):  # ascending integers; the directories sort 10 before 2
+            for row in read_jsonl_masked(tmp_path / "o" / f"random_seed{seed}" / "report.jsonl"):
+                for metric in ("accuracy", "ece", "nll", "brier", "auroc_ood", "mce"):
+                    values.setdefault((str(row["iteration"]), metric), []).append(row[metric])
+        with open(tmp_path / "o" / "curves.csv") as fh:
+            curves = {(r["iteration"], r["metric"]): (r["mean"], r["std"])
+                      for r in csv.DictReader(fh)}
+        for (iteration, metric), group in values.items():
+            expected = (repr(float(np.mean(group))), repr(float(np.std(group, ddof=1))))
+            assert curves[(iteration, metric)] == expected
+            with open(tmp_path / "o" / "report" / f"curve_{metric}.csv") as fh:
+                cell = {r["iteration"]: r for r in csv.DictReader(fh)}[iteration]
+            assert (cell["random_mean"], cell["random_std"]) == expected
+
+    def test_main_module_without_a_file_runs_cells_in_process(self, tiny_config, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        script = ("import sys\nfrom conal.cli import main\n"
+                  f"sys.exit(main(['run', {str(tiny_config)!r}]))\n")
+        # a spawned worker cannot re-import a __main__ whose __file__ is '<stdin>'
+        proc = subprocess.run([sys.executable, "-"], input=script, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        for cell in ("featuresim_seed0", "featuresim_seed1", "random_seed0", "random_seed1"):
+            assert (tmp_path / "out" / cell / "report.jsonl").exists()
+            assert not (tmp_path / "out" / cell / "FAILED.txt").exists()
+
+
 class TestReport:
     def test_report_outputs(self, tiny_config, tmp_path):
         main(["run", str(tiny_config)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conal.data import DatasetSpec, generate_mixture
+from conal.data import DatasetSpec, FeatureMatrix, generate_mixture
 from conal.errors import ConfigError, DataError
 from conal.io import load_features, read_container, save_features, write_container
 
@@ -9,6 +9,15 @@ from conal.io import load_features, read_container, save_features, write_contain
 @pytest.fixture
 def labeled(tmp_path):
     return generate_mixture(DatasetSpec(k=3, d=4, n_per_class=7, seed=2))
+
+
+def _reference_csv(data: FeatureMatrix) -> str:
+    """The CSV text formatted one value at a time."""
+    lines = [",".join(["id", "label"] + [f"f{j}" for j in range(data.d)])]
+    for i in range(data.n):
+        label = "" if data.labels is None else str(int(data.labels[i]))
+        lines.append(",".join([str(data.ids[i]), label] + [f"{v:.9g}" for v in data.values[i]]))
+    return "\n".join(lines) + "\n"
 
 
 class TestBinaryFormat:
@@ -84,13 +93,50 @@ class TestTruncation:
 
 
 class TestCsvFormat:
-    def test_round_trip_within_tolerance(self, labeled, tmp_path):
+    def test_round_trip_bit_exact(self, labeled, tmp_path):
         path = tmp_path / "feats.csv"
         save_features(labeled, path, "csv")
         back = load_features(path, "csv")
-        np.testing.assert_allclose(back.values, labeled.values, atol=1e-6)
+        assert np.array_equal(back.values, labeled.values)
         assert np.array_equal(back.ids, labeled.ids)
         assert np.array_equal(back.labels, labeled.labels)
+
+    @pytest.mark.parametrize("labels", [None, [0, 7]])
+    def test_bytes_match_per_value_reference(self, tmp_path, labels):
+        f32 = np.finfo(np.float32)
+        values = np.array([[-0.0, f32.smallest_subnormal, f32.max, f32.tiny, 1e-5, 123456789],
+                           [0.0, -f32.smallest_subnormal * 3, -f32.max, -f32.tiny, 0.1, 1 / 3]],
+                          dtype=np.float32)
+        data = FeatureMatrix(values, np.array(["a", "b"]), labels)
+        path = tmp_path / "tricky.csv"
+        save_features(data, path, "csv")
+        assert path.read_bytes() == _reference_csv(data).encode("utf-8")
+        back = load_features(path, "csv")
+        assert np.array_equal(back.values.view(np.uint32), values.view(np.uint32))
+
+    def test_bytes_match_reference_across_write_blocks(self, tmp_path):
+        rng = np.random.default_rng(4)
+        values = (rng.standard_normal((4099, 3)) * 10.0 ** rng.integers(-8, 8, (4099, 3)))
+        data = FeatureMatrix(values, np.array([f"s{i}" for i in range(4099)]),
+                             rng.integers(0, 5, 4099))
+        path = tmp_path / "many.csv"
+        save_features(data, path, "csv")
+        assert path.read_bytes() == _reference_csv(data).encode("utf-8")
+        assert np.array_equal(load_features(path, "csv").values, data.values)
+
+    @pytest.mark.parametrize("sid", ["a,b", "a\nb", "a\rb", "a\r\n", "a\x85b"])
+    def test_id_a_row_cannot_hold_rejected_before_writing(self, tmp_path, sid):
+        data = FeatureMatrix(np.zeros((2, 1)), np.array(["ok", sid]))
+        path = tmp_path / "ids.csv"
+        with pytest.raises(DataError, match="sample id"):
+            save_features(data, path, "csv")
+        assert not path.exists()
+
+    def test_unparseable_feature_value_names_row(self, tmp_path):
+        path = tmp_path / "val.csv"
+        path.write_text("id,label,f0,f1\na,0,1.0,2.0\n\nb,1,3.0,x\nc,1,y,1\n")
+        with pytest.raises(DataError, match="row 3: unparseable feature value"):
+            load_features(path, "csv")
 
     def test_small_hand_file(self, tmp_path):
         path = tmp_path / "two.csv"
