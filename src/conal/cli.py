@@ -26,7 +26,7 @@ from .config import (ExperimentConfig, build_experiment, echo_config,
 from .data import (DEFAULT_SHIFT_MAGNITUDES, balanced_test_spec, full_shift_suite,
                    generate_mixture, generate_ood)
 from .errors import ConalError, ConfigError, DataError
-from .io import load_features, save_features
+from .io import load_features, save_features, save_scores
 from .loop import run_cells, scoring_context
 from .metrics import CURVE_METRICS, MCE_NORMALIZATION, read_reports_jsonl, write_reports_jsonl
 # names imported but not called here stay bound for perfbench/tracing.py to wrap
@@ -323,11 +323,7 @@ def cmd_score(args) -> None:
     ctx = scoring_context(info, labeled_feats, labeled_labels, tau=args.tau)
     scores, predicted = info.score(state, queries.values, ctx)
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "predicted_class", "score"])
-        for sid, cls, score in zip(queries.ids, predicted, scores):
-            writer.writerow([sid, int(cls), repr(float(score))])
+    save_scores(args.out, queries.ids, predicted, scores)
     print(f"wrote {len(queries.ids)} scores to {args.out}")
 
 

@@ -56,7 +56,7 @@ class FeatureMatrix:
         object.__setattr__(self, "labels", labels)
         if not np.all(np.isfinite(values)):
             raise DataError("values contain NaN or Inf")
-        if len(np.unique(ids)) != len(ids):
+        if len(set(ids.tolist())) != len(ids):
             raise DataError("sample ids are not unique")
 
     @property

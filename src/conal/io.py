@@ -7,6 +7,9 @@ Feature files
             values | (n LE u16 labels when labeled) | n ids, each a u16 LE
             byte length followed by UTF-8 bytes.
 
+Score files are CSV ``id,predicted_class,score`` with the score as ``repr``
+of its float64 value, quoted as ``csv.writer`` quotes.
+
 Checkpoints reuse the same little-endian framing under a ``MODL1`` magic:
 a u32-length JSON header (config echo plus an array manifest of
 name/shape/dtype entries) followed by the raw arrays in manifest order.
@@ -14,10 +17,12 @@ name/shape/dtype entries) followed by the raw arrays in manifest order.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
 import struct
+from itertools import islice
 from pathlib import Path
 from typing import NoReturn
 
@@ -34,6 +39,9 @@ FORMATS = ("binary", "csv")
 _CSV_BLOCK_ROWS = 4096  # rows formatted per write, and parsed per float conversion
 # ``,`` ends a CSV cell; the rest are every line break ``str.splitlines`` splits on
 _CSV_ID_BREAKS = re.compile("[,\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# every character ``csv.writer`` may quote a cell for (``\r`` only on some versions)
+_CSV_QUOTED = re.compile('[,"\r\n]')
+_SCORE_ROW = "%s,%d,%r\n"
 
 
 def save_features(data: FeatureMatrix, path: str | Path, format: str = "binary") -> None:
@@ -59,20 +67,22 @@ def load_features(path: str | Path, format: str = "binary") -> FeatureMatrix:
 
 def _save_binary(data: FeatureMatrix, path: Path) -> None:
     has_labels = data.labels is not None
+    if has_labels and data.labels.max(initial=0) > 0xFFFF:
+        raise DataError("labels exceed the u16 range of the binary format")
+    table = []
+    for sid in map(str, data.ids.tolist()):
+        raw = sid.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise DataError(f"sample id {sid[:40]!r}... is {len(raw)} UTF-8 bytes; "
+                            "the binary format holds at most 65535")
+        table += (len(raw).to_bytes(2, "little"), raw)
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IIB", data.n, data.d, int(has_labels)))
         fh.write(np.ascontiguousarray(data.values, dtype="<f4").tobytes())
         if has_labels:
-            if data.labels.max(initial=0) > 0xFFFF:
-                raise DataError("labels exceed the u16 range of the binary format")
             fh.write(np.ascontiguousarray(data.labels, dtype="<u2").tobytes())
-        for sid in data.ids:
-            raw = str(sid).encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise DataError(f"sample id too long for the binary format: {sid!r}")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
+        fh.write(b"".join(table))
 
 
 def _load_binary(path: Path) -> FeatureMatrix:
@@ -93,18 +103,21 @@ def _load_binary(path: Path) -> FeatureMatrix:
     if has_labels:
         labels = np.frombuffer(blob, dtype="<u2", count=n, offset=offset).astype(np.int64)
         offset += 2 * n
-    ids = []
+    raw = []
     try:
         for _ in range(n):
-            (length,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            ids.append(blob[offset : offset + length].decode("utf-8"))
-            offset += length
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: truncated or corrupt id table ({exc})") from None
+            start = offset + 2
+            offset = start + (blob[offset] | blob[offset + 1] << 8)
+            raw.append(blob[start:offset])
+    except IndexError:
+        raise DataError(f"{path}: truncated id table ({len(raw)} of {n} ids)") from None
     if offset != len(blob):
         raise DataError(f"{path}: the id table ends at byte {offset} of {len(blob)}")
-    return FeatureMatrix(values.copy(), np.array(ids), labels)
+    try:
+        ids = [sid.decode("utf-8") for sid in raw]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: corrupt id table ({exc})") from None
+    return FeatureMatrix(values.copy(), np.array(ids, dtype=str), labels)
 
 
 def _save_csv(data: FeatureMatrix, path: Path) -> None:
@@ -123,6 +136,21 @@ def _save_csv(data: FeatureMatrix, path: Path) -> None:
             fh.write("".join([row % (sid, label, *values) for sid, label, values
                               in zip(ids[start:stop], labels[start:stop],
                                      data.values[start:stop].tolist())]))
+
+
+def save_scores(path: str | Path, ids: np.ndarray, predicted: np.ndarray,
+                scores: np.ndarray) -> None:
+    """Write ``id,predicted_class,score`` rows as ``csv.writer`` would, the
+    score as ``repr`` of its float64 value."""
+    ids = ids.tolist()
+    rows = zip(ids, predicted.tolist(), np.asarray(scores, dtype=np.float64).tolist())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("id,predicted_class,score\n")
+        if _CSV_QUOTED.search("".join(map(str, ids))):
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+            return
+        while block := [_SCORE_ROW % row for row in islice(rows, _CSV_BLOCK_ROWS)]:
+            fh.write("".join(block))
 
 
 def _load_csv(path: Path) -> FeatureMatrix:
@@ -169,12 +197,22 @@ def _load_csv(path: Path) -> FeatureMatrix:
             "(label all rows or none)"
         )
     values = np.concatenate(blocks).reshape(len(ids), d)
-    id_arr = np.array(ids)
-    _, first_rows = np.unique(id_arr, return_index=True)
-    if first_rows.size != id_arr.size:
-        row_idx = np.setdiff1d(np.arange(id_arr.size), first_rows)[0]
-        raise DataError(f"{path}: row {row_idx + 1}: duplicate id {ids[row_idx]!r}")
-    return FeatureMatrix(values, id_arr, parsed_labels)
+    id_arr = np.array(ids, dtype=str)
+    try:
+        return FeatureMatrix(values, id_arr, parsed_labels)
+    except DataError:
+        # a duplicate id gets its row number, which FeatureMatrix cannot give
+        _raise_first_duplicate(path, id_arr)
+        raise
+
+
+def _raise_first_duplicate(path: Path, ids: np.ndarray) -> None:
+    """Raise the row-numbered ``DataError`` for the first repeated id, if any."""
+    seen = set()
+    for row_idx, sid in enumerate(ids.tolist(), start=1):
+        if sid in seen:
+            raise DataError(f"{path}: row {row_idx}: duplicate id {sid!r}")
+        seen.add(sid)
 
 
 def _parse_values(path: Path, lines: list[str], cells: list[str]) -> np.ndarray:

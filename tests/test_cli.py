@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -344,6 +345,45 @@ class TestScore:
         assert len(rows) == 30
         assert all(np.isfinite(float(r["score"])) for r in rows)
         assert {r["id"][:2] for r in rows} == {"q-"}
+
+    @pytest.mark.parametrize("ids", [
+        None,  # the fixture's plain ids
+        ["q-0", "a,b"], ["q-0", 'say "hi"'], ["q-0", "line\nbreak"], ["q-0", "cr\rhere"],
+        [" lead", "é日本🙂", "", "a,b", 'say "hi"', "line\nbreak", "cr\rhere"],
+        [" lead", "é日本🙂", ""],
+    ], ids=["plain", "comma", "quote", "newline", "cr", "all", "space_utf8_empty"])
+    def test_scores_csv_bytes_match_csv_writer(self, artifacts, ids):
+        from conal.loop import scoring_context
+        from conal.model import load_model
+        from conal.strategies import get_strategy
+
+        ckpt, _, q_path, tmp_path = artifacts
+        queries = load_features(q_path)
+        if ids is not None:
+            queries = FeatureMatrix(queries.values[:len(ids)], np.array(ids))
+            q_path = tmp_path / "odd_ids.bin"
+            save_features(queries, q_path)
+        out = tmp_path / "scores.csv"
+        assert main(["score", str(q_path), "--checkpoint", str(ckpt),
+                     "--strategy", "entropy", "--out", str(out)]) == 0
+
+        info = get_strategy("entropy")
+        scores, predicted = info.score(load_model(ckpt), queries.values,
+                                       scoring_context(info, None, None))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", "predicted_class", "score"])
+        for sid, cls, score in zip(queries.ids, predicted, scores):
+            writer.writerow([sid, int(cls), repr(float(score))])
+        assert out.read_bytes() == buf.getvalue().encode("utf-8")
+
+    def test_invalid_utf8_id_exits_3(self, artifacts):
+        ckpt, _, q_path, tmp_path = artifacts
+        blob = q_path.read_bytes()
+        last = blob.rindex(b"q-")
+        q_path.write_bytes(blob[:last] + b"\xff" + blob[last + 1:])
+        assert main(["score", str(q_path), "--checkpoint", str(ckpt),
+                     "--strategy", "entropy", "--out", str(tmp_path / "s.csv")]) == 3
 
     def test_random_rejected(self, artifacts):
         ckpt, lab_path, q_path, tmp_path = artifacts

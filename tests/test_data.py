@@ -81,6 +81,17 @@ class TestFeatureMatrix:
         with pytest.raises(DataError):
             FeatureMatrix(np.zeros((2, 2)), np.array(["a", "a"]))
 
+    @pytest.mark.parametrize("ids", [["a", "a\x00"], ["b\x00\x00", "a", "b"], [3, 1, 3]])
+    def test_duplicate_rule(self, ids):
+        # numpy drops trailing NULs, so these ids compare equal
+        with pytest.raises(DataError, match="not unique"):
+            FeatureMatrix(np.zeros((len(ids), 2)), np.array(ids))
+
+    @pytest.mark.parametrize("ids", [[3, 1, 2], ["", "a", "ab", "abc", "b", "\x00a"]])
+    def test_distinct_ids_pass(self, ids):
+        data = FeatureMatrix(np.zeros((len(ids), 2)), np.array(ids))
+        assert data.ids.tolist() == ids
+
     def test_rejects_bad_label_length(self):
         with pytest.raises(DataError):
             FeatureMatrix(np.zeros((2, 2)), np.array(["a", "b"]), np.array([0]))

@@ -36,6 +36,57 @@ class TestBinaryFormat:
         assert back.labels is None
         assert np.array_equal(back.values, labeled.values)
 
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_id_table_edge_ids_round_trip(self, with_labels, tmp_path):
+        ids = ["", "x" * 0xFFFF, "é" * 0x7FFF + "!", "日本語", "🙂", "a"]
+        labels = np.arange(len(ids)) if with_labels else None
+        data = FeatureMatrix(np.arange(2.0 * len(ids)).reshape(-1, 2), np.array(ids), labels)
+        path = tmp_path / "edge.bin"
+        save_features(data, path, "binary")
+        back = load_features(path, "binary")
+        assert back.ids.tolist() == ids
+        assert np.array_equal(back.values, data.values)
+        assert np.array_equal(back.labels, data.labels)
+
+    @pytest.mark.parametrize("labels", [None, np.zeros(0, dtype=np.int64)])
+    def test_zero_rows_round_trip(self, labels, tmp_path):
+        data = FeatureMatrix(np.zeros((0, 3)), np.array([], dtype=str), labels)
+        path = tmp_path / "empty.bin"
+        save_features(data, path, "binary")
+        back = load_features(path, "binary")
+        assert back.values.shape == (0, 3)
+        assert back.ids.shape == (0,) and back.ids.dtype.kind == "U"
+        assert (back.labels is None) == (labels is None)
+
+    def test_trailing_bytes_rejected(self, labeled, tmp_path):
+        path = tmp_path / "feats.bin"
+        save_features(labeled, path, "binary")
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DataError, match="id table ends at byte"):
+            load_features(path, "binary")
+
+    def test_invalid_utf8_id_rejected(self, labeled, tmp_path):
+        path = tmp_path / "feats.bin"
+        save_features(labeled, path, "binary")
+        blob = bytearray(path.read_bytes())
+        blob[-1] = 0xFF  # the last byte of the last id
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="corrupt id table"):
+            load_features(path, "binary")
+
+    @pytest.mark.parametrize("ids, labels", [
+        (["a", "x" * 0x10000], None),
+        (["a", "é" * 0x8000], None),
+        (["a", "b"], [0, 0x10000]),
+    ], ids=["long_id", "long_utf8_id", "big_label"])
+    def test_unwritable_data_rejected_before_opening(self, ids, labels, tmp_path):
+        data = FeatureMatrix(np.zeros((2, 3)), np.array(ids), labels)
+        path = tmp_path / "feats.bin"
+        with pytest.raises(DataError) as err:
+            save_features(data, path, "binary")
+        assert not path.exists()
+        assert "np.str_" not in str(err.value)
+
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE!" + b"\x00" * 16)
