@@ -22,7 +22,6 @@ import json
 import math
 import re
 import struct
-from itertools import islice
 from pathlib import Path
 from typing import NoReturn
 
@@ -39,9 +38,6 @@ FORMATS = ("binary", "csv")
 _CSV_BLOCK_ROWS = 4096  # rows formatted per write, and parsed per float conversion
 # ``,`` ends a CSV cell; the rest are every line break ``str.splitlines`` splits on
 _CSV_ID_BREAKS = re.compile("[,\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-# every character ``csv.writer`` may quote a cell for (``\r`` only on some versions)
-_CSV_QUOTED = re.compile('[,"\r\n]')
-_SCORE_ROW = "%s,%d,%r\n"
 
 
 def save_features(data: FeatureMatrix, path: str | Path, format: str = "binary") -> None:
@@ -140,17 +136,13 @@ def _save_csv(data: FeatureMatrix, path: Path) -> None:
 
 def save_scores(path: str | Path, ids: np.ndarray, predicted: np.ndarray,
                 scores: np.ndarray) -> None:
-    """Write ``id,predicted_class,score`` rows as ``csv.writer`` would, the
-    score as ``repr`` of its float64 value."""
-    ids = ids.tolist()
-    rows = zip(ids, predicted.tolist(), np.asarray(scores, dtype=np.float64).tolist())
+    """Write ``id,predicted_class,score`` rows with ``csv.writer``, which
+    formats each float64 score of ``tolist()`` as its ``repr``."""
+    rows = zip(ids.tolist(), predicted.tolist(),
+               np.asarray(scores, dtype=np.float64).tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("id,predicted_class,score\n")
-        if _CSV_QUOTED.search("".join(map(str, ids))):
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-            return
-        while block := [_SCORE_ROW % row for row in islice(rows, _CSV_BLOCK_ROWS)]:
-            fh.write("".join(block))
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _load_csv(path: Path) -> FeatureMatrix:
