@@ -8,7 +8,7 @@ Feature files
             byte length followed by UTF-8 bytes.
 
 Score files are CSV ``id,predicted_class,score`` with the score as ``repr``
-of its float64 value, quoted as ``csv.writer`` quotes.
+of its float64 value, quoted as ``csv.writer`` quotes; ids hold no CR.
 
 Checkpoints reuse the same little-endian framing under a ``MODL1`` magic:
 a u32-length JSON header (config echo plus an array manifest of
@@ -137,8 +137,18 @@ def _save_csv(data: FeatureMatrix, path: Path) -> None:
 def save_scores(path: str | Path, ids: np.ndarray, predicted: np.ndarray,
                 scores: np.ndarray) -> None:
     """Write ``id,predicted_class,score`` rows with ``csv.writer``, which
-    formats each float64 score of ``tolist()`` as its ``repr``."""
-    rows = zip(ids.tolist(), predicted.tolist(),
+    formats each float64 score of ``tolist()`` as its ``repr``.
+
+    ``csv.writer`` leaves an id holding a bare CR unquoted, and a CSV reader
+    then splits its row in two; such an id is a data error, raised before
+    the file is opened.
+    """
+    id_list = ids.tolist()
+    if "\r" in "".join(id_list):
+        bad = next(sid for sid in id_list if "\r" in sid)
+        raise DataError(f"score id {bad!r} holds a carriage return, which the "
+                        "score CSV cannot carry")
+    rows = zip(id_list, predicted.tolist(),
                np.asarray(scores, dtype=np.float64).tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("id,predicted_class,score\n")

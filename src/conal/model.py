@@ -6,10 +6,15 @@ All math runs in float64 with hand-written forward/backward passes. Both
 losses train through one minibatch loop, ``_sgd``: shuffled epochs of
 momentum SGD with weight decay, where a per-loss step function returns one
 batch's loss and gradients and the encoder's forward and backward passes are
-shared. Every encoder forward batch adds one to ``forward_pass_count`` so
-query strategies can be cost-accounted by forward passes rather than wall
-time. The count is a plain field, so a trained state, and a whole
-``RunResult``, comes back from a worker process with its pass tally.
+shared. The optimizer, ``_SgdMomentum``, packs the arrays it trains into one
+flat float64 buffer, weights first and biases last, and rebinds the state's
+fields to views of it. A step is then a few whole-buffer operations (gather
+the gradients, add weight decay to the weight prefix, update the velocity,
+move the weights) that give the same bits as the per-array update. Every
+encoder forward batch adds one to ``forward_pass_count`` so query strategies
+can be cost-accounted by forward passes rather than wall time. The count is a
+plain field, so a trained state, and a whole ``RunResult``, comes back from a
+worker process with its pass tally.
 """
 
 from __future__ import annotations
@@ -135,30 +140,29 @@ def _check_d_in(state: ModelState, values: np.ndarray) -> None:
         )
 
 
-def _encoder_forward(state: ModelState, x: np.ndarray, hidden_mask: np.ndarray | None = None):
-    """Hidden activations (masked, if a mask is given) and features of rows x."""
+def _encoder_forward(state: ModelState, x: np.ndarray):
+    """Hidden activations and features of rows x."""
     h = np.tanh(x @ state.w1 + state.b1)
-    if hidden_mask is not None:
-        h = h * hidden_mask
     return h, h @ state.w2 + state.b2
 
 
-def encode_values(state: ModelState, values: np.ndarray,
-                  hidden_mask: np.ndarray | None = None) -> np.ndarray:
+def _batches(state: ModelState, n: int) -> list[slice]:
+    """The batch-sized row blocks that one encoder pass over n rows runs."""
+    b = state.config.batch_size
+    return [slice(start, start + b) for start in range(0, n, b)]
+
+
+def encode_values(state: ModelState, values: np.ndarray) -> np.ndarray:
     """Encoder features (n, d_feat) in float64; counts one pass per batch."""
     values = np.asarray(values, dtype=np.float64)
     _check_d_in(state, values)
-    n = values.shape[0]
-    b = state.config.batch_size
-    out = np.empty((n, state.config.d_feat))
-    n_batches = math.ceil(n / b)
+    out = np.empty((values.shape[0], state.config.d_feat))
+    blocks = _batches(state, values.shape[0])
     # one matmul over all rows gives the same bits but ran slower on 2 cores
     # (2000 rows: 1.7-2.4 ms against 1.1-1.6 ms in batch-sized blocks)
-    for i in range(n_batches):
-        rows = slice(i * b, (i + 1) * b)
-        mask = None if hidden_mask is None else hidden_mask[rows]
-        out[rows] = _encoder_forward(state, values[rows], mask)[1]
-    state.forward_pass_count += n_batches
+    for rows in blocks:
+        out[rows] = _encoder_forward(state, values[rows])[1]
+    state.forward_pass_count += len(blocks)
     return out
 
 
@@ -198,7 +202,10 @@ def stochastic_proba(state: ModelState, values: np.ndarray, tau: int,
     """(tau, n, K) probabilities from tau dropout-masked encoder passes.
 
     Each pass multiplies the encoder hidden layer by an i.i.d. Bernoulli keep
-    mask scaled by 1/(1-config.dropout_rate), then classifies as usual.
+    mask scaled by 1/(1-config.dropout_rate), then classifies as usual. The
+    hidden layer does not depend on the mask, so it is computed once, in the
+    batch-sized blocks of ``encode_values``; each pass still counts one
+    forward pass per block.
     """
     if tau < 2:
         raise UsageError(f"tau must be >= 2, got {tau}")
@@ -210,16 +217,30 @@ def stochastic_proba(state: ModelState, values: np.ndarray, tau: int,
                       stacklevel=2)
     values = np.asarray(values, dtype=np.float64)
     _check_d_in(state, values)
-    n = values.shape[0]
+    n, cfg = values.shape[0], state.config
+    blocks = _batches(state, n)
+    hidden = np.empty((n, cfg.d_hidden))
+    for rows in blocks:
+        hidden[rows] = np.tanh(values[rows] @ state.w1 + state.b1)
     rng = rng_for(seed, "stochastic")
-    out = np.empty((tau, n, state.config.n_classes))
+    out = np.empty((tau, n, cfg.n_classes))
+    # one block's buffers, reused: its uniform draws become its masked hidden
+    # layer. Drawing block by block gives the stream of one (n, d_hidden) draw.
+    masked = np.empty((min(n, cfg.batch_size), cfg.d_hidden))
+    keep = np.empty(masked.shape, dtype=bool)
+    z = np.empty((n, cfg.d_feat))
     for t in range(tau):
-        if rate == 0.0:
-            mask = None
-        else:
-            keep = rng.random((n, state.config.d_hidden)) >= rate
-            mask = keep / (1.0 - rate)
-        z = encode_values(state, values, hidden_mask=mask)
+        for rows in blocks:
+            h = hidden[rows]
+            if rate != 0.0:
+                m, k = masked[:len(h)], keep[:len(h)]
+                rng.random(out=m)
+                np.greater_equal(m, rate, out=k)
+                np.divide(k, 1.0 - rate, out=m)
+                m *= h
+                h = m
+            z[rows] = h @ state.w2 + state.b2
+        state.forward_pass_count += len(blocks)
         out[t] = predict_proba_from_features(state, z)
     return out
 
@@ -233,9 +254,10 @@ def make_augmented_batch(values: np.ndarray, labels: np.ndarray, aug_sigma: floa
                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Two jittered views per source row, stacked, and their labels."""
     values = np.asarray(values, dtype=np.float64)
-    jitter = rng.standard_normal((2,) + values.shape)
-    stacked = np.concatenate([values + aug_sigma * jitter[0], values + aug_sigma * jitter[1]])
-    return stacked, np.concatenate([labels, labels])
+    views = rng.standard_normal((2,) + values.shape)
+    views *= aug_sigma
+    views += values
+    return views.reshape(-1, values.shape[1]), np.concatenate([labels, labels])
 
 
 def supcon_loss(projections: np.ndarray, labels: np.ndarray, temperature: float) -> float:
@@ -256,26 +278,35 @@ def _supcon_loss_grad(p: np.ndarray, labels: np.ndarray, temperature: float):
     m = p.shape[0]
     if m < 2:
         raise DataError("contrastive batch needs at least 2 rows")
-    sims = (p @ p.T) / temperature
-    off_diag = ~np.eye(m, dtype=bool)
-    pos = (labels[:, None] == labels[None, :]) & off_diag
+    sims = p @ p.T
+    sims /= temperature
+    pos = labels[:, None] == labels[None, :]
+    np.fill_diagonal(pos, False)
     pos_counts = pos.sum(axis=1)
     if np.any(pos_counts == 0):
         row = int(np.argmin(pos_counts))
         raise DataError(f"row {row} has no positive in the batch (label {labels[row]})")
+    pos_sims = (sims * pos).sum(axis=1)
 
-    neg_inf_diag = np.where(off_diag, sims, -np.inf)
-    row_max = neg_inf_diag.max(axis=1)
-    exp_shift = np.where(off_diag, np.exp(sims - row_max[:, None]), 0.0)
-    denom = exp_shift.sum(axis=1)
+    # one (m, m) workspace, in place: the similarities with a -inf diagonal,
+    # shifted by the row max, exponentiated (exp(-inf) is an exact zero
+    # diagonal), normalized to the softmax and turned into d(loss)/d(sims)
+    work = sims
+    np.fill_diagonal(work, -np.inf)
+    row_max = work.max(axis=1)
+    work -= row_max[:, None]
+    np.exp(work, out=work)
+    denom = work.sum(axis=1)
     log_z = row_max + np.log(denom)
 
-    per_anchor = log_z - (sims * pos).sum(axis=1) / pos_counts
+    per_anchor = log_z - pos_sims / pos_counts
     loss = max(float(np.sum(per_anchor)), 0.0)
 
-    softmax = exp_shift / denom[:, None]
-    grad_sims = softmax - pos / pos_counts[:, None]
-    grad_p = ((grad_sims + grad_sims.T) @ p) / temperature
+    work /= denom[:, None]
+    work -= pos / pos_counts[:, None]
+    work += work.T
+    grad_p = work @ p
+    grad_p /= temperature
     return loss, grad_p
 
 
@@ -329,24 +360,46 @@ def _classifier_grads(state: ModelState, z: np.ndarray, labels: np.ndarray):
 # ---------------------------------------------------------------------------
 
 _BIAS_NAMES = {"b1", "b2", "c1", "c2", "bc"}
+_CROSS_ENTROPY_TRAINED = ("w1", "b1", "w2", "b2", "wc", "bc")
 
 
 class _SgdMomentum:
-    def __init__(self, lr, momentum, weight_decay):
+    """Momentum SGD with weight decay on the weights, not the biases.
+
+    The named arrays of ``state`` are copied into one flat buffer, weights
+    first and biases last, and the state's fields are rebound to views of it.
+    Each element gets the same float64 operations as a per-array update, so
+    the bits are the same.
+    """
+
+    def __init__(self, state: ModelState, names, lr, momentum, weight_decay):
+        self.names = sorted(names, key=lambda name: name in _BIAS_NAMES)
+        arrays = [getattr(state, name) for name in self.names]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        self.grads = np.empty_like(self.params)
+        self.velocity: np.ndarray | None = None
+        self.n_weights = sum(a.size for name, a in zip(self.names, arrays)
+                             if name not in _BIAS_NAMES)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, a in zip(self.names, arrays):
+            setattr(state, name, self.params[offset:offset + a.size].reshape(a.shape))
+            offset += a.size
 
-    def step(self, state: ModelState, grads: dict[str, np.ndarray]) -> None:
-        """Update the state's weight arrays named in ``grads`` in place."""
-        for name, grad in grads.items():
-            param = getattr(state, name)
-            g = grad if name in _BIAS_NAMES else grad + self.weight_decay * param
-            v = self.velocity.get(name)
-            v = g if v is None else self.momentum * v + g
-            self.velocity[name] = v
-            param -= self.lr * v
+    def step(self, grads: dict[str, np.ndarray], rows: int | None = None) -> None:
+        """Move the weights by ``grads``, first divided by ``rows`` if given."""
+        g = np.concatenate([grads[name].ravel() for name in self.names], out=self.grads)
+        if rows is not None:
+            g /= rows
+        g[:self.n_weights] += self.weight_decay * self.params[:self.n_weights]
+        if self.velocity is None:
+            self.velocity = g.copy()
+        else:
+            self.velocity *= self.momentum
+            self.velocity += g
+        self.params -= self.lr * self.velocity
 
 
 def _warn_singleton_classes(labels: np.ndarray) -> None:
@@ -382,25 +435,27 @@ def train(state: ModelState, labeled: FeatureMatrix) -> ModelState:
     state.bc = np.zeros(cfg.n_classes)
     if cfg.loss_kind == "contrastive":
         _warn_singleton_classes(y)
-        _sgd(state, x, y, rng, _contrastive_step)
+        _sgd(state, x, y, rng, _contrastive_step, _ENCODER_PROJECTION)
         _fit_classifier(state, encode_values(state, x), y)
     else:
-        _sgd(state, x, y, rng, _cross_entropy_step)
+        _sgd(state, x, y, rng, _cross_entropy_step, _CROSS_ENTROPY_TRAINED)
     state.trained_loss_kind = cfg.loss_kind
     _assert_finite(state)
     return state
 
 
-def _sgd(state: ModelState, x: np.ndarray, y: np.ndarray, rng, step) -> None:
-    """Minibatch momentum SGD over ``config.epochs`` shuffled epochs.
+def _sgd(state: ModelState, x: np.ndarray, y: np.ndarray, rng, step, names) -> None:
+    """Minibatch momentum SGD of the arrays ``names`` over ``config.epochs``
+    shuffled epochs.
 
-    ``step(state, rng, x_batch, y_batch)`` returns one batch's loss and
-    gradients. The learning rate drops x0.1 at ``config.decay_epoch``. Each
-    batch counts one forward pass, and each epoch's mean batch loss is
-    appended to ``state.training_loss``.
+    ``step(state, rng, x_batch, y_batch)`` returns one batch's loss, its
+    gradients and the row count to divide them by (None: use as they are).
+    The learning rate drops x0.1 at ``config.decay_epoch``. Each batch counts
+    one forward pass, and each epoch's mean batch loss is appended to
+    ``state.training_loss``.
     """
     cfg = state.config
-    opt = _SgdMomentum(cfg.lr, cfg.momentum, cfg.weight_decay)
+    opt = _SgdMomentum(state, names, cfg.lr, cfg.momentum, cfg.weight_decay)
     n = x.shape[0]
     for epoch in range(cfg.epochs):
         if epoch == cfg.decay_epoch and epoch > 0:
@@ -409,9 +464,9 @@ def _sgd(state: ModelState, x: np.ndarray, y: np.ndarray, rng, step) -> None:
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads = step(state, rng, x[idx], y[idx])
+            loss, grads, rows = step(state, rng, x[idx], y[idx])
             state.forward_pass_count += 1
-            opt.step(state, grads)
+            opt.step(grads, rows)
             epoch_loss += loss
         state.training_loss.append(epoch_loss / max(math.ceil(n / cfg.batch_size), 1))
 
@@ -421,8 +476,7 @@ def _contrastive_step(state: ModelState, rng, x: np.ndarray, y: np.ndarray):
     loss, grads = contrastive_loss_and_grads(state, values, labels)
     # the loss is a sum over anchors; step with the per-anchor mean so the
     # step size is independent of batch size
-    rows = values.shape[0]
-    return loss, {k: g / rows for k, g in grads.items()}
+    return loss, grads, values.shape[0]
 
 
 def _cross_entropy_step(state: ModelState, rng, x: np.ndarray, y: np.ndarray):
@@ -431,16 +485,16 @@ def _cross_entropy_step(state: ModelState, rng, x: np.ndarray, y: np.ndarray):
     probs, grad_logits, grads = _classifier_grads(state, z, y)
     loss = float(-np.log(probs[np.arange(y.size), y]).mean())
     grads.update(_encoder_backward(state, x, h, grad_logits @ state.wc.T))
-    return loss, grads
+    return loss, grads, None
 
 
 def _fit_classifier(state: ModelState, z: np.ndarray, y: np.ndarray) -> None:
     """Full-batch softmax regression on frozen features (deterministic),
     from the zero classifier that ``train`` sets."""
     cfg = state.config
-    opt = _SgdMomentum(cfg.classifier_lr, cfg.momentum, cfg.weight_decay)
+    opt = _SgdMomentum(state, ("wc", "bc"), cfg.classifier_lr, cfg.momentum, cfg.weight_decay)
     for _ in range(cfg.classifier_steps):
-        opt.step(state, _classifier_grads(state, z, y)[2])
+        opt.step(_classifier_grads(state, z, y)[2])
 
 
 def _assert_finite(state: ModelState) -> None:

@@ -348,10 +348,10 @@ class TestScore:
 
     @pytest.mark.parametrize("ids", [
         None,  # the fixture's plain ids
-        ["q-0", "a,b"], ["q-0", 'say "hi"'], ["q-0", "line\nbreak"], ["q-0", "cr\rhere"],
-        [" lead", "é日本🙂", "", "a,b", 'say "hi"', "line\nbreak", "cr\rhere"],
+        ["q-0", "a,b"], ["q-0", 'say "hi"'], ["q-0", "line\nbreak"],
+        [" lead", "é日本🙂", "", "a,b", 'say "hi"', "line\nbreak"],
         [" lead", "é日本🙂", ""],
-    ], ids=["plain", "comma", "quote", "newline", "cr", "all", "space_utf8_empty"])
+    ], ids=["plain", "comma", "quote", "newline", "all_but_cr", "space_utf8_empty"])
     def test_scores_csv_bytes_match_csv_writer(self, artifacts, ids):
         from conal.loop import scoring_context
         from conal.model import load_model
@@ -376,6 +376,21 @@ class TestScore:
         for sid, cls, score in zip(queries.ids, predicted, scores):
             writer.writerow([sid, int(cls), repr(float(score))])
         assert out.read_bytes() == buf.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("ids", [
+        ["q-0", "cr\rhere"],
+        [" lead", "é日本🙂", "", "a,b", 'say "hi"', "line\nbreak", "cr\rhere"],
+    ], ids=["cr", "all"])
+    def test_carriage_return_id_exits_3_without_file(self, artifacts, ids):
+        # csv.writer leaves a bare CR unquoted, and a CSV reader splits the row
+        ckpt, _, q_path, tmp_path = artifacts
+        queries = load_features(q_path)
+        q_path = tmp_path / "cr_ids.bin"
+        save_features(FeatureMatrix(queries.values[:len(ids)], np.array(ids)), q_path)
+        out = tmp_path / "scores.csv"
+        assert main(["score", str(q_path), "--checkpoint", str(ckpt),
+                     "--strategy", "entropy", "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_invalid_utf8_id_exits_3(self, artifacts):
         ckpt, _, q_path, tmp_path = artifacts

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +266,67 @@ class TestTrain:
         batches = math.ceil(data.n / config.batch_size)
         encode_passes = batches if loss_kind == "contrastive" else 0
         assert state.forward_pass_count == config.epochs * batches + encode_passes
+
+
+def _sha(*arrays) -> str:
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _pin_data(n: int) -> FeatureMatrix:
+    """n rows of 4 features over 3 classes; class 2 has a single row."""
+    rng = np.random.default_rng(21)
+    labels = rng.integers(0, 2, size=n)
+    labels[n // 2] = 2
+    values = rng.standard_normal((n, 4)) + 2.0 * labels[:, None]
+    return fm(values, labels)
+
+
+class TestKernelPins:
+    """SHA-256 pins of trained weights and dropout probabilities.
+
+    Each digest was computed before the training and dropout kernels were
+    rewritten for speed; the rewrite must reproduce every bit. A change that
+    alters the arithmetic on purpose replaces the digest and says why in
+    CHANGES.md.
+    """
+
+    TRAIN_PINS = {
+        "contrastive": "502a0ad62458105614a652bcf5d762c0322f4e06d4c1eb0c8b136462f79f38b9",
+        "cross_entropy": "b08c9e4ac319d7528c768a19e8152eae3d7e27bba977b38c34d649bb95cee933",
+    }
+    STOCHASTIC_PINS = {
+        0.3: "c25163c311c0bd60da4ca427f745ff11209cac69b7ae31ed2dcd0253de0274a6",
+        0.0: "e37bc5d65f950b719dd5b920ee02e8d9eab299e72fab195095395ab37f691a10",
+    }
+
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    def test_trained_state(self, loss_kind):
+        config = small_config(batch_size=64, epochs=4, loss_kind=loss_kind)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state = train(init_model(config), _pin_data(150))
+        singleton = [w for w in caught if "single labeled sample" in str(w.message)]
+        assert len(singleton) == (loss_kind == "contrastive")
+        arrays = [getattr(state, name) for name in state.encoder_projection_params()]
+        digest = _sha(*arrays, state.wc, state.bc, state.training_loss,
+                      [state.forward_pass_count])
+        assert digest == self.TRAIN_PINS[loss_kind], f"new digest {digest}"
+
+    @pytest.mark.parametrize("rate", [0.3, 0.0])
+    def test_stochastic_proba(self, rate):
+        config = small_config(batch_size=64, epochs=2, loss_kind="cross_entropy",
+                              dropout_rate=rate)
+        state = train(init_model(config), _pin_data(130))
+        before = state.forward_pass_count
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tensor = stochastic_proba(state, _pin_data(130).values, tau=5, seed=3)
+        assert state.forward_pass_count - before == 5 * math.ceil(130 / 64)
+        digest = _sha(tensor)
+        assert digest == self.STOCHASTIC_PINS[rate], f"new digest {digest}"
 
 
 class TestPredictProba:
