@@ -8,10 +8,9 @@ momentum SGD with weight decay, where a per-loss step function returns one
 batch's loss and gradients and the encoder's forward and backward passes are
 shared. The optimizer, ``_SgdMomentum``, packs the arrays it trains into one
 flat float64 buffer, weights first and biases last, and rebinds the state's
-fields to views of it while it trains. A step is then a few whole-buffer
-operations (gather the gradients, add weight decay to the weight prefix,
-update the velocity, move the weights) that give the same bits as the
-per-array update. Every
+fields to views of it. A step is then a few whole-buffer operations (gather
+the gradients, add weight decay to the weight prefix, update the velocity,
+move the weights) that give the same bits as the per-array update. Every
 encoder forward batch adds one to ``forward_pass_count`` so query strategies
 can be cost-accounted by forward passes rather than wall time. The count is a
 plain field, so a trained state, and a whole ``RunResult``, comes back from a
@@ -370,14 +369,12 @@ class _SgdMomentum:
     The named arrays of ``state`` are copied into one flat buffer, weights
     first and biases last, and the state's fields are rebound to views of it.
     Each element gets the same float64 operations as a per-array update, so
-    the bits are the same. ``unpack`` hands the trained values back to the
-    state's own arrays.
+    the bits are the same.
     """
 
     def __init__(self, state: ModelState, names, lr, momentum, weight_decay):
         self.names = sorted(names, key=lambda name: name in _BIAS_NAMES)
-        self.state = state
-        self.arrays = arrays = [getattr(state, name) for name in self.names]
+        arrays = [getattr(state, name) for name in self.names]
         self.params = np.concatenate([a.ravel() for a in arrays])
         self.grads = np.empty_like(self.params)
         self.velocity: np.ndarray | None = None
@@ -403,16 +400,6 @@ class _SgdMomentum:
             self.velocity *= self.momentum
             self.velocity += g
         self.params -= self.lr * self.velocity
-
-    def unpack(self) -> None:
-        """Copy the trained values into the arrays the state held before
-        packing, and rebind its fields to them. Those arrays were allocated
-        before training, so the state keeps no buffer allocated after
-        training's temporaries (one such buffer per model raised a
-        contrastive cell's peak RSS by ~0.2 MB)."""
-        for name, array in zip(self.names, self.arrays):
-            array[...] = getattr(self.state, name)
-            setattr(self.state, name, array)
 
 
 def _warn_singleton_classes(labels: np.ndarray) -> None:
@@ -482,7 +469,6 @@ def _sgd(state: ModelState, x: np.ndarray, y: np.ndarray, rng, step, names) -> N
             opt.step(grads, rows)
             epoch_loss += loss
         state.training_loss.append(epoch_loss / max(math.ceil(n / cfg.batch_size), 1))
-    opt.unpack()
 
 
 def _contrastive_step(state: ModelState, rng, x: np.ndarray, y: np.ndarray):
@@ -509,7 +495,6 @@ def _fit_classifier(state: ModelState, z: np.ndarray, y: np.ndarray) -> None:
     opt = _SgdMomentum(state, ("wc", "bc"), cfg.classifier_lr, cfg.momentum, cfg.weight_decay)
     for _ in range(cfg.classifier_steps):
         opt.step(_classifier_grads(state, z, y)[2])
-    opt.unpack()
 
 
 def _assert_finite(state: ModelState) -> None:
