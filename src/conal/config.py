@@ -53,12 +53,8 @@ _KEYS = {
     "loop.acquisition_size": (int, 100),
     "loop.subset_size": (int, 2000),
     "loop.tau": (int, 50),
-    "loop.accumulate_features": (bool, False),
     "loop.force_per_class": (bool, False),
     "loop.loss_override": (str, None),
-    "loop.symmetric_featuresim": (bool, False),
-    "loop.pca_variance_fraction": (float, None),
-    "loop.pca_components": (int, None),
     "loop.shift_seed": (int, 20259),
     "shift.kinds": ([str], SHIFT_KINDS),
     "shift.intensities": ([int], (1, 2, 3, 4, 5)),
@@ -109,7 +105,11 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_config_text(text, source=str(path))
 
 
 def _parse(key: str, raw: str):

@@ -156,8 +156,11 @@ def save_scores(path: str | Path, ids: np.ndarray, predicted: np.ndarray,
 
 
 def _load_csv(path: Path) -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     if not lines:
         raise DataError(f"{path}: empty file")
     header = lines[0].split(",")

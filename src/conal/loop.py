@@ -12,8 +12,9 @@ on entry, so inside the loop a sample is its row index, and a row's order
 is its id's order: the selectors' ascending-id tie-break holds on rows.
 
 ``run_cells`` runs a sweep's (strategy, seed) cells on up to one worker
-process per usable CPU. A cell's outputs depend only on its own config, so
-the worker count changes wall time, never results.
+process per usable CPU. A cell's outputs depend only on its own config and
+on its BLAS thread count: worker cells get one BLAS thread, and cells run
+in-process keep the process's own, which can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -48,12 +49,8 @@ class LoopConfig:
     strategy: str
     seed: int = 0
     tau: int = 50
-    accumulate_features: bool = False
     force_per_class: bool = False
     loss_override: str | None = None
-    symmetric_featuresim: bool = False
-    pca_variance_fraction: float | None = None
-    pca_components: int | None = None
     shift_seed: int = 20259
 
     def validate(self) -> None:
@@ -69,12 +66,6 @@ class LoopConfig:
             raise ConfigError("subset_size must be at least the acquisition size")
         if self.tau < 2:
             raise ConfigError("tau must be >= 2")
-        if self.pca_components is not None and self.pca_variance_fraction is not None:
-            raise ConfigError("set pca_components or pca_variance_fraction, not both")
-        if self.pca_variance_fraction is not None and not 0 < self.pca_variance_fraction <= 1:
-            raise ConfigError("pca_variance_fraction must lie in (0, 1]")
-        if self.pca_components is not None and self.pca_components < 1:
-            raise ConfigError("pca_components must be >= 1")
         if self.loss_override is not None and self.loss_override not in LOSS_KINDS:
             raise ConfigError(f"loss_override must be one of {LOSS_KINDS}")
 
@@ -205,9 +196,6 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     shifted_tests = [(s, apply_shift(test, s, loop_config.shift_seed)) for s in shifts]
 
     pool_state = PoolState(universe=pool.ids)
-    # accumulate mode: per row, the embedding by the first model after its acquisition
-    feature_store = (np.zeros((pool.n, model_config.d_feat))
-                     if loop_config.accumulate_features else None)
 
     state: ModelState | None = None
     ctx: ScoringContext | None = None
@@ -247,8 +235,9 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
                               loss_kind=loss_kind, d_in=pool.d)
         state = train(init_model(iter_config), train_fm)
 
-        ctx = _bookkeeping(state, train_fm, strategy, loop_config, feature_store,
-                           pool_state, pool)
+        # every strategy's OOD scorer can read the labeled features, so always encode them
+        labeled_feats = encode_values(state, train_fm.values.astype(np.float64))
+        ctx = scoring_context(strategy, labeled_feats, train_fm.labels, tau=loop_config.tau)
 
         reports.append(_evaluate(
             state, test, ood, shifted_tests, train_labels,
@@ -365,33 +354,8 @@ def _score_and_select(state, pool, pool_state, loop_config, strategy, t, m_now, 
     return cost, selection
 
 
-def _bookkeeping(state, train_fm, strategy, loop_config, feature_store, pool_state,
-                 pool) -> ScoringContext:
-    """Per-iteration labeled-feature cache and scoring context.
-
-    By default labeled features are recomputed with the current model; in
-    accumulate mode each sample keeps the embedding computed by the first
-    model trained after its acquisition.
-    """
-    # every strategy's OOD scorer can need labeled features, so always maintain them
-    if loop_config.accumulate_features:
-        rows = pool_state.batches[-1]
-        feature_store[rows] = encode_values(state, pool.values[rows].astype(np.float64))
-        labeled_feats = feature_store[pool_state.labeled_rows]
-    else:
-        labeled_feats = encode_values(state, train_fm.values.astype(np.float64))
-    return scoring_context(strategy, labeled_feats, train_fm.labels,
-                           symmetric_featuresim=loop_config.symmetric_featuresim,
-                           pca_components=loop_config.pca_components,
-                           pca_variance_fraction=loop_config.pca_variance_fraction,
-                           tau=loop_config.tau)
-
-
 def scoring_context(strategy: StrategyInfo, labeled_feats: np.ndarray | None,
-                    labeled_labels: np.ndarray | None, *, symmetric_featuresim: bool = False,
-                    pca_components: int | None = None,
-                    pca_variance_fraction: float | None = None,
-                    tau: int = 50) -> ScoringContext:
+                    labeled_labels: np.ndarray | None, *, tau: int = 50) -> ScoringContext:
     """The scorers' view of an encoded labeled set; defaults match ``LoopConfig``.
 
     PCA strategies get a subspace per class with at least two labeled rows
@@ -399,16 +363,14 @@ def scoring_context(strategy: StrategyInfo, labeled_feats: np.ndarray | None,
     """
     pca_model = pca_fallback = None
     if strategy.uses_pca:
-        kwargs = {"n_components": pca_components, "variance_fraction": pca_variance_fraction}
         by_class = {int(k): labeled_feats[labeled_labels == k]
                     for k in np.unique(labeled_labels) if (labeled_labels == k).sum() >= 2}
         if by_class:
-            pca_model = fit_class_pca(by_class, **kwargs)
+            pca_model = fit_class_pca(by_class)
         else:
             pca_model = ClassPcaModel(labeled_feats.shape[1], {})
-        pca_fallback = fit_class_pca({0: labeled_feats}, **kwargs)
-    return ScoringContext(labeled_feats, labeled_labels, pca_model, pca_fallback,
-                          symmetric_featuresim, tau)
+        pca_fallback = fit_class_pca({0: labeled_feats})
+    return ScoringContext(labeled_feats, labeled_labels, pca_model, pca_fallback, tau)
 
 
 def _ood_scores(strategy, state, values, ctx, seed, *seed_tag):

@@ -65,25 +65,23 @@ def score_bald(stochastic: np.ndarray) -> np.ndarray:
     return np.where(disagreement > 0.0, disagreement, 0.0)
 
 
-def score_featuresim(z_query: np.ndarray, class_features: np.ndarray,
-                     symmetric: bool = False) -> float:
+def score_featuresim(z_query: np.ndarray, class_features: np.ndarray) -> float:
     """Similarity of one query feature to a class's labeled features.
 
     Maximum dot product between the query and the unit-normalized labeled
-    features; the query itself is left unnormalized unless ``symmetric``.
-    Low values mark samples unlike everything labeled, so selection is min.
+    features; the query itself is left unnormalized. Low values mark
+    samples unlike everything labeled, so selection is min.
     """
     refs = np.asarray(class_features, dtype=np.float64)
     if refs.ndim != 2 or refs.shape[0] == 0:
         raise DataError("class_features must be a nonempty 2-D array")
     one_class = np.zeros(refs.shape[0], dtype=np.int64)
     return float(featuresim_scores(np.asarray(z_query, dtype=np.float64)[None, :],
-                                   one_class[:1], refs, one_class, symmetric)[0])
+                                   one_class[:1], refs, one_class)[0])
 
 
 def featuresim_scores(z_query: np.ndarray, predicted: np.ndarray,
-                      labeled_features: np.ndarray, labeled_labels: np.ndarray,
-                      symmetric: bool = False) -> np.ndarray:
+                      labeled_features: np.ndarray, labeled_labels: np.ndarray) -> np.ndarray:
     """Batched featuresim against each query's predicted class.
 
     Queries predicted as a class with no labeled features fall back to the
@@ -93,12 +91,9 @@ def featuresim_scores(z_query: np.ndarray, predicted: np.ndarray,
     labeled_features = np.asarray(labeled_features, dtype=np.float64)
     if labeled_features.shape[0] == 0:
         raise DataError("labeled pool is empty")
-    queries = z_query
-    if symmetric:
-        queries = z_query / np.clip(np.linalg.norm(z_query, axis=1), 1e-300, None)[:, None]
     norms = np.linalg.norm(labeled_features, axis=1)
     unit = labeled_features / np.clip(norms, 1e-300, None)[:, None]
-    scores = np.empty(queries.shape[0])
+    scores = np.empty(z_query.shape[0])
     for k in np.unique(predicted):
         mask = predicted == k
         refs = unit[labeled_labels == k]
@@ -108,7 +103,7 @@ def featuresim_scores(z_query: np.ndarray, predicted: np.ndarray,
                 "scoring %d candidates against the global pool", k, int(mask.sum())
             )
             refs = unit
-        scores[mask] = kernels.max_dot(queries[mask], refs)
+        scores[mask] = kernels.max_dot(z_query[mask], refs)
     return scores
 
 
@@ -155,7 +150,6 @@ class ScoringContext:
     labeled_labels: np.ndarray | None
     pca_model: ClassPcaModel | None
     pca_fallback: ClassPcaModel | None
-    symmetric_featuresim: bool
     tau: int
     bald_seed: int = 0  # the loop derives one per call; conal score keeps 0
 
@@ -184,8 +178,7 @@ def _coreset_scorer(state, values, ctx):
 
 def _featuresim_scorer(state, values, ctx):
     z, _, predicted = _encode_and_predict(state, values)
-    return featuresim_scores(z, predicted, ctx.labeled_feats, ctx.labeled_labels,
-                             symmetric=ctx.symmetric_featuresim), predicted
+    return featuresim_scores(z, predicted, ctx.labeled_feats, ctx.labeled_labels), predicted
 
 
 def _fre_scorer(state, values, ctx):

@@ -5,7 +5,9 @@ criteria share one cached set of runs on the long-tailed preset (the default
 experiment configuration), so the whole module stays within its budgets.
 """
 
+import hashlib
 import itertools
+import json
 import time
 import warnings
 
@@ -300,6 +302,23 @@ def test_criterion_9_loop_bookkeeping(preset_runs):
             if report_t.labeled_count != t * m:
                 violations += 1
     report(9, "loop bookkeeping", violations == 0)
+
+
+# the preset's 60 cells, pinned like the golden digest pins its tiny sweep
+PRESET_DIGEST = "bc6496f4b47522206105af11dd21f3a6897b8791d20e611b3ee9596d481a98b3"
+
+
+def test_preset_reports_digest(preset_runs):
+    """Every report row of every preset cell, minus ``query_wall_ms``, hashed in
+    cell order; a refactor that keeps behaviour leaves it alone."""
+    digest = hashlib.sha256()
+    for key in sorted(preset_runs["runs"]):
+        for row in preset_runs["runs"][key].reports:
+            row = row.to_dict()
+            row.pop("query_wall_ms")
+            digest.update(json.dumps(row, sort_keys=True).encode("utf-8"))
+    assert digest.hexdigest() == PRESET_DIGEST, \
+        f"preset digest changed: new digest {digest.hexdigest()}"
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,19 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conal.cli import main
-from conal.config import build_experiment, echo_config, load_config_file, parse_config_text
+from conal.config import (_KEYS, build_experiment, echo_config, load_config_file,
+                          parse_config_text)
 from conal.data import DatasetSpec, FeatureMatrix, generate_mixture
 from conal.errors import ConfigError
 from conal.io import load_features, read_container, save_features, write_container
+from conal.loop import LoopConfig
 from conal.metrics import IterationReport
 from conal.model import ModelConfig, init_model, save_model, train
 
@@ -64,6 +67,13 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_text("loop.magic = 3")
+
+    def test_loop_keys_match_loop_config_fields(self):
+        """Every loop.* key has a LoopConfig field and every field but the
+        per-cell strategy and seed has a key, so no knob is half-removed."""
+        keys = [key.removeprefix("loop.") for key in _KEYS if key.startswith("loop.")]
+        assert sorted(keys) == sorted(f.name for f in fields(LoopConfig)
+                                      if f.name not in ("strategy", "seed"))
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -529,18 +539,20 @@ class TestFailureHandling:
         assert main(["run", str(cfg)]) == 2
 
     @pytest.mark.parametrize("bad,message", [
-        ("loop.pca_components = 2\nloop.pca_variance_fraction = 0.5", "not both"),
-        ("loop.pca_variance_fraction = 7", "pca_variance_fraction must lie"),
+        ("loop.accumulate_features = false", "unknown config key"),
+        ("loop.symmetric_featuresim = false", "unknown config key"),
+        ("loop.pca_components = 3", "unknown config key"),
+        ("loop.pca_variance_fraction = 0.5", "unknown config key"),
         ("loop.loss_override = hinge", "loss_override must be one of"),
-        ("loop.pca_components = 0", "pca_components must be >= 1"),
         ("model.temperature = 0", "temperature must be positive"),
         ("loop.budget = 0", "budget 0 is not a positive multiple"),
         ("model.classifier_steps = -1", "classifier_steps must be >= 0"),
         ("model.classifier_lr = -0.5", "classifier_lr must be >= 0"),
         ("model.aug_sigma = -0.1", "aug_sigma must be >= 0"),
         ("model.lr_decay_epoch = -2", "lr_decay_epoch must be >= 0"),
-    ], ids=["both_pca_keys", "fraction_7", "loss_hinge", "components_0", "temperature_0",
-            "budget_0", "classifier_steps_neg", "classifier_lr_neg", "aug_sigma_neg",
+    ], ids=["accumulate_features", "symmetric_featuresim", "pca_components",
+            "pca_variance_fraction", "loss_hinge", "temperature_0", "budget_0",
+            "classifier_steps_neg", "classifier_lr_neg", "aug_sigma_neg",
             "lr_decay_epoch_neg"])
     def test_bad_loop_or_model_value_rejected_before_any_cell(self, tmp_path, capsys, bad,
                                                               message):
@@ -552,6 +564,29 @@ class TestFailureHandling:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("target,code,message", [
+        ("config", 2, "config error"), ("manifest", 2, "config error"),
+        ("train_csv", 3, "data error"),
+    ], ids=["config", "manifest", "train_csv"])
+    def test_invalid_utf8_gets_its_exit_code(self, tmp_path, capsys, target, code, message):
+        data = tmp_path / "data"
+        gen = tmp_path / "gen.cfg"
+        gen.write_text(TINY_CONFIG + f"run.out = {data}\n")
+        assert main(["gen", str(gen), "--format", "csv"]) == 0
+        text = (TINY_CONFIG + "data.source = files\ndata.format = csv\n"
+                + "".join(f"data.{name}_path = {data / name}.csv\n"
+                          for name in ("train", "test", "ood"))
+                + f"run.out = {tmp_path / 'o'}\n")
+        if target == "manifest":
+            text = echo_config(build_experiment(parse_config_text(text)), {"tool": "conal"})
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        path = data / "train.csv" if target == "train_csv" else cfg
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+        assert main(["run", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert message in err and "UTF-8" in err
+        assert not (tmp_path / "o").exists()
 
     @staticmethod
     def _files_config(tmp_path, edit):
@@ -616,12 +651,11 @@ class TestManifestEcho:
         echoed = build_experiment(manifest)
         assert echoed == original
 
-    @pytest.mark.parametrize("source,pca_key", [("synthetic", "loop.pca_components = 3"),
-                                                ("files", "loop.pca_variance_fraction = 0.5")])
-    def test_every_optional_key_round_trips(self, tmp_path, source, pca_key):
+    @pytest.mark.parametrize("source", ["synthetic", "files"])
+    def test_every_optional_key_round_trips(self, tmp_path, source):
         for name in ("train", "test", "ood"):
             (tmp_path / f"{name}.csv").write_text("")
-        text = (TINY_CONFIG + pca_key + f"""
+        text = (TINY_CONFIG + f"""
 data.source = {source}
 data.train_path = {tmp_path / 'train.csv'}
 data.test_path = {tmp_path / 'test.csv'}
@@ -631,9 +665,7 @@ model.lr_decay_epoch = 2
 model.classifier_steps = 17
 model.classifier_lr = 0.5
 loop.loss_override = cross_entropy
-loop.accumulate_features = true
 loop.force_per_class = yes
-loop.symmetric_featuresim = 1
 loop.shift_seed = 7
 run.out = {tmp_path / 'out'}
 """)

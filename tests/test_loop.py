@@ -271,13 +271,6 @@ class TestReports:
 
 
 class TestModes:
-    def test_accumulate_features_mode_runs(self):
-        pool, test, model = small_setup()
-        result = run_active_learning(pool, test, model,
-                                     quick_loop("featuresim", accumulate_features=True),
-                                     shifts=[])
-        assert len(result.reports) == 3
-
     def test_force_per_class_changes_entropy_selection(self):
         pool, test, model = small_setup()
         base = run_active_learning(pool, test, model, quick_loop("entropy"), shifts=[])

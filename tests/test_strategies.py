@@ -82,11 +82,6 @@ class TestFeaturesim:
             q = rng.standard_normal(5) * rng.uniform(0.1, 10)
             assert abs(score_featuresim(q, refs)) <= np.linalg.norm(q) + 1e-9
 
-    def test_symmetric_variant_is_cosine(self):
-        refs = np.array([[1.0, 0.0]])
-        assert score_featuresim(np.array([3.0, 4.0]), refs,
-                                symmetric=True) == pytest.approx(0.6, abs=1e-12)
-
     def test_batch_grouping_and_fallback(self, caplog):
         rng = np.random.default_rng(3)
         labeled = rng.standard_normal((10, 4))
