@@ -12,7 +12,7 @@ from .metrics import (IterationReport, QueryCost, accuracy, auroc, brier, ece,
                       mce, nll, sampling_bias)
 from .model import (ModelConfig, ModelState, init_model, load_model, save_model,
                     stochastic_proba, supcon_loss, train)
-from .pca import ClassPcaModel, ClassSubspace, fit_class_pca, fre_score, fre_scores
+from .pca import ClassPcaModel, ClassSubspace, fit_class_pca, fre_scores
 from .strategies import (SelectionRequest, SelectionResult, StrategyInfo, get_strategy,
                          score_bald, score_entropy, score_featuresim, score_fre,
                          select_global, select_kcenter_greedy, select_per_class,

@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("config", help="experiment config file")
     p_gen.add_argument("--out", help="output directory (overrides run.out)")
     p_gen.add_argument("--format", choices=("binary", "csv"), default="binary")
-    p_gen.add_argument("--seed", type=int, help="override data.seed")
 
     p_run = sub.add_parser("run", help="run every (strategy x seed) cell")
     p_run.add_argument("config", help="experiment config file (or a run manifest)")
@@ -104,7 +103,7 @@ def _load_experiment(args) -> ExperimentConfig:
     if getattr(args, "strategy", None):
         get_strategy(args.strategy)
         config.strategies = [args.strategy]
-    if getattr(args, "seed", None) is not None and args.command == "run":
+    if getattr(args, "seed", None) is not None:
         config.seeds = [args.seed]
     return config
 
@@ -147,8 +146,6 @@ def cmd_gen(args) -> None:
     config = _load_experiment(args)
     if config.source != "synthetic":
         raise ConfigError("gen requires data.source = synthetic")
-    if args.seed is not None:
-        config.dataset = replace(config.dataset, seed=args.seed)
     train, test, ood = _materialize_data(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -40,22 +40,17 @@ _KEYS = {
     "model.d_proj": (int, 16),
     "model.temperature": (float, 0.2),
     "model.lr": (float, 0.1),
-    "model.momentum": (float, 0.9),
     "model.weight_decay": (float, 0.01),
     "model.epochs": (int, 60),
     "model.batch_size": (int, 64),
     "model.aug_sigma": (float, 0.2),
     "model.dropout_rate": (float, 0.3),
-    "model.lr_decay_epoch": (int, None),
-    "model.classifier_steps": (int, 200),
-    "model.classifier_lr": (float, 1.0),
     "loop.budget": (int, 1000),
     "loop.acquisition_size": (int, 100),
     "loop.subset_size": (int, 2000),
     "loop.tau": (int, 50),
     "loop.force_per_class": (bool, False),
     "loop.loss_override": (str, None),
-    "loop.shift_seed": (int, 20259),
     "shift.kinds": ([str], SHIFT_KINDS),
     "shift.intensities": ([int], (1, 2, 3, 4, 5)),
     "run.strategies": ([str], ("featuresim", "random")),

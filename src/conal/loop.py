@@ -40,6 +40,8 @@ from .strategies import (ScoringContext, SelectionRequest, SelectionResult,
                          score_bald, score_entropy, select_global,
                          select_kcenter_greedy, select_per_class, select_random)
 
+SHIFT_SEED = 20259  # every cell evaluates on the same shifted test sets
+
 
 @dataclass(frozen=True)
 class LoopConfig:
@@ -51,7 +53,6 @@ class LoopConfig:
     tau: int = 50
     force_per_class: bool = False
     loss_override: str | None = None
-    shift_seed: int = 20259
 
     def validate(self) -> None:
         get_strategy(self.strategy)
@@ -193,7 +194,7 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
 
     if shifts is None:
         shifts = full_shift_suite()
-    shifted_tests = [(s, apply_shift(test, s, loop_config.shift_seed)) for s in shifts]
+    shifted_tests = [(s, apply_shift(test, s, SHIFT_SEED)) for s in shifts]
 
     pool_state = PoolState(universe=pool.ids)
 

@@ -31,6 +31,9 @@ from .io import read_container, write_container
 from .seeding import rng_for
 
 LOSS_KINDS = ("contrastive", "cross_entropy")
+MOMENTUM = 0.9
+CLASSIFIER_STEPS = 200  # full-batch steps of the classifier fit on frozen features
+CLASSIFIER_LR = 1.0
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,6 @@ class ModelConfig:
     d_proj: int = 16
     temperature: float = 0.07
     lr: float = 0.1
-    momentum: float = 0.9
     weight_decay: float = 5e-4
     epochs: int = 60
     batch_size: int = 64
@@ -50,9 +52,6 @@ class ModelConfig:
     dropout_rate: float = 0.3
     seed: int = 0
     loss_kind: str = "contrastive"
-    lr_decay_epoch: int | None = None  # None: decay x0.1 at 80% of epochs
-    classifier_steps: int = 200
-    classifier_lr: float = 1.0
 
     def validate(self) -> None:
         if self.temperature <= 0:
@@ -69,16 +68,9 @@ class ModelConfig:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        for name in ("classifier_steps", "classifier_lr", "aug_sigma", "lr_decay_epoch"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
+        for name in ("lr", "weight_decay", "aug_sigma"):
+            if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-
-    @property
-    def decay_epoch(self) -> int:
-        if self.lr_decay_epoch is not None:
-            return self.lr_decay_epoch
-        return int(math.floor(0.8 * self.epochs))
 
 
 @dataclass
@@ -94,7 +86,6 @@ class ModelState:
     c2: np.ndarray
     wc: np.ndarray | None = None
     bc: np.ndarray | None = None
-    trained_loss_kind: str | None = None
     training_loss: list = field(default_factory=list)
     forward_pass_count: int = 0
 
@@ -364,7 +355,7 @@ _CROSS_ENTROPY_TRAINED = ("w1", "b1", "w2", "b2", "wc", "bc")
 
 
 class _SgdMomentum:
-    """Momentum SGD with weight decay on the weights, not the biases.
+    """Momentum SGD with the config's weight decay on the weights, not the biases.
 
     The named arrays of ``state`` are copied into one flat buffer, weights
     first and biases last, and the state's fields are rebound to views of it.
@@ -372,7 +363,7 @@ class _SgdMomentum:
     the bits are the same.
     """
 
-    def __init__(self, state: ModelState, names, lr, momentum, weight_decay):
+    def __init__(self, state: ModelState, names, lr):
         self.names = sorted(names, key=lambda name: name in _BIAS_NAMES)
         arrays = [getattr(state, name) for name in self.names]
         self.params = np.concatenate([a.ravel() for a in arrays])
@@ -381,8 +372,7 @@ class _SgdMomentum:
         self.n_weights = sum(a.size for name, a in zip(self.names, arrays)
                              if name not in _BIAS_NAMES)
         self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
+        self.weight_decay = state.config.weight_decay
         offset = 0
         for name, a in zip(self.names, arrays):
             setattr(state, name, self.params[offset:offset + a.size].reshape(a.shape))
@@ -397,7 +387,7 @@ class _SgdMomentum:
         if self.velocity is None:
             self.velocity = g.copy()
         else:
-            self.velocity *= self.momentum
+            self.velocity *= MOMENTUM
             self.velocity += g
         self.params -= self.lr * self.velocity
 
@@ -439,7 +429,6 @@ def train(state: ModelState, labeled: FeatureMatrix) -> ModelState:
         _fit_classifier(state, encode_values(state, x), y)
     else:
         _sgd(state, x, y, rng, _cross_entropy_step, _CROSS_ENTROPY_TRAINED)
-    state.trained_loss_kind = cfg.loss_kind
     _assert_finite(state)
     return state
 
@@ -450,15 +439,16 @@ def _sgd(state: ModelState, x: np.ndarray, y: np.ndarray, rng, step, names) -> N
 
     ``step(state, rng, x_batch, y_batch)`` returns one batch's loss, its
     gradients and the row count to divide them by (None: use as they are).
-    The learning rate drops x0.1 at ``config.decay_epoch``. Each batch counts
+    The learning rate drops x0.1 at 80% of the epochs. Each batch counts
     one forward pass, and each epoch's mean batch loss is appended to
     ``state.training_loss``.
     """
     cfg = state.config
-    opt = _SgdMomentum(state, names, cfg.lr, cfg.momentum, cfg.weight_decay)
+    opt = _SgdMomentum(state, names, cfg.lr)
     n = x.shape[0]
+    decay_epoch = math.floor(0.8 * cfg.epochs)
     for epoch in range(cfg.epochs):
-        if epoch == cfg.decay_epoch and epoch > 0:
+        if epoch == decay_epoch and epoch > 0:
             opt.lr = cfg.lr * 0.1
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -491,9 +481,8 @@ def _cross_entropy_step(state: ModelState, rng, x: np.ndarray, y: np.ndarray):
 def _fit_classifier(state: ModelState, z: np.ndarray, y: np.ndarray) -> None:
     """Full-batch softmax regression on frozen features (deterministic),
     from the zero classifier that ``train`` sets."""
-    cfg = state.config
-    opt = _SgdMomentum(state, ("wc", "bc"), cfg.classifier_lr, cfg.momentum, cfg.weight_decay)
-    for _ in range(cfg.classifier_steps):
+    opt = _SgdMomentum(state, ("wc", "bc"), CLASSIFIER_LR)
+    for _ in range(CLASSIFIER_STEPS):
         opt.step(_classifier_grads(state, z, y)[2])
 
 
@@ -511,12 +500,7 @@ def _assert_finite(state: ModelState) -> None:
 
 
 def save_model(state: ModelState, path) -> None:
-    meta = {
-        "kind": "model",
-        "config": asdict(state.config),
-        "trained_loss_kind": state.trained_loss_kind,
-        "forward_pass_count": state.forward_pass_count,
-    }
+    meta = {"kind": "model", "config": asdict(state.config)}
     arrays = dict(state.encoder_projection_params())
     if state.wc is not None:
         arrays["wc"] = state.wc
@@ -535,7 +519,7 @@ def load_model(path) -> ModelState:
     if not isinstance(raw, dict) or set(raw) != keys:
         raise DataError(f"{path}: model config must have exactly the keys {sorted(keys)}")
     integer_keys = [f.name for f in fields(ModelConfig) if f.type.startswith("int")]
-    if any(type(raw[key]) is not int for key in integer_keys if raw[key] is not None):
+    if any(type(raw[key]) is not int for key in integer_keys):
         raise DataError(f"{path}: model config values {integer_keys} must be integers")
     config = ModelConfig(**raw)
     try:
@@ -549,5 +533,4 @@ def load_model(path) -> ModelState:
         if value.shape != shapes[name]:
             raise DataError(f"{path}: array {name} has shape {value.shape}, "
                             f"the config gives {shapes[name]}")
-    return ModelState(config=config, **arrays,
-                      trained_loss_kind=meta.get("trained_loss_kind"))
+    return ModelState(config=config, **arrays)

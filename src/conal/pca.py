@@ -154,11 +154,6 @@ def fit_class_pca(features_by_class: dict[int, np.ndarray], n_components: int | 
     return ClassPcaModel(d, classes)
 
 
-def fre_score(model: ClassPcaModel, z: np.ndarray, k: int) -> float:
-    """Residual norm of ``z`` against class ``k``'s subspace."""
-    return float(fre_scores(model, np.asarray(z, dtype=np.float64)[None, :], k)[0])
-
-
 def fre_scores(model: ClassPcaModel, z: np.ndarray, k: int) -> np.ndarray:
     """Vectorized residual norms for many queries against one class."""
     if not model.fitted(k):

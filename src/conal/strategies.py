@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels, model
 from .errors import ConfigError, DataError, UsageError
-from .pca import ClassPcaModel, fre_score, fre_scores
+from .pca import ClassPcaModel, fre_scores
 
 logger = logging.getLogger(__name__)
 
@@ -109,7 +109,7 @@ def featuresim_scores(z_query: np.ndarray, predicted: np.ndarray,
 
 def score_fre(z_query: np.ndarray, k: int, pca_model: ClassPcaModel) -> float:
     """Feature reconstruction error of one query against class k; select max."""
-    return fre_score(pca_model, z_query, k)
+    return float(fre_scores(pca_model, np.asarray(z_query, dtype=np.float64)[None, :], k)[0])
 
 
 def fre_scores_batch(z_query: np.ndarray, predicted: np.ndarray, pca_model: ClassPcaModel,

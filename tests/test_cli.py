@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,11 +69,16 @@ class TestConfigParsing:
             parse_config_text("loop.magic = 3")
 
     def test_loop_keys_match_loop_config_fields(self):
-        """Every loop.* key has a LoopConfig field and every field but the
-        per-cell strategy and seed has a key, so no knob is half-removed."""
-        keys = [key.removeprefix("loop.") for key in _KEYS if key.startswith("loop.")]
-        assert sorted(keys) == sorted(f.name for f in fields(LoopConfig)
-                                      if f.name not in ("strategy", "seed"))
+        """Every loop.* and model.* key has a LoopConfig or ModelConfig field and
+        back, so no knob is half-removed. The fields set elsewhere are left out:
+        the cell's strategy and seed, the model's per-iteration seed and loss
+        kind, and d_in and n_classes, which data.d and data.k set."""
+        for prefix, config, elsewhere in [
+                ("loop.", LoopConfig, ("strategy", "seed")),
+                ("model.", ModelConfig, ("d_in", "n_classes", "seed", "loss_kind"))]:
+            keys = [key.removeprefix(prefix) for key in _KEYS if key.startswith(prefix)]
+            assert sorted(keys) == sorted(f.name for f in fields(config)
+                                          if f.name not in elsewhere)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -546,14 +551,18 @@ class TestFailureHandling:
         ("loop.loss_override = hinge", "loss_override must be one of"),
         ("model.temperature = 0", "temperature must be positive"),
         ("loop.budget = 0", "budget 0 is not a positive multiple"),
-        ("model.classifier_steps = -1", "classifier_steps must be >= 0"),
-        ("model.classifier_lr = -0.5", "classifier_lr must be >= 0"),
+        ("model.classifier_steps = -1", "unknown config key"),
+        ("model.classifier_lr = -0.5", "unknown config key"),
+        ("model.lr_decay_epoch = -2", "unknown config key"),
+        ("model.momentum = 0.9", "unknown config key"),
+        ("loop.shift_seed = 20259", "unknown config key"),
         ("model.aug_sigma = -0.1", "aug_sigma must be >= 0"),
-        ("model.lr_decay_epoch = -2", "lr_decay_epoch must be >= 0"),
+        ("model.lr = -0.1", "lr must be >= 0"),
+        ("model.weight_decay = -0.5", "weight_decay must be >= 0"),
     ], ids=["accumulate_features", "symmetric_featuresim", "pca_components",
             "pca_variance_fraction", "loss_hinge", "temperature_0", "budget_0",
-            "classifier_steps_neg", "classifier_lr_neg", "aug_sigma_neg",
-            "lr_decay_epoch_neg"])
+            "classifier_steps_neg", "classifier_lr_neg", "lr_decay_epoch_neg",
+            "momentum", "shift_seed", "aug_sigma_neg", "lr_neg", "weight_decay_neg"])
     def test_bad_loop_or_model_value_rejected_before_any_cell(self, tmp_path, capsys, bad,
                                                               message):
         keys = {line.split("=")[0].strip() for line in bad.splitlines()}
@@ -661,12 +670,8 @@ data.train_path = {tmp_path / 'train.csv'}
 data.test_path = {tmp_path / 'test.csv'}
 data.ood_path = {tmp_path / 'ood.csv'}
 data.format = csv
-model.lr_decay_epoch = 2
-model.classifier_steps = 17
-model.classifier_lr = 0.5
 loop.loss_override = cross_entropy
 loop.force_per_class = yes
-loop.shift_seed = 7
 run.out = {tmp_path / 'out'}
 """)
         original = build_experiment(parse_config_text(text))
@@ -674,6 +679,81 @@ run.out = {tmp_path / 'out'}
         assert echoed == original
         assert echoed.loop.loss_override == "cross_entropy"
         assert echoed.ood_path == str(tmp_path / "ood.csv")
+
+
+class TestMutationFuzz:
+    MUTANTS_PER_KIND = 150
+
+    @staticmethod
+    def _mutants(blob: bytes, rng, count: int):
+        """Seeded one-byte XOR flips (0x01, 0x80, 0xFF), truncations and
+        one-byte insertions of ``blob``."""
+        for _ in range(count):
+            op, at = rng.integers(3), int(rng.integers(len(blob)))
+            if op == 0:
+                flip = (0x01, 0x80, 0xFF)[rng.integers(3)]
+                yield blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
+            elif op == 1:
+                yield blob[:at]
+            else:
+                yield blob[:at] + bytes([int(rng.integers(256))]) + blob[at:]
+
+    def test_no_mutant_of_any_input_exits_4(self, tmp_path, capsys):
+        """Each file kind the CLI reads, mutated, exits 0, 2 or 3: never 4."""
+        from conal.data import ShiftSpec, balanced_test_spec
+        from conal.loop import run_active_learning
+        from conal.metrics import write_reports_jsonl
+
+        ds = DatasetSpec(k=3, d=4, n_per_class=8, class_separation=4.0, seed=1)
+        labeled = generate_mixture(ds, id_prefix="l-")
+        model = ModelConfig(d_in=4, n_classes=3, d_hidden=6, d_feat=4, d_proj=2,
+                            epochs=2, batch_size=16, seed=0)
+        ckpt, lab, q_csv = tmp_path / "m.ckpt", tmp_path / "l.bin", tmp_path / "q.csv"
+        save_model(train(init_model(model), labeled), ckpt)
+        save_features(labeled, lab)
+        save_features(labeled.take(np.arange(6)), q_csv, "csv")
+        text = TINY_CONFIG.replace("data.n_per_class = 60", "data.n_per_class = 6")
+        cfg, manifest = tmp_path / "gen.cfg", tmp_path / "manifest.cfg"
+        cfg.write_text(text)
+        manifest.write_text(echo_config(build_experiment(parse_config_text(text)),
+                                        {"tool": "conal"}))
+        run_dir = tmp_path / "run"
+        report = run_dir / "featuresim_seed0" / "report.jsonl"
+        report.parent.mkdir(parents=True)
+        loop = LoopConfig(budget=8, acquisition_size=4, subset_size=8, strategy="featuresim",
+                          tau=2)
+        result = run_active_learning(labeled, generate_mixture(balanced_test_spec(ds, 4)),
+                                     model, loop, shifts=[ShiftSpec("additive_gaussian", 1)])
+        # with no wall time in it, the report and so every mutant is the same each run
+        write_reports_jsonl([replace(r, query_wall_ms=0.0) for r in result.reports], report)
+
+        scores, data = ["--out", str(tmp_path / "s.csv")], ["--out", str(tmp_path / "data")]
+        score = ["score", str(lab), "--checkpoint", str(ckpt)] + scores
+        calls = {
+            "alcv1": (lab, score + ["--strategy", "fre", "--labeled", str(lab)]),
+            "csv": (q_csv, ["score", str(q_csv), "--format", "csv", "--checkpoint",
+                            str(ckpt), "--strategy", "entropy"] + scores),
+            "modl1": (ckpt, score + ["--strategy", "bald", "--tau", "3"]),
+            "config": (cfg, ["gen", str(cfg)] + data),
+            "manifest": (manifest, ["gen", str(manifest)] + data),
+            "report": (report, ["report", str(run_dir)]),
+        }
+        rng = np.random.default_rng(20260)
+        outcomes, fours = {}, []
+        for kind, (path, argv) in calls.items():
+            original = path.read_bytes()
+            assert main(argv) == 0, kind
+            codes = []
+            for mutant in self._mutants(original, rng, self.MUTANTS_PER_KIND):
+                path.write_bytes(mutant)
+                codes.append(main(argv))
+                err = capsys.readouterr().err
+                if codes[-1] == 4:
+                    fours.append((kind, mutant, err))
+            path.write_bytes(original)
+            outcomes[kind] = {code: codes.count(code) for code in sorted(set(codes))}
+        assert not fours, fours[:3]
+        assert all(0 in seen and len(seen) > 1 for seen in outcomes.values()), outcomes
 
 
 def test_benchmark_tracer_installs():

@@ -285,7 +285,7 @@ class TestModes:
         result = run_active_learning(pool, test, model,
                                      quick_loop("random", loss_override="contrastive"),
                                      shifts=[])
-        assert result.final_state.trained_loss_kind == "contrastive"
+        assert result.final_state.config.loss_kind == "contrastive"
 
     def test_unlabeled_test_rejected(self):
         pool, test, model = small_setup()

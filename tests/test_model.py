@@ -244,7 +244,7 @@ class TestTrain:
                                             class_separation=4.0, seed=6))
         config = small_config(loss_kind="cross_entropy", epochs=40, lr=0.1)
         state = train(init_model(config), data)
-        assert state.trained_loss_kind == "cross_entropy"
+        assert state.config.loss_kind == "cross_entropy"
         probs = predict(state, data)
         assert (probs.argmax(axis=1) == data.labels).mean() > 0.9
 
@@ -433,7 +433,7 @@ class TestCheckpoint:
         save_model(state, path)
         back = load_model(path)
         assert back.config == state.config
-        assert back.trained_loss_kind == "contrastive"
+        assert back.config.loss_kind == "contrastive"
         for name in state.encoder_projection_params():
             np.testing.assert_array_equal(getattr(back, name), getattr(state, name))
         probs_a = predict_proba_from_features(state, np.zeros((1, 6)))

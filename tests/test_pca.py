@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conal.errors import ConfigError, DataError, UsageError
-from conal.pca import class_covariance_eig, fit_class_pca, fre_score, fre_scores
+from conal.pca import class_covariance_eig, fit_class_pca, fre_scores
+from conal.strategies import score_fre
 
 
 @pytest.fixture
@@ -63,7 +64,7 @@ class TestFit:
             model = fit_class_pca(pts, n_components=2)
         sub = model.classes[1]
         assert sub.n_components == 0
-        assert fre_score(model, pts[1][0], 1) == pytest.approx(0.0, abs=1e-12)
+        assert score_fre(pts[1][0], 1, model) == pytest.approx(0.0, abs=1e-12)
 
     def test_scatter_and_gram_routes_agree(self, rng):
         # n slightly above d so both routes are applicable
@@ -95,13 +96,13 @@ class TestFreScore:
 
     def test_zero_at_class_mean(self, rng):
         model, _ = self._model(rng)
-        assert fre_score(model, model.classes[0].mean, 0) == pytest.approx(0.0, abs=1e-12)
+        assert score_fre(model.classes[0].mean, 0, model) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_in_subspace(self, rng):
         model, _ = self._model(rng)
         sub = model.classes[0]
         z = sub.mean + sub.basis @ np.array([2.0, -1.0, 0.5])
-        assert fre_score(model, z, 0) == pytest.approx(0.0, abs=1e-10)
+        assert score_fre(z, 0, model) == pytest.approx(0.0, abs=1e-10)
 
     def test_orthogonal_offset_is_its_norm(self, rng):
         model, _ = self._model(rng)
@@ -110,23 +111,23 @@ class TestFreScore:
         v = rng.standard_normal(5)
         v -= sub.basis @ (sub.basis.T @ v)
         v /= np.linalg.norm(v)
-        assert fre_score(model, sub.mean + 2.0 * v, 0) == pytest.approx(2.0, abs=1e-10)
+        assert score_fre(sub.mean + 2.0 * v, 0, model) == pytest.approx(2.0, abs=1e-10)
 
     def test_invariant_to_in_subspace_component(self, rng):
         model, _ = self._model(rng)
         sub = model.classes[0]
         z = rng.standard_normal(5)
         shifted = z + sub.basis @ np.array([1.0, 2.0, -3.0])
-        assert fre_score(model, z, 0) == pytest.approx(fre_score(model, shifted, 0), abs=1e-9)
+        assert score_fre(z, 0, model) == pytest.approx(score_fre(shifted, 0, model), abs=1e-9)
 
     def test_positive_homogeneity_about_mean(self, rng):
         model, _ = self._model(rng)
         sub = model.classes[0]
         z = rng.standard_normal(5) + sub.mean
-        base = fre_score(model, z, 0)
+        base = score_fre(z, 0, model)
         for alpha in (0.0, 0.5, 2.0, 7.5):
             blended = alpha * z + (1 - alpha) * sub.mean
-            assert fre_score(model, blended, 0) == pytest.approx(alpha * base, rel=1e-9, abs=1e-12)
+            assert score_fre(blended, 0, model) == pytest.approx(alpha * base, rel=1e-9, abs=1e-12)
 
     def test_pythagorean_identity(self, rng):
         # sum of squared residuals / (n-1) equals the discarded eigenvalue mass
@@ -144,5 +145,5 @@ class TestFreScore:
     def test_unfitted_class_errors(self, rng):
         model, _ = self._model(rng)
         with pytest.raises(UsageError):
-            fre_score(model, np.zeros(5), 3)
+            score_fre(np.zeros(5), 3, model)
 
