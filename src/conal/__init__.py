@@ -1,6 +1,16 @@
 """Contrastive active learning with feature-guided query strategies."""
 
+import os as _os
+import sys as _sys
+
 __version__ = "0.1.0"
+
+# BLAS reads these once, when numpy loads. Unless the caller set them or loaded
+# numpy first, conal and the sweep workers forked from it run BLAS on one thread.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in _sys.modules:
+    for _name in _BLAS_THREAD_VARS:
+        _os.environ.setdefault(_name, "1")
 
 from .data import (DatasetSpec, FeatureMatrix, ShiftSpec, apply_shift,
                    balanced_test_spec, class_sizes, full_shift_suite,

@@ -12,15 +12,14 @@ on entry, so inside the loop a sample is its row index, and a row's order
 is its id's order: the selectors' ascending-id tie-break holds on rows.
 
 ``run_cells`` runs a sweep's (strategy, seed) cells on up to one worker
-process per usable CPU. A cell's outputs depend only on its own config and
-on its BLAS thread count: worker cells get one BLAS thread, and cells run
-in-process keep the process's own, which can differ in the last bit.
+process per usable CPU, each forked from this one. A worker shares the
+parent's imports, data and BLAS thread count, so a cell's outputs depend only
+on its own config: ``import conal`` sets one BLAS thread before numpy loads.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -251,19 +250,14 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     return RunResult(reports, pool_state, state, truncated, selection_log)
 
 
-# BLAS reads these once, when numpy loads: a worker gets them at spawn
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _worker_count(n_cells: int) -> int:
     """One worker process per usable CPU, and never more than there are cells.
 
-    One when a spawned worker could not re-import the ``__main__`` module,
-    because its ``__file__`` names no file, as for a script piped to
-    ``python -``.
+    One where the platform cannot fork.
     """
-    main_file = getattr(sys.modules["__main__"], "__file__", None)
-    if main_file is not None and not os.path.isfile(main_file):
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     return min(n_cells, len(os.sched_getaffinity(0)))
 
@@ -276,8 +270,9 @@ def run_cells(pool: FeatureMatrix, test: FeatureMatrix, model_config: ModelConfi
     Returns one entry per cell, in cell order: the cell's ``RunResult``, or
     the exception it raised. Every cell runs, whichever fail. With one
     worker the cells run here, one after another. With more, they run in
-    spawned worker processes, one cell per task, each worker with one BLAS
-    thread; a cell's exception comes back with its own type.
+    worker processes forked from this one, one cell per task. A worker
+    inherits the inputs and the BLAS thread count instead of receiving a
+    pickled copy, and a cell's exception comes back with its own type.
     """
     workers = _worker_count(len(cells))
     if workers <= 1:
@@ -293,19 +288,11 @@ def run_cells(pool: FeatureMatrix, test: FeatureMatrix, model_config: ModelConfi
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # every worker forks at the first submit, before the executor starts a thread
     inputs = (pool, test, model_config, ood, shifts)
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                              _init_worker, inputs) as executor:
-        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-        try:  # the workers start, and copy the environment, as cells are submitted
-            futures = [executor.submit(_run_cell, cell) for cell in cells]
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    del os.environ[name]
-                else:
-                    os.environ[name] = value
+        futures = [executor.submit(_run_cell, cell) for cell in cells]
         return [future.exception() or future.result() for future in futures]
 
 

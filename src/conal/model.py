@@ -54,6 +54,9 @@ class ModelConfig:
     loss_kind: str = "contrastive"
 
     def validate(self) -> None:
+        for name in ("lr", "weight_decay", "aug_sigma", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
         if not 0 <= self.dropout_rate < 1:

@@ -260,12 +260,14 @@ class TestRun:
                 cell = {r["iteration"]: r for r in csv.DictReader(fh)}[iteration]
             assert (cell["random_mean"], cell["random_std"]) == expected
 
-    def test_main_module_without_a_file_runs_cells_in_process(self, tiny_config, tmp_path):
+    def test_piped_script_runs_a_multi_cell_sweep(self, tiny_config, tmp_path):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        script = ("import sys\nfrom conal.cli import main\n"
+        script = ("import os, sys\nfrom conal.cli import main\n"
+                  "from conal.loop import _worker_count\n"
+                  "assert _worker_count(4) == min(4, len(os.sched_getaffinity(0)))\n"
                   f"sys.exit(main(['run', {str(tiny_config)!r}]))\n")
-        # a spawned worker cannot re-import a __main__ whose __file__ is '<stdin>'
+        # a forked worker re-imports nothing, so a __main__ read from stdin gets workers too
         proc = subprocess.run([sys.executable, "-"], input=script, env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
@@ -525,7 +527,7 @@ class TestFailureHandling:
             calls["n"] += 1
             raise RuntimeError("simulated mid-run crash")
 
-        # a spawned worker imports its own conal.loop and never sees the patch
+        # one worker: the call counter below lives in this process
         monkeypatch.setattr(loop_mod, "_worker_count", lambda n: 1)
         monkeypatch.setattr(loop_mod, "run_active_learning", explode)
         assert main(["run", str(tiny_config)]) == 4
@@ -559,10 +561,17 @@ class TestFailureHandling:
         ("model.aug_sigma = -0.1", "aug_sigma must be >= 0"),
         ("model.lr = -0.1", "lr must be >= 0"),
         ("model.weight_decay = -0.5", "weight_decay must be >= 0"),
+        ("model.lr = nan", "lr must be finite"),
+        ("model.weight_decay = inf", "weight_decay must be finite"),
+        ("model.aug_sigma = nan", "aug_sigma must be finite"),
+        ("model.temperature = nan", "temperature must be finite"),
+        ("model.temperature = inf", "temperature must be finite"),
     ], ids=["accumulate_features", "symmetric_featuresim", "pca_components",
             "pca_variance_fraction", "loss_hinge", "temperature_0", "budget_0",
             "classifier_steps_neg", "classifier_lr_neg", "lr_decay_epoch_neg",
-            "momentum", "shift_seed", "aug_sigma_neg", "lr_neg", "weight_decay_neg"])
+            "momentum", "shift_seed", "aug_sigma_neg", "lr_neg", "weight_decay_neg",
+            "lr_nan", "weight_decay_inf", "aug_sigma_nan", "temperature_nan",
+            "temperature_inf"])
     def test_bad_loop_or_model_value_rejected_before_any_cell(self, tmp_path, capsys, bad,
                                                               message):
         keys = {line.split("=")[0].strip() for line in bad.splitlines()}

@@ -468,3 +468,14 @@ class TestCheckpoint:
         write_container(path, meta, arrays)
         with pytest.raises(DataError):
             load_model(path)
+
+    @pytest.mark.parametrize("key,value", [("lr", float("nan")), ("weight_decay", float("inf")),
+                                           ("aug_sigma", float("nan")),
+                                           ("temperature", float("inf"))])
+    def test_non_finite_config_value_is_a_data_error(self, key, value, tmp_path):
+        state = init_model(small_config())
+        meta = {"kind": "model", "config": dataclasses.asdict(state.config) | {key: value}}
+        path = tmp_path / "model.ckpt"
+        write_container(path, meta, dict(state.encoder_projection_params()))
+        with pytest.raises(DataError, match=f"{key} must be finite"):
+            load_model(path)
