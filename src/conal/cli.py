@@ -70,14 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            cmd_gen(args)
-        elif args.command == "run":
-            cmd_run(args)
-        elif args.command == "report":
-            cmd_report(args)
-        elif args.command == "score":
-            cmd_score(args)
+        {"gen": cmd_gen, "run": cmd_run, "report": cmd_report,
+         "score": cmd_score}[args.command](args)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -253,11 +253,7 @@ def write_container(path: str | Path, meta: dict, arrays: dict[str, np.ndarray])
         payload.append(arr.tobytes())
     header = json.dumps({"meta": meta, "manifest": manifest}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for chunk in payload:
-            fh.write(chunk)
+        fh.writelines([MODEL_MAGIC, struct.pack("<I", len(header)), header, *payload])
 
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -14,7 +14,7 @@ is its id's order: the selectors' ascending-id tie-break holds on rows.
 ``run_cells`` runs a sweep's (strategy, seed) cells on up to one worker
 process per usable CPU, each forked from this one. A worker shares the
 parent's imports, data and BLAS thread count, so a cell's outputs depend only
-on its own config: ``import conal`` sets one BLAS thread before numpy loads.
+on its own config: ``import conal`` sets BLAS to one thread.
 """
 
 from __future__ import annotations
@@ -253,11 +253,13 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
 def _worker_count(n_cells: int) -> int:
     """One worker process per usable CPU, and never more than there are cells.
 
-    One where the platform cannot fork.
+    One where the platform cannot fork, or where another thread runs: a
+    forked worker could inherit a lock that thread holds.
     """
     import multiprocessing
+    import threading
 
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         return 1
     return min(n_cells, len(os.sched_getaffinity(0)))
 

@@ -490,11 +490,10 @@ def _fit_classifier(state: ModelState, z: np.ndarray, y: np.ndarray) -> None:
 
 
 def _assert_finite(state: ModelState) -> None:
-    for name, value in state.encoder_projection_params().items():
+    params = {**state.encoder_projection_params(), "wc": state.wc, "bc": state.bc}
+    for name, value in params.items():
         if not np.all(np.isfinite(value)):
             raise DataError(f"non-finite weights in {name} after training")
-    if state.wc is not None and not (np.all(np.isfinite(state.wc)) and np.all(np.isfinite(state.bc))):
-        raise DataError("non-finite classifier weights after training")
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +505,7 @@ def save_model(state: ModelState, path) -> None:
     meta = {"kind": "model", "config": asdict(state.config)}
     arrays = dict(state.encoder_projection_params())
     if state.wc is not None:
-        arrays["wc"] = state.wc
-        arrays["bc"] = state.bc
+        arrays.update(wc=state.wc, bc=state.bc)
     write_container(path, meta, arrays)
 
 

@@ -275,6 +275,30 @@ class TestRun:
             assert (tmp_path / "out" / cell / "report.jsonl").exists()
             assert not (tmp_path / "out" / cell / "FAILED.txt").exists()
 
+    def test_cells_run_in_process_while_another_thread_runs(self, tiny_config, monkeypatch):
+        import threading
+
+        import conal.loop as loop_mod
+
+        calls = []
+        real = loop_mod.run_active_learning
+
+        def counted(*args, **kwargs):
+            calls.append(1)  # a forked worker would append to its own copy
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(loop_mod, "run_active_learning", counted)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert loop_mod._worker_count(4) == 1
+            assert main(["run", str(tiny_config)]) == 0
+        finally:
+            stop.set()
+            thread.join()
+        assert len(calls) == 4
+
 
 class TestReport:
     def test_report_outputs(self, tiny_config, tmp_path):
