@@ -121,8 +121,9 @@ def _materialize_data(config: ExperimentConfig):
                 raise DataError(f"the {name} file has {other.d} features per row, "
                                 f"the train file {train.d}")
         k = config.model.n_classes
-        if test.labels.max(initial=0) >= k:
-            raise DataError(f"test labels must lie in [0, {k}) for data.k = {k}")
+        for name, labeled in (("train", train), ("test", test)):
+            if labeled.labels.max(initial=0) >= k:
+                raise DataError(f"{name} labels must lie in [0, {k}) for data.k = {k}")
     return train, test, ood
 
 

@@ -1,5 +1,5 @@
-"""Hot numeric kernels: greedy k-center, nearest-center distances, max dot
-product against a reference set, and confidence-bin accumulation.
+"""Hot numeric kernels: greedy k-center, nearest-center distances, and max
+dot product against a reference set.
 
 ``max_dot`` and ``nearest_sq_dist`` are matmul-bound and take their rows in
 blocks, so memory stays bounded on large query sets. Blocking leaves each
@@ -91,22 +91,3 @@ def max_dot(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
         block = queries[start : start + chunk]
         out[start : start + chunk] = (block @ refs.T).max(axis=1)
     return out
-
-
-# ---------------------------------------------------------------------------
-# confidence-bin accumulation for calibration error
-# ---------------------------------------------------------------------------
-
-
-def confidence_bin_stats(conf: np.ndarray, correct: np.ndarray, n_bins: int):
-    """Per-bin (count, sum of correctness, sum of confidence) over equal-width bins.
-
-    Bin b covers [b/n_bins, (b+1)/n_bins); confidence 1.0 lands in the last bin.
-    """
-    conf = np.ascontiguousarray(conf, dtype=np.float64)
-    correct = np.ascontiguousarray(correct, dtype=np.float64)
-    idx = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins).astype(np.float64)
-    conf_sums = np.bincount(idx, weights=conf, minlength=n_bins)
-    acc_sums = np.bincount(idx, weights=correct, minlength=n_bins)
-    return counts, acc_sums, conf_sums

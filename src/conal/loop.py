@@ -235,8 +235,8 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
                               loss_kind=loss_kind, d_in=pool.d)
         state = train(init_model(iter_config), train_fm)
 
-        # every strategy's OOD scorer can read the labeled features, so always encode them
-        labeled_feats = encode_values(state, train_fm.values.astype(np.float64))
+        labeled_feats = (encode_values(state, train_fm.values.astype(np.float64))
+                         if strategy.needs_labeled else None)
         ctx = scoring_context(strategy, labeled_feats, train_fm.labels, tau=loop_config.tau)
 
         reports.append(_evaluate(

@@ -12,7 +12,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import kernels
 from .errors import ConfigError, DataError
 
 MCE_NORMALIZATION = "none"  # plain mean error; no baseline-model normalization
@@ -44,9 +43,11 @@ def ece(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> float:
         raise DataError("probability rows must sum to 1")
     conf = probs.max(axis=1)
     correct = (probs.argmax(axis=1) == labels).astype(np.float64)
-    counts, acc_sums, conf_sums = kernels.confidence_bin_stats(conf, correct, n_bins)
-    nonzero = counts > 0
-    gaps = np.abs(acc_sums[nonzero] - conf_sums[nonzero])
+    # bin b covers [b/n_bins, (b+1)/n_bins); confidence 1.0 joins the last bin
+    idx = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
+    nonzero = np.bincount(idx, minlength=n_bins) > 0
+    gaps = np.abs(np.bincount(idx, weights=correct, minlength=n_bins)[nonzero]
+                  - np.bincount(idx, weights=conf, minlength=n_bins)[nonzero])
     return float(gaps.sum() / n)
 
 

@@ -49,51 +49,20 @@ class ClassPcaModel:
         return k in self.classes
 
 
-def class_covariance_eig(centered: np.ndarray, method: str = "auto"):
-    """Descending eigenpairs of the sample covariance of centered rows.
+def class_covariance_eig(centered: np.ndarray):
+    """Descending eigenpairs of the sample covariance (1/(n-1)) of centered rows.
 
-    ``auto`` uses the D x D covariance when n > D and the n x n Gram matrix
-    (snapshot method) otherwise; the explicit methods exist so the two routes
-    can be compared where both apply. Eigenvalues below zero are clamped; the
-    eigenvector matrix always has D orthonormal columns (zero-variance
-    directions are completed arbitrarily but orthonormally).
+    One ``eigh`` of the D x D covariance serves every n. Eigenvalues below
+    zero are clamped to 0, and every eigenvalue past the rank min(n-1, D) is
+    0. Only the leading rank columns are a fitted basis, each with the sign
+    ``eigh`` gives it: a fre score reads only their projector.
     """
     n, d = centered.shape
-    rank = min(n - 1, d)
-    if method == "auto":
-        method = "scatter" if n > d else "gram"
-    if method == "scatter":
-        cov = (centered.T @ centered) / (n - 1)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1]
-        eigvals = eigvals[order]
-        eigvecs = eigvecs[:, order].copy()
-    elif method == "gram":
-        gram = (centered @ centered.T) / (n - 1)
-        gvals, gvecs = np.linalg.eigh(gram)
-        order = np.argsort(gvals)[::-1][:rank]
-        lifted = centered.T @ gvecs[:, order]  # columns along u_j, norm sqrt((n-1) lambda_j)
-        q, r = np.linalg.qr(lifted, mode="reduced")
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        q = q * signs
-        eigvals = np.concatenate([gvals[order], np.zeros(d - rank)])
-        eigvecs = np.concatenate([q, np.zeros((d, d - rank))], axis=1)
-        if d > rank:
-            # complete zero-variance directions orthonormally
-            full_q, _ = np.linalg.qr(np.concatenate([q, np.eye(d)], axis=1))
-            eigvecs[:, rank:] = full_q[:, rank:d]
-    else:
-        raise ConfigError(f"unknown eigendecomposition method {method!r}")
-    eigvals = np.where(eigvals > 0.0, eigvals, 0.0)
-    eigvals[rank:] = 0.0
-    # sign convention: largest-magnitude coordinate positive
-    for j in range(d):
-        col = eigvecs[:, j]
-        lead = np.argmax(np.abs(col))
-        if col[lead] < 0:
-            eigvecs[:, j] = -col
-    return eigvals, eigvecs
+    eigvals, eigvecs = np.linalg.eigh((centered.T @ centered) / (n - 1))
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.where(eigvals[order] > 0.0, eigvals[order], 0.0)
+    eigvals[min(n - 1, d):] = 0.0
+    return eigvals, eigvecs[:, order]
 
 
 def _pick_dimension(spectrum: np.ndarray, rank: int, n_components: int | None,

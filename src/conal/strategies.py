@@ -27,8 +27,6 @@ from .pca import ClassPcaModel, fre_scores
 
 logger = logging.getLogger(__name__)
 
-VALID_STRATEGIES = ("random", "entropy", "bald", "coreset", "featuresim", "fre")
-
 
 # ---------------------------------------------------------------------------
 # scoring functions
@@ -212,6 +210,7 @@ STRATEGIES: dict[str, StrategyInfo] = {
     "fre": StrategyInfo("fre", "max", "per_class", "contrastive", _fre_scorer,
                         needs_labeled=True, uses_pca=True),
 }
+VALID_STRATEGIES = tuple(STRATEGIES)
 
 
 def get_strategy(name: str) -> StrategyInfo:

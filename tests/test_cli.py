@@ -649,8 +649,8 @@ class TestFailureHandling:
         return cfg
 
     @pytest.mark.parametrize("bad_part,change", [
-        ("test", "narrow"), ("ood", "narrow"), ("test", "label_7"),
-    ], ids=["test_width_5", "ood_width_5", "test_label_7"])
+        ("test", "narrow"), ("ood", "narrow"), ("test", "label_7"), ("train", "label_7"),
+    ], ids=["test_width_5", "ood_width_5", "test_label_7", "train_label_7"])
     def test_bad_file_inputs_rejected_before_any_cell(self, tmp_path, capsys, bad_part,
                                                       change):
         def edit(name, fm):
@@ -667,15 +667,12 @@ class TestFailureHandling:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_bad_train_label_fails_every_cell(self, tmp_path, capsys):
-        def edit(name, fm):
-            if name != "train":
-                return fm
-            return FeatureMatrix(fm.values, fm.ids, np.where(fm.labels == 0, 7, fm.labels))
-
-        cfg = self._files_config(tmp_path, edit)
+    def test_nonfinite_training_fails_every_cell(self, tmp_path, capsys):
+        # the config is valid, but every cell's weights overflow in training
+        cfg = self._files_config(tmp_path, lambda name, fm: fm)
+        cfg.write_text(cfg.read_text() + "model.lr = 1e300\n")
         assert main(["run", str(cfg)]) == 3
-        assert "labels exceed configured class count" in capsys.readouterr().err
+        assert "non-finite weights in w1 after training" in capsys.readouterr().err
         out = tmp_path / "o"
         cells = [p for p in out.iterdir() if p.is_dir()]
         assert len(cells) == 4

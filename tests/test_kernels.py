@@ -31,14 +31,6 @@ def test_max_dot_rejects_empty_refs(rng):
         kernels.max_dot(rng.standard_normal((3, 4)), np.zeros((0, 4)))
 
 
-def test_bin_stats_confidence_one_lands_in_last_bin():
-    conf = np.array([1.0, 0.999, 0.0])
-    correct = np.array([1.0, 0.0, 1.0])
-    counts, acc_sums, conf_sums = kernels.confidence_bin_stats(conf, correct, 10)
-    assert counts[-1] == 2  # 1.0 and 0.999
-    assert counts[0] == 1
-
-
 def test_nearest_sq_dist_matches_brute_force(rng):
     points = rng.standard_normal((40, 5))
     centers = rng.standard_normal((300, 5))  # more than one 256-row chunk

@@ -20,6 +20,12 @@ class TestEce:
         probs = np.array([[0.8, 0.2], [0.8, 0.2]])
         assert ece(probs, np.array([0, 0])) == pytest.approx(0.2, abs=1e-12)
 
+    def test_confidence_one_shares_the_last_bin(self):
+        # 1.0 (wrong) and 0.95 (right) share bin 14 of 15: |1 - 1.95| / 2 = 0.475;
+        # a bin of its own for the 1.0 row would give (1.0 + 0.05) / 2 = 0.525
+        probs = np.array([[1.0, 0.0], [0.95, 0.05]])
+        assert ece(probs, np.array([1, 0])) == pytest.approx(0.475, abs=1e-12)
+
     def test_uniform_predictions_matching_accuracy(self):
         # uniform 1/4 rows; exactly one in four correct under argmax ties -> 0
         probs = np.full((4, 4), 0.25)

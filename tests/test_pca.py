@@ -66,18 +66,20 @@ class TestFit:
         assert sub.n_components == 0
         assert score_fre(pts[1][0], 1, model) == pytest.approx(0.0, abs=1e-12)
 
-    def test_scatter_and_gram_routes_agree(self, rng):
-        # n slightly above d so both routes are applicable
-        pts = rng.standard_normal((9, 6))
-        centered = pts - pts.mean(axis=0)
-        vals_s, vecs_s = class_covariance_eig(centered, method="scatter")
-        vals_g, vecs_g = class_covariance_eig(centered, method="gram")
-        rank = min(centered.shape[0] - 1, centered.shape[1])
-        np.testing.assert_allclose(vals_s[:rank], vals_g[:rank], atol=1e-8)
+    @pytest.mark.parametrize("n", [5, 7, 60])  # n < d, n = d + 1, n >> d
+    def test_covariance_eig_matches_numpy(self, rng, n):
+        d = 6
+        pts = rng.standard_normal((n, d))
+        vals, vecs = class_covariance_eig(pts - pts.mean(axis=0))
+        ref_vals, ref_vecs = np.linalg.eigh(np.cov(pts.T))
+        ref_vals, ref_vecs = ref_vals[::-1], ref_vecs[:, ::-1]
+        rank = min(n - 1, d)
+        np.testing.assert_allclose(vals[:rank], ref_vals[:rank], rtol=0, atol=1e-10)
+        assert (vals[rank:] == 0.0).all()
         for keep in (1, 3, rank):
-            proj_s = vecs_s[:, :keep] @ vecs_s[:, :keep].T
-            proj_g = vecs_g[:, :keep] @ vecs_g[:, :keep].T
-            np.testing.assert_allclose(proj_s, proj_g, atol=1e-8)
+            np.testing.assert_allclose(vecs[:, :keep] @ vecs[:, :keep].T,
+                                       ref_vecs[:, :keep] @ ref_vecs[:, :keep].T,
+                                       rtol=0, atol=1e-8)
 
     def test_argument_validation(self, rng):
         pts = {0: rng.standard_normal((5, 3))}
