@@ -309,7 +309,7 @@ def cmd_score(args) -> None:
         labeled = load_features(args.labeled, args.format)
         if labeled.labels is None:
             raise DataError("--labeled feature file must carry labels")
-        labeled_feats = encode_values(state, labeled.values.astype(np.float64))
+        labeled_feats = encode_values(state, labeled.values)
         labeled_labels = labeled.labels
 
     ctx = scoring_context(info, labeled_feats, labeled_labels, tau=args.tau)

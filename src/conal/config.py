@@ -150,6 +150,12 @@ class ExperimentConfig:
             raise ConfigError("seed list must be nonempty")
         if not self.strategies:
             raise ConfigError("strategy list must be nonempty")
+        for key, values in (("run.strategies", self.strategies), ("run.seeds", self.seeds),
+                            ("shift.kinds", self.shift_kinds),
+                            ("shift.intensities", self.shift_intensities)):
+            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if repeated is not None:
+                raise ConfigError(f"{key} lists {repeated} more than once")
         for name in self.strategies:
             get_strategy(name)
         full_shift_suite(self.shift_kinds, self.shift_intensities)

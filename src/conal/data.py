@@ -151,14 +151,16 @@ def generate_mixture(spec: DatasetSpec, id_prefix: str = "") -> FeatureMatrix:
     sizes = class_sizes(spec)
     centers = class_centers(spec)
     rng = rng_for(spec.seed, "mixture")
-    blocks = []
-    labels = []
+    values = np.empty((sum(sizes), spec.d), dtype=np.float32)
+    start = 0
     for k, n_k in enumerate(sizes):
+        # each class block is drawn in float64 and cast to float32 as it is stored
         noise = rng.standard_normal((n_k, spec.d))
-        blocks.append(centers[k] + spec.noise_sigma * noise)
-        labels.append(np.full(n_k, k, dtype=np.int64))
-    values = np.concatenate(blocks).astype(np.float32)
-    labels = np.concatenate(labels)
+        noise *= spec.noise_sigma
+        noise += centers[k]
+        values[start:start + n_k] = noise
+        start += n_k
+    labels = np.repeat(np.arange(spec.k, dtype=np.int64), sizes)
     ids = np.array([f"{id_prefix}{i:08d}" for i in range(values.shape[0])])
     return FeatureMatrix(values, ids, labels)
 

@@ -17,9 +17,12 @@ name/shape/dtype entries) followed by the raw arrays in manifest order.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import itertools
 import json
 import math
+import os
 import re
 import struct
 from pathlib import Path
@@ -35,7 +38,8 @@ MODEL_MAGIC = b"MODL1"
 
 FORMATS = ("binary", "csv")
 
-_CSV_BLOCK_ROWS = 4096  # rows formatted per write, and parsed per float conversion
+_CSV_BLOCK_ROWS = 4096  # CSV rows formatted, or binary ids encoded, per write
+_CSV_READ_BYTES = 1 << 16  # bytes read per window, whose lines are split and parsed at once
 # ``,`` ends a CSV cell; the rest are every line break ``str.splitlines`` splits on
 _CSV_ID_BREAKS = re.compile("[,\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
@@ -65,73 +69,84 @@ def _save_binary(data: FeatureMatrix, path: Path) -> None:
     has_labels = data.labels is not None
     if has_labels and data.labels.max(initial=0) > 0xFFFF:
         raise DataError("labels exceed the u16 range of the binary format")
-    table = []
-    for sid in map(str, data.ids.tolist()):
-        raw = sid.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise DataError(f"sample id {sid[:40]!r}... is {len(raw)} UTF-8 bytes; "
-                            "the binary format holds at most 65535")
-        table += (len(raw).to_bytes(2, "little"), raw)
+    bad = next((sid for ids in _id_blocks(data.ids) for sid in ids
+                if len(sid.encode("utf-8")) > 0xFFFF), None)
+    if bad is not None:
+        raise DataError(f"sample id {bad[:40]!r}... is {len(bad.encode('utf-8'))} UTF-8 "
+                        "bytes; the binary format holds at most 65535")
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IIB", data.n, data.d, int(has_labels)))
-        fh.write(np.ascontiguousarray(data.values, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(data.values, dtype="<f4"))
         if has_labels:
-            fh.write(np.ascontiguousarray(data.labels, dtype="<u2").tobytes())
-        fh.write(b"".join(table))
+            fh.write(data.labels.astype("<u2"))
+        for ids in _id_blocks(data.ids):
+            raws = [sid.encode("utf-8") for sid in ids]
+            fh.write(b"".join([len(raw).to_bytes(2, "little") + raw for raw in raws]))
+
+
+def _id_blocks(ids: np.ndarray):
+    """The ids as ``str`` lists, ``_CSV_BLOCK_ROWS`` ids at a time."""
+    for start in range(0, len(ids), _CSV_BLOCK_ROWS):
+        yield [str(sid) for sid in ids[start:start + _CSV_BLOCK_ROWS].tolist()]
 
 
 def _load_binary(path: Path) -> FeatureMatrix:
-    blob = path.read_bytes()
-    if blob[:5] != FEATURE_MAGIC:
-        raise DataError(f"{path}: bad magic, not a feature file")
-    if len(blob) < 14:
-        raise DataError(f"{path}: truncated header")
-    n, d, has_labels = struct.unpack_from("<IIB", blob, 5)
-    if has_labels > 1:
-        raise DataError(f"{path}: corrupt header (label flag {has_labels})")
-    offset = 5 + 9
-    if offset + (4 * d + 2 * has_labels) * n > len(blob):
-        raise DataError(f"{path}: truncated, header promises {n} x {d} values")
-    values = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset).reshape(n, d)
-    offset += 4 * n * d
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(blob, dtype="<u2", count=n, offset=offset).astype(np.int64)
-        offset += 2 * n
-    raw = []
+    with open(path, "rb") as fh:
+        head = fh.read(14)
+        if head[:5] != FEATURE_MAGIC:
+            raise DataError(f"{path}: bad magic, not a feature file")
+        if len(head) < 14:
+            raise DataError(f"{path}: truncated header")
+        n, d, has_labels = struct.unpack_from("<IIB", head, 5)
+        if has_labels > 1:
+            raise DataError(f"{path}: corrupt header (label flag {has_labels})")
+        size = os.fstat(fh.fileno()).st_size
+        if 14 + (4 * d + 2 * has_labels) * n > size:
+            raise DataError(f"{path}: truncated, header promises {n} x {d} values")
+        values = np.empty((n, d), dtype="<f4")
+        labels = np.empty(n if has_labels else 0, dtype="<u2")
+        if fh.readinto(values) != values.nbytes or fh.readinto(labels) != labels.nbytes:
+            raise DataError(f"{path}: truncated, header promises {n} x {d} values")
+        ids = _read_id_table(path, fh.read(), n, size)
+    return FeatureMatrix(values, ids, labels.astype(np.int64) if has_labels else None)
+
+
+def _read_id_table(path: Path, table: bytes, n: int, size: int) -> np.ndarray:
+    """The ``n`` ids of a binary feature file's id table, the last ``len(table)``
+    of its ``size`` bytes."""
+    offset, raw = 0, []
     try:
         for _ in range(n):
             start = offset + 2
-            offset = start + (blob[offset] | blob[offset + 1] << 8)
-            raw.append(blob[start:offset])
+            offset = start + (table[offset] | table[offset + 1] << 8)
+            raw.append(table[start:offset])
     except IndexError:
         raise DataError(f"{path}: truncated id table ({len(raw)} of {n} ids)") from None
-    if offset != len(blob):
-        raise DataError(f"{path}: the id table ends at byte {offset} of {len(blob)}")
+    if offset != len(table):
+        raise DataError(f"{path}: the id table ends at byte {size - len(table) + offset} "
+                        f"of {size}")
     try:
-        ids = [sid.decode("utf-8") for sid in raw]
+        return np.array([sid.decode("utf-8") for sid in raw], dtype=str)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: corrupt id table ({exc})") from None
-    return FeatureMatrix(values.copy(), np.array(ids, dtype=str), labels)
 
 
 def _save_csv(data: FeatureMatrix, path: Path) -> None:
-    ids = [str(sid) for sid in data.ids]
-    bad = next((sid for sid in ids if _CSV_ID_BREAKS.search(sid)), None)
+    bad = next((sid for ids in _id_blocks(data.ids) for sid in ids
+                if _CSV_ID_BREAKS.search(sid)), None)
     if bad is not None:
         raise DataError(f"sample id {bad!r} holds a comma or line break, "
                         "which a CSV row cannot carry")
-    labels = [""] * data.n if data.labels is None else data.labels.tolist()
     # 9 significant digits reproduce float32 values exactly
     row = "%s,%s," + ",".join(["%.9g"] * data.d) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["id", "label"] + [f"f{j}" for j in range(data.d)]) + "\n")
-        for start in range(0, data.n, _CSV_BLOCK_ROWS):
+        for start, ids in zip(range(0, data.n, _CSV_BLOCK_ROWS), _id_blocks(data.ids)):
             stop = start + _CSV_BLOCK_ROWS
+            labels = [""] * len(ids) if data.labels is None else data.labels[start:stop].tolist()
             fh.write("".join([row % (sid, label, *values) for sid, label, values
-                              in zip(ids[start:stop], labels[start:stop],
-                                     data.values[start:stop].tolist())]))
+                              in zip(ids, labels, data.values[start:stop].tolist())]))
 
 
 def save_scores(path: str | Path, ids: np.ndarray, predicted: np.ndarray,
@@ -155,36 +170,48 @@ def save_scores(path: str | Path, ids: np.ndarray, predicted: np.ndarray,
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+def _csv_windows(path: Path):
+    """The lines of a UTF-8 text file as ``read().splitlines()`` gives them in
+    universal-newlines mode, one list per ``_CSV_READ_BYTES`` read.
+
+    ``str.splitlines`` breaks at ``\\r\\n`` and a lone ``\\r`` as universal
+    newlines do, so the decoded text is split as it is. The last line of each
+    read waits for the next read, which may continue it. Invalid UTF-8 is a
+    ``DataError`` that names its row (the header is row 0).
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    carry, row, read = "", 0, 0
+    with open(path, "rb") as fh:
+        while True:
+            raw = fh.read(_CSV_READ_BYTES)
+            read += len(raw)
+            try:
+                text = carry + decoder.decode(raw, final=not raw)
+            except UnicodeDecodeError as exc:
+                before = carry + exc.object[:exc.start].decode("utf-8")
+                row += len((before + "|").splitlines()) - 1
+                raise DataError(f"{path}: row {row}: not UTF-8 text ({exc.reason} at byte "
+                                f"{read - len(exc.object) + exc.start})") from None
+            carry = text.splitlines(keepends=True)[-1] if raw and text else ""
+            lines = text[:len(text) - len(carry)].splitlines()
+            row += len(lines)
+            yield lines
+            if not raw:
+                return
+
+
 def _load_csv(path: Path) -> FeatureMatrix:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
-    if not lines:
+    windows = _csv_windows(path)
+    first = next((lines for lines in windows if lines), None)
+    if first is None:
         raise DataError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = first[0].split(",")
     if header[:2] != ["id", "label"]:
         raise DataError(f"{path}: header must start with id,label")
     d = len(header) - 2
     if d < 1:
         raise DataError(f"{path}: no feature columns in header")
-    ids, labels, cells, blocks = [], [], [], []
-    for row_idx, line in enumerate(lines[1:], start=1):
-        if not line:
-            continue
-        row = line.split(",")
-        if len(row) != d + 2:
-            raise DataError(
-                f"{path}: row {row_idx} has {len(row) - 2} feature values, expected {d}"
-            )
-        ids.append(row[0])
-        labels.append(row[1])
-        cells += row[2:]
-        if len(ids) % _CSV_BLOCK_ROWS == 0:
-            blocks.append(_parse_values(path, lines, cells))
-            cells = []
-    blocks.append(_parse_values(path, lines, cells))
+    ids, labels, values = _csv_rows(path, itertools.chain([first[1:]], windows), d)
     n_labeled = sum(1 for cell in labels if cell != "")
     if n_labeled == 0:
         parsed_labels = None
@@ -201,7 +228,6 @@ def _load_csv(path: Path) -> FeatureMatrix:
             f"{path}: row {first_empty}: empty label in a labeled file "
             "(label all rows or none)"
         )
-    values = np.concatenate(blocks).reshape(len(ids), d)
     id_arr = np.array(ids, dtype=str)
     try:
         return FeatureMatrix(values, id_arr, parsed_labels)
@@ -209,6 +235,31 @@ def _load_csv(path: Path) -> FeatureMatrix:
         # a duplicate id gets its row number, which FeatureMatrix cannot give
         _raise_first_duplicate(path, id_arr)
         raise
+
+
+def _csv_rows(path: Path, windows, d: int) -> tuple[list[str], list[str], np.ndarray]:
+    """The ids, the label cells and the (n, d) float32 values of the nonempty
+    rows in ``windows``, the line lists that follow the header. The feature
+    cells of one window are parsed before the next window is read."""
+    ids, labels, blocks = [], [], []
+    row_idx = 0
+    for lines in windows:
+        cells, rows = [], []  # the window's feature cells, and each row's number
+        for line in lines:
+            row_idx += 1
+            if not line:
+                continue
+            row = line.split(",")
+            if len(row) != d + 2:
+                raise DataError(
+                    f"{path}: row {row_idx} has {len(row) - 2} feature values, expected {d}"
+                )
+            ids.append(row[0])
+            labels.append(row[1])
+            cells += row[2:]
+            rows.append(row_idx)
+        blocks.append(_parse_values(path, cells, rows))
+    return ids, labels, np.concatenate(blocks).reshape(len(ids), d)
 
 
 def _raise_first_duplicate(path: Path, ids: np.ndarray) -> None:
@@ -220,23 +271,24 @@ def _raise_first_duplicate(path: Path, ids: np.ndarray) -> None:
         seen.add(sid)
 
 
-def _parse_values(path: Path, lines: list[str], cells: list[str]) -> np.ndarray:
-    """The float32 values of ``cells``; Python's ``float`` decides what parses."""
+def _parse_values(path: Path, cells: list[str], rows: list[int]) -> np.ndarray:
+    """The float32 values of ``cells``, the feature cells of the rows numbered
+    ``rows``; Python's ``float`` decides what parses."""
     try:
         return np.fromiter(map(float, cells), dtype=np.float32, count=len(cells))
     except ValueError:
-        _raise_first_bad_value(path, lines)
+        _raise_first_bad_value(path, cells, rows)
 
 
-def _raise_first_bad_value(path: Path, lines: list[str]) -> NoReturn:
+def _raise_first_bad_value(path: Path, cells: list[str], rows: list[int]) -> NoReturn:
     """Raise the row-numbered ``DataError`` for the first feature cell ``float`` rejects."""
-    for row_idx, line in enumerate(lines[1:], start=1):
-        for cell in line.split(",")[2:]:
-            try:
-                float(cell)
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: row {row_idx}: unparseable feature value ({exc})") from exc
+    d = len(cells) // len(rows)
+    for i, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError as exc:
+            raise DataError(
+                f"{path}: row {rows[i // d]}: unparseable feature value ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

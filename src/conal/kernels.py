@@ -10,7 +10,8 @@ of a result. The block rules are therefore fixed:
 - ``nearest_sq_dist`` takes ``BLOCK_ROWS`` points at a time against
   ``CENTER_CHUNK`` centers at a time, a ~2 MB intermediate. A short last
   row block joins the one before it.
-- ``max_dot`` takes ``4e6 // len(refs)`` query rows at a time, ~32 MB.
+- ``max_dot`` takes ``max_dot_rows(len(refs)) = 4e6 // len(refs)`` query rows
+  at a time, ~32 MB.
 """
 
 from __future__ import annotations
@@ -78,16 +79,31 @@ def nearest_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def max_dot(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Row-wise max of ``queries @ refs.T``; refs must be nonempty."""
+def max_dot_rows(n_refs: int) -> int:
+    """Query rows per ``max_dot`` block: ``4e6 // n_refs``, ~32 MB of products."""
+    return max(1, int(4e6) // n_refs)
+
+
+def max_dot(queries: np.ndarray, refs: np.ndarray,
+            work: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise max of ``queries @ refs.T``; refs must be nonempty.
+
+    Each block's products go into ``work``, a float64 buffer of at least
+    ``min(len(queries), max_dot_rows(len(refs))) * len(refs)`` elements that a
+    caller may reuse across calls; without one, one is allocated.
+    """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     refs = np.ascontiguousarray(refs, dtype=np.float64)
     if refs.shape[0] == 0:
         raise ValueError("reference set is empty")
-    out = np.empty(queries.shape[0], dtype=np.float64)
-    # chunk the matmul so the intermediate stays ~32 MB
-    chunk = max(1, int(4e6) // refs.shape[0])
-    for start in range(0, queries.shape[0], chunk):
+    n, n_refs = queries.shape[0], refs.shape[0]
+    chunk = max_dot_rows(n_refs)
+    if work is None:
+        work = np.empty(min(n, chunk) * n_refs)
+    out = np.empty(n, dtype=np.float64)
+    for start in range(0, n, chunk):
         block = queries[start : start + chunk]
-        out[start : start + chunk] = (block @ refs.T).max(axis=1)
+        product = work[: block.shape[0] * n_refs].reshape(block.shape[0], n_refs)
+        np.matmul(block, refs.T, out=product)
+        product.max(axis=1, out=out[start : start + chunk])
     return out

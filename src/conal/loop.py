@@ -235,7 +235,7 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
                               loss_kind=loss_kind, d_in=pool.d)
         state = train(init_model(iter_config), train_fm)
 
-        labeled_feats = (encode_values(state, train_fm.values.astype(np.float64))
+        labeled_feats = (encode_values(state, train_fm.values)
                          if strategy.needs_labeled else None)
         ctx = scoring_context(strategy, labeled_feats, train_fm.labels, tau=loop_config.tau)
 
@@ -373,12 +373,12 @@ def _ood_scores(strategy, state, values, ctx, seed, *seed_tag):
 def _evaluate(state, test, ood, shifted_tests, train_labels, batch_labels, n_classes,
               strategy, seed, cost, selection, t, ctx, truncated):
     test_probs = predict_proba_from_features(
-        state, encode_values(state, test.values.astype(np.float64)))
+        state, encode_values(state, test.values))
     per_shift = []
     shift_errors = []
     for spec, shifted in shifted_tests:
         probs = predict_proba_from_features(
-            state, encode_values(state, shifted.values.astype(np.float64)))
+            state, encode_values(state, shifted.values))
         cell_acc = accuracy(probs, shifted.labels)
         per_shift.append({
             "kind": spec.kind,

@@ -123,19 +123,21 @@ def fit_class_pca(features_by_class: dict[int, np.ndarray], n_components: int | 
     return ClassPcaModel(d, classes)
 
 
-def fre_scores(model: ClassPcaModel, z: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized residual norms for many queries against one class."""
+def fre_scores(model: ClassPcaModel, z: np.ndarray, k: int,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized residual norms of the queries ``z[rows]`` (every row of z by
+    default) against class k."""
     if not model.fitted(k):
         raise UsageError(f"class {k} has no fitted subspace")
     sub = model.classes[k]
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != model.d:
         raise DataError(f"queries have shape {z.shape}, expected (*, {model.d})")
-    centered = z - sub.mean
+    # one copy of the queried rows becomes their residual in place; its norm
+    # is taken as np.linalg.norm(residual, axis=1) takes it
+    residual = z.copy() if rows is None else z[rows]
+    residual -= sub.mean
     if sub.n_components:
-        coords = centered @ sub.basis
-        residual = centered - coords @ sub.basis.T
-    else:
-        residual = centered
-    return np.linalg.norm(residual, axis=1)
-
+        residual -= (residual @ sub.basis) @ sub.basis.T
+    residual *= residual
+    return np.sqrt(np.add.reduce(residual, axis=1))

@@ -44,7 +44,9 @@ def score_entropy(probs: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     _check_stochastic_rows(probs, "entropy scores")
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
+        terms = np.log(probs)
+        terms *= probs
+    terms[~(probs > 0.0)] = 0.0
     return -terms.sum(axis=1)
 
 
@@ -91,17 +93,26 @@ def featuresim_scores(z_query: np.ndarray, predicted: np.ndarray,
         raise DataError("labeled pool is empty")
     norms = np.linalg.norm(labeled_features, axis=1)
     unit = labeled_features / np.clip(norms, 1e-300, None)[:, None]
-    scores = np.empty(z_query.shape[0])
+    classes = []  # (query rows, unit reference rows, rows per max_dot block) per class
     for k in np.unique(predicted):
-        mask = predicted == k
+        rows = np.flatnonzero(predicted == k)
         refs = unit[labeled_labels == k]
         if refs.shape[0] == 0:
             logger.warning(
                 "featuresim: no labeled features for predicted class %d; "
-                "scoring %d candidates against the global pool", k, int(mask.sum())
+                "scoring %d candidates against the global pool", k, rows.size
             )
             refs = unit
-        scores[mask] = kernels.max_dot(z_query[mask], refs)
+        classes.append((rows, refs, kernels.max_dot_rows(refs.shape[0])))
+    # the query rows of one max_dot block are gathered at a time, and one
+    # product buffer, sized for the largest block, serves every block
+    work = np.empty(max((min(rows.size, step) * refs.shape[0] for rows, refs, step in classes),
+                        default=0))
+    scores = np.empty(z_query.shape[0])
+    for rows, refs, step in classes:
+        for start in range(0, rows.size, step):
+            block = rows[start : start + step]
+            scores[block] = kernels.max_dot(z_query[block], refs, work)
     return scores
 
 
@@ -120,15 +131,15 @@ def fre_scores_batch(z_query: np.ndarray, predicted: np.ndarray, pca_model: Clas
     z_query = np.asarray(z_query, dtype=np.float64)
     scores = np.empty(z_query.shape[0])
     for k in np.unique(predicted):
-        mask = predicted == k
+        rows = np.flatnonzero(predicted == k)
         if pca_model.fitted(int(k)):
-            scores[mask] = fre_scores(pca_model, z_query[mask], int(k))
+            scores[rows] = fre_scores(pca_model, z_query, int(k), rows)
         elif fallback is not None:
             logger.warning(
                 "fre: class %d has no fitted subspace; scoring %d candidates "
-                "against the pooled subspace", k, int(mask.sum())
+                "against the pooled subspace", k, rows.size
             )
-            scores[mask] = fre_scores(fallback, z_query[mask], 0)
+            scores[rows] = fre_scores(fallback, z_query, 0, rows)
         else:
             raise UsageError(f"class {k} has no fitted subspace and no fallback was given")
     return scores
@@ -154,13 +165,12 @@ class ScoringContext:
 
 def _encode_and_predict(state, values):
     z = model.encode_values(state, values)
-    probs = model.predict_proba_from_features(state, z)
-    return z, probs, probs.argmax(axis=1)
+    return z, model.predict_proba_from_features(state, z).argmax(axis=1)
 
 
 def _entropy_scorer(state, values, ctx):
-    _, probs, predicted = _encode_and_predict(state, values)
-    return score_entropy(probs), predicted
+    probs = model.predict_proba_from_features(state, model.encode_values(state, values))
+    return score_entropy(probs), probs.argmax(axis=1)
 
 
 def _bald_scorer(state, values, ctx):
@@ -170,17 +180,17 @@ def _bald_scorer(state, values, ctx):
 
 def _coreset_scorer(state, values, ctx):
     """Distance to the nearest labeled feature; large means poorly covered."""
-    z, _, predicted = _encode_and_predict(state, values)
+    z, predicted = _encode_and_predict(state, values)
     return np.sqrt(kernels.nearest_sq_dist(z, ctx.labeled_feats)), predicted
 
 
 def _featuresim_scorer(state, values, ctx):
-    z, _, predicted = _encode_and_predict(state, values)
+    z, predicted = _encode_and_predict(state, values)
     return featuresim_scores(z, predicted, ctx.labeled_feats, ctx.labeled_labels), predicted
 
 
 def _fre_scorer(state, values, ctx):
-    z, _, predicted = _encode_and_predict(state, values)
+    z, predicted = _encode_and_predict(state, values)
     return fre_scores_batch(z, predicted, ctx.pca_model, ctx.pca_fallback), predicted
 
 

@@ -47,3 +47,77 @@ def golden_digest(tmp_path) -> str:
 def test_golden_digest(tmp_path):
     digest = golden_digest(tmp_path)
     assert digest == GOLDEN_DIGEST, f"report digest changed: new digest {digest}"
+
+
+# ---------------------------------------------------------------------------
+# file path: `conal gen` and `conal score` through both feature formats
+# ---------------------------------------------------------------------------
+
+FILE_PATH_DIGEST = "16b9c20355997072c152a42ea98d9ebe3493d0d5fac13d17dcd9f813cddc0b75"
+
+# 2000 + 1414 + 1000 = 4414 train rows: more than one CSV write block
+# (io._CSV_BLOCK_ROWS) and several CSV read windows
+FILE_PATH_CONFIG = """\
+data.k = 3
+data.d = 6
+data.n_per_class = 2000
+data.imbalance_ratio = 2
+data.class_separation = 3.0
+data.seed = 4
+data.test_n_per_class = 20
+data.ood_n = 30
+run.strategies = entropy
+run.seeds = 0
+"""
+
+# (strategy, training loss of its checkpoint), in call order
+FILE_PATH_SCORES = (("entropy", "cross_entropy"), ("bald", "cross_entropy"),
+                    ("coreset", "cross_entropy"), ("featuresim", "contrastive"),
+                    ("fre", "contrastive"))
+
+
+def file_path_digest(tmp_path) -> str:
+    """SHA-256 over every file `conal gen` writes in both formats and every
+    score file `conal score` writes from them.
+
+    The labeled set has 2500 rows per class, so featuresim's ``max_dot``
+    takes the queries of the largest predicted class in two blocks.
+    """
+    from conal.cli import main
+    from conal.io import save_features
+    from conal.model import init_model, save_model, train
+
+    config = tmp_path / "files.cfg"
+    config.write_text(FILE_PATH_CONFIG, encoding="utf-8")
+    labeled = generate_mixture(DatasetSpec(k=3, d=6, n_per_class=2500,
+                                           class_separation=3.0, seed=9), id_prefix="lab-")
+    fit_rows = labeled.take(range(0, labeled.n, 25))
+    ckpts = {}
+    for loss in ("cross_entropy", "contrastive"):
+        state = train(init_model(ModelConfig(d_in=6, n_classes=3, d_hidden=12, d_feat=6,
+                                             d_proj=4, epochs=2, batch_size=64, seed=0,
+                                             loss_kind=loss)), fit_rows)
+        ckpts[loss] = tmp_path / f"{loss}.ckpt"
+        save_model(state, ckpts[loss])
+    digest = hashlib.sha256()
+    for fmt, ext in (("binary", "bin"), ("csv", "csv")):
+        out = tmp_path / f"gen-{fmt}"
+        assert main(["gen", str(config), "--out", str(out), "--format", fmt]) == 0
+        save_features(labeled, out / f"labeled.{ext}", fmt)
+        for name in ("train", "test", "ood", "labeled"):
+            digest.update((out / f"{name}.{ext}").read_bytes())
+        for strategy, loss in FILE_PATH_SCORES:
+            scores = tmp_path / f"{strategy}-{fmt}.csv"
+            argv = ["score", str(out / f"train.{ext}"), "--checkpoint", str(ckpts[loss]),
+                    "--strategy", strategy, "--format", fmt, "--tau", "3",
+                    "--out", str(scores)]
+            if strategy not in ("entropy", "bald"):
+                argv += ["--labeled", str(out / f"labeled.{ext}")]
+            assert main(argv) == 0
+            digest.update(scores.read_bytes())
+    return digest.hexdigest()
+
+
+def test_file_path_digest(tmp_path):
+    digest = file_path_digest(tmp_path)
+    assert digest == FILE_PATH_DIGEST, f"file path digest changed: new digest {digest}"

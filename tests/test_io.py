@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -242,3 +244,93 @@ class TestContainer:
         write_container(path, {"kind": "pca"}, {"basis": np.zeros((4, 0))})
         _, back = read_container(path)
         assert back["basis"].shape == (4, 0)
+
+
+# every line break str.splitlines knows, "\r\n" included
+LINE_BREAKS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _reference_read(path):
+    """What a whole-file ``read().splitlines()`` parse gives: (ids, labels,
+    values) for a good file, else (error text, row number) of its one fault.
+
+    Invalid UTF-8 is found as the U+FFFD its replacement decoding leaves.
+    """
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        lines = fh.read().splitlines()
+    bad_text = next((row for row, line in enumerate(lines) if "\ufffd" in line), None)
+    if bad_text is not None:
+        return "not UTF-8 text", bad_text
+    d = len(lines[0].split(",")) - 2
+    ids, labels, values = [], [], []
+    for row, line in enumerate(lines[1:], start=1):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != d + 2:
+            return "feature values, expected", row
+        try:
+            values.append([float(cell) for cell in cells[2:]])
+        except ValueError:
+            return "unparseable feature value", row
+        ids.append(cells[0])
+        labels.append(int(cells[1]))
+    return ids, labels, np.array(values, dtype=np.float32)
+
+
+def _csv_bytes(brk: str, pad: int, fault: str | None = None) -> bytes:
+    """A small labeled CSV file with ``brk`` ending every line, one empty line,
+    and the first id ``pad`` characters longer; ``fault`` spoils row 9."""
+    rows = [f"id{'p' * pad},0,1.5,-2"] + [f"r{i}é,{i % 3},{i}.25,-{i}e-3" for i in range(1, 12)]
+    rows.insert(4, "")
+    if fault == "value":
+        rows[8] = rows[8].replace(".25", ".2x5")
+    if fault == "width":
+        rows[8] += ",7"
+    blob = brk.join(["id,label,f0,f1"] + rows).encode("utf-8") + brk.encode("utf-8")
+    if fault == "utf8":
+        at = blob.index(b"r8")
+        blob = blob[:at + 1] + b"\xff" + blob[at + 1:]
+    if fault == "cut_utf8":
+        blob += b"r99,0,1,2\xe2\x80"
+    return blob
+
+
+class TestCsvReadWindows:
+    """The CSV reader decodes a bounded window at a time and must read a file
+    exactly as the whole-file ``read().splitlines()`` did: every line break
+    placed at and across each window edge, with windows of 1 to 7 bytes."""
+
+    @pytest.mark.parametrize("window", [1, 2, 7])
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b) for b in LINE_BREAKS])
+    def test_rows_match_whole_file_reference(self, tmp_path, monkeypatch, brk, window):
+        monkeypatch.setattr("conal.io._CSV_READ_BYTES", window)
+        path = tmp_path / "w.csv"
+        for pad in range(8):
+            path.write_bytes(_csv_bytes(brk, pad))
+            ids, labels, values = _reference_read(path)
+            data = load_features(path, "csv")
+            assert data.ids.tolist() == ids
+            assert data.labels.tolist() == labels
+            assert np.array_equal(data.values.view(np.uint32), values.view(np.uint32))
+
+    @pytest.mark.parametrize("fault", ["value", "width", "utf8", "cut_utf8"])
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b) for b in LINE_BREAKS])
+    def test_fault_in_a_later_window_names_its_row(self, tmp_path, monkeypatch, brk, fault):
+        monkeypatch.setattr("conal.io._CSV_READ_BYTES", 7)
+        path = tmp_path / "w.csv"
+        for pad in range(8):
+            path.write_bytes(_csv_bytes(brk, pad, fault))
+            what, row = _reference_read(path)
+            assert row > 3  # past the first windows
+            with pytest.raises(DataError) as err:
+                load_features(path, "csv")
+            message = str(err.value)
+            assert what in message
+            assert re.search(rf"\brow {row}\b", message), message
+
+    def test_invalid_utf8_in_header_is_row_0(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"id,label,f\xff0\na,0,1\n")
+        with pytest.raises(DataError, match=r"row 0: not UTF-8 text"):
+            load_features(path, "csv")
