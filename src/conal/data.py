@@ -29,6 +29,14 @@ DEFAULT_SHIFT_MAGNITUDES: dict[str, tuple[float, ...]] = {
 }
 
 
+def first_repeat(ids: np.ndarray) -> int | None:
+    """The index of the first id equal to an earlier one, or None if all differ."""
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    return int(repeats.min()) if repeats.size else None
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Dense n x d feature block with unique sample ids and optional labels."""
@@ -56,7 +64,7 @@ class FeatureMatrix:
         object.__setattr__(self, "labels", labels)
         if not np.all(np.isfinite(values)):
             raise DataError("values contain NaN or Inf")
-        if len(set(ids.tolist())) != len(ids):
+        if first_repeat(ids) is not None:
             raise DataError("sample ids are not unique")
 
     @property
@@ -122,8 +130,6 @@ def class_sizes(spec: DatasetSpec) -> list[int]:
     ``n_per_class`` since the decay factor there is 1.
     """
     spec.validate()
-    if spec.imbalance_ratio == 1.0:
-        return [spec.n_per_class] * spec.k
     sizes = [
         _round_half_up(spec.n_per_class * spec.imbalance_ratio ** (-k / (spec.k - 1)))
         for k in range(spec.k)

@@ -17,7 +17,6 @@ name/shape/dtype entries) followed by the raw arrays in manifest order.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import itertools
 import json
@@ -26,11 +25,10 @@ import os
 import re
 import struct
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
-from .data import FeatureMatrix
+from .data import FeatureMatrix, first_repeat
 from .errors import ConfigError, DataError
 
 FEATURE_MAGIC = b"ALCV1"
@@ -39,7 +37,7 @@ MODEL_MAGIC = b"MODL1"
 FORMATS = ("binary", "csv")
 
 _CSV_BLOCK_ROWS = 4096  # CSV rows formatted, or binary ids encoded, per write
-_CSV_READ_BYTES = 1 << 16  # bytes read per window, whose lines are split and parsed at once
+_CSV_READ_BYTES = 1 << 16  # bytes of whole lines read per window, split and parsed at once
 # ``,`` ends a CSV cell; the rest are every line break ``str.splitlines`` splits on
 _CSV_ID_BREAKS = re.compile("[,\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
@@ -172,37 +170,31 @@ def save_scores(path: str | Path, ids: np.ndarray, predicted: np.ndarray,
 
 def _csv_windows(path: Path):
     """The lines of a UTF-8 text file as ``read().splitlines()`` gives them in
-    universal-newlines mode, one list per ``_CSV_READ_BYTES`` read.
+    universal-newlines mode, one list per read of about ``_CSV_READ_BYTES`` of
+    whole lines.
 
-    ``str.splitlines`` breaks at ``\\r\\n`` and a lone ``\\r`` as universal
-    newlines do, so the decoded text is split as it is. The last line of each
-    read waits for the next read, which may continue it. Invalid UTF-8 is a
-    ``DataError`` that names its row (the header is row 0).
+    Each read ends just after a LF byte, which no UTF-8 sequence and no
+    ``\\r\\n`` pair spans, so each read decodes and splits on its own; a file
+    with no LF is read whole. Invalid UTF-8 is a ``DataError`` that names its
+    row (the header is row 0).
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    carry, row, read = "", 0, 0
+    row = read = 0
     with open(path, "rb") as fh:
-        while True:
-            raw = fh.read(_CSV_READ_BYTES)
-            read += len(raw)
+        while raw := b"".join(fh.readlines(_CSV_READ_BYTES)):
             try:
-                text = carry + decoder.decode(raw, final=not raw)
+                lines = raw.decode("utf-8").splitlines()
             except UnicodeDecodeError as exc:
-                before = carry + exc.object[:exc.start].decode("utf-8")
-                row += len((before + "|").splitlines()) - 1
+                row += len((raw[:exc.start].decode("utf-8") + "|").splitlines()) - 1
                 raise DataError(f"{path}: row {row}: not UTF-8 text ({exc.reason} at byte "
-                                f"{read - len(exc.object) + exc.start})") from None
-            carry = text.splitlines(keepends=True)[-1] if raw and text else ""
-            lines = text[:len(text) - len(carry)].splitlines()
+                                f"{read + exc.start})") from None
             row += len(lines)
+            read += len(raw)
             yield lines
-            if not raw:
-                return
 
 
 def _load_csv(path: Path) -> FeatureMatrix:
     windows = _csv_windows(path)
-    first = next((lines for lines in windows if lines), None)
+    first = next(windows, None)
     if first is None:
         raise DataError(f"{path}: empty file")
     header = first[0].split(",")
@@ -211,21 +203,15 @@ def _load_csv(path: Path) -> FeatureMatrix:
     d = len(header) - 2
     if d < 1:
         raise DataError(f"{path}: no feature columns in header")
-    ids, labels, values = _csv_rows(path, itertools.chain([first[1:]], windows), d)
-    n_labeled = sum(1 for cell in labels if cell != "")
-    if n_labeled == 0:
+    ids, labels, values, rows = _csv_rows(path, itertools.chain([first[1:]], windows), d)
+    if not any(labels):
         parsed_labels = None
-    elif n_labeled == len(labels):
-        parsed_labels = np.empty(len(labels), dtype=np.int64)
-        for row_idx, cell in enumerate(labels, start=1):
-            try:
-                parsed_labels[row_idx - 1] = int(cell)
-            except ValueError as exc:
-                raise DataError(f"{path}: row {row_idx}: unparseable label {cell!r}") from exc
+    elif all(labels):
+        parsed_labels = _parse_cells(path, labels, rows, int, np.int64,
+                                     "unparseable label {cell!r}")
     else:
-        first_empty = 1 + labels.index("")
         raise DataError(
-            f"{path}: row {first_empty}: empty label in a labeled file "
+            f"{path}: row {rows[labels.index('')]}: empty label in a labeled file "
             "(label all rows or none)"
         )
     id_arr = np.array(ids, dtype=str)
@@ -233,15 +219,18 @@ def _load_csv(path: Path) -> FeatureMatrix:
         return FeatureMatrix(values, id_arr, parsed_labels)
     except DataError:
         # a duplicate id gets its row number, which FeatureMatrix cannot give
-        _raise_first_duplicate(path, id_arr)
+        repeat = first_repeat(id_arr)
+        if repeat is not None:
+            raise DataError(f"{path}: row {rows[repeat]}: duplicate id {ids[repeat]!r}") from None
         raise
 
 
-def _csv_rows(path: Path, windows, d: int) -> tuple[list[str], list[str], np.ndarray]:
-    """The ids, the label cells and the (n, d) float32 values of the nonempty
-    rows in ``windows``, the line lists that follow the header. The feature
-    cells of one window are parsed before the next window is read."""
-    ids, labels, blocks = [], [], []
+def _csv_rows(path: Path, windows, d: int) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+    """The ids, the label cells, the (n, d) float32 values and the file row
+    numbers of the nonempty rows in ``windows``, the line lists that follow
+    the header. The feature cells of one window are parsed before the next
+    window is read."""
+    ids, labels, blocks, row_blocks = [], [], [], []
     row_idx = 0
     for lines in windows:
         cells, rows = [], []  # the window's feature cells, and each row's number
@@ -258,37 +247,31 @@ def _csv_rows(path: Path, windows, d: int) -> tuple[list[str], list[str], np.nda
             labels.append(row[1])
             cells += row[2:]
             rows.append(row_idx)
-        blocks.append(_parse_values(path, cells, rows))
-    return ids, labels, np.concatenate(blocks).reshape(len(ids), d)
+        blocks.append(_parse_cells(path, cells, rows, float, np.float32,
+                                   "unparseable feature value ({exc})"))
+        row_blocks.append(np.array(rows, dtype=np.int64))
+    return (ids, labels, np.concatenate(blocks).reshape(len(ids), d),
+            np.concatenate(row_blocks))
 
 
-def _raise_first_duplicate(path: Path, ids: np.ndarray) -> None:
-    """Raise the row-numbered ``DataError`` for the first repeated id, if any."""
-    seen = set()
-    for row_idx, sid in enumerate(ids.tolist(), start=1):
-        if sid in seen:
-            raise DataError(f"{path}: row {row_idx}: duplicate id {sid!r}")
-        seen.add(sid)
+def _parse_cells(path: Path, cells: list[str], rows, parse, dtype, fault: str) -> np.ndarray:
+    """The ``dtype`` array of ``parse`` applied to ``cells``, the cells of the
+    file rows numbered ``rows``, each row holding the same number of cells.
 
-
-def _parse_values(path: Path, cells: list[str], rows: list[int]) -> np.ndarray:
-    """The float32 values of ``cells``, the feature cells of the rows numbered
-    ``rows``; Python's ``float`` decides what parses."""
+    The first cell that ``parse`` rejects, or that ``dtype`` cannot hold,
+    raises a ``DataError`` naming its row, with ``fault`` formatted from the
+    ``cell`` and the ``exc`` it raised.
+    """
     try:
-        return np.fromiter(map(float, cells), dtype=np.float32, count=len(cells))
-    except ValueError:
-        _raise_first_bad_value(path, cells, rows)
-
-
-def _raise_first_bad_value(path: Path, cells: list[str], rows: list[int]) -> NoReturn:
-    """Raise the row-numbered ``DataError`` for the first feature cell ``float`` rejects."""
-    d = len(cells) // len(rows)
-    for i, cell in enumerate(cells):
-        try:
-            float(cell)
-        except ValueError as exc:
-            raise DataError(
-                f"{path}: row {rows[i // d]}: unparseable feature value ({exc})") from exc
+        return np.fromiter(map(parse, cells), dtype=dtype, count=len(cells))
+    except (ValueError, OverflowError):
+        per_row = len(cells) // len(rows)
+        for i, cell in enumerate(cells):
+            try:
+                dtype(parse(cell))
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"{path}: row {rows[i // per_row]}: "
+                                + fault.format(cell=cell, exc=exc)) from exc
 
 
 # ---------------------------------------------------------------------------

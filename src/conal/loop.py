@@ -186,7 +186,9 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     loss_kind = loop_config.loss_override or strategy.default_loss
     # sort once: from here on a sample is its row, and rows ascend with ids
     ids = pool.ids.astype(str)
-    pool = FeatureMatrix(pool.values, ids, pool.labels).take(np.argsort(ids))
+    order = np.argsort(ids)
+    pool = FeatureMatrix(pool.values[order], ids[order],
+                         None if pool.labels is None else pool.labels[order])
     oracle = Oracle(pool)
     seed = loop_config.seed
     m_target = loop_config.acquisition_size

@@ -9,7 +9,6 @@ import hashlib
 import itertools
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +24,6 @@ from conal.strategies import (SelectionRequest, score_bald,
                               score_entropy, score_featuresim, score_fre,
                               select_kcenter_greedy, select_per_class,
                               select_random)
-
-warnings.filterwarnings("ignore", category=UserWarning)
 
 LEVEL3_SHIFT = ShiftSpec("additive_gaussian", 3)
 

@@ -3,7 +3,7 @@ import pytest
 
 from conal.data import (DEFAULT_SHIFT_MAGNITUDES, DatasetSpec, FeatureMatrix,
                         ShiftSpec, apply_shift, balanced_test_spec, class_sizes,
-                        full_shift_suite, generate_mixture, generate_ood)
+                        first_repeat, full_shift_suite, generate_mixture, generate_ood)
 from conal.errors import ConfigError, DataError
 
 
@@ -91,6 +91,15 @@ class TestFeatureMatrix:
     def test_distinct_ids_pass(self, ids):
         data = FeatureMatrix(np.zeros((len(ids), 2)), np.array(ids))
         assert data.ids.tolist() == ids
+
+    @pytest.mark.parametrize("ids, index", [
+        (["c", "a", "b", "a", "c"], 3),
+        (["b", "a", "b", "b"], 2),
+        (["a", "b", "c"], None),
+        ([], None),
+    ])
+    def test_first_repeat_is_the_earliest_later_occurrence(self, ids, index):
+        assert first_repeat(np.array(ids, dtype=str)) == index
 
     def test_rejects_bad_label_length(self):
         with pytest.raises(DataError):

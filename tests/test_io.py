@@ -222,6 +222,12 @@ class TestCsvFormat:
         with pytest.raises(DataError, match="row 2"):
             load_features(path, "csv")
 
+    def test_label_beyond_int64_names_row(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("id,label,f0\na,0,1.0\nb,99999999999999999999,2.0\n")
+        with pytest.raises(DataError, match="row 2: unparseable label"):
+            load_features(path, "csv")
+
     def test_mixed_labeling_rejected(self, tmp_path):
         path = tmp_path / "mix.csv"
         path.write_text("id,label,f0\na,0,1.0\nb,,2.0\n")
@@ -262,7 +268,7 @@ def _reference_read(path):
     if bad_text is not None:
         return "not UTF-8 text", bad_text
     d = len(lines[0].split(",")) - 2
-    ids, labels, values = [], [], []
+    ids, labels, values, rows = [], [], [], []
     for row, line in enumerate(lines[1:], start=1):
         if not line:
             continue
@@ -274,8 +280,18 @@ def _reference_read(path):
         except ValueError:
             return "unparseable feature value", row
         ids.append(cells[0])
-        labels.append(int(cells[1]))
-    return ids, labels, np.array(values, dtype=np.float32)
+        labels.append(cells[1])
+        rows.append(row)
+    # the file is labeled, so every label cell must hold an integer
+    if "" in labels:
+        return "empty label in a labeled file", rows[labels.index("")]
+    bad_label = next((row for row, label in zip(rows, labels) if not label.isdigit()), None)
+    if bad_label is not None:
+        return "unparseable label", bad_label
+    repeat = next((row for i, (row, sid) in enumerate(zip(rows, ids)) if sid in ids[:i]), None)
+    if repeat is not None:
+        return "duplicate id", repeat
+    return ids, [int(label) for label in labels], np.array(values, dtype=np.float32)
 
 
 def _csv_bytes(brk: str, pad: int, fault: str | None = None) -> bytes:
@@ -287,6 +303,14 @@ def _csv_bytes(brk: str, pad: int, fault: str | None = None) -> bytes:
         rows[8] = rows[8].replace(".25", ".2x5")
     if fault == "width":
         rows[8] += ",7"
+    cells = rows[8].split(",")
+    if fault == "label":
+        cells[1] = "x"
+    if fault == "mixed":
+        cells[1] = ""
+    if fault == "duplicate":
+        cells[0] = rows[0].split(",")[0]
+    rows[8] = ",".join(cells)
     blob = brk.join(["id,label,f0,f1"] + rows).encode("utf-8") + brk.encode("utf-8")
     if fault == "utf8":
         at = blob.index(b"r8")
@@ -314,7 +338,8 @@ class TestCsvReadWindows:
             assert data.labels.tolist() == labels
             assert np.array_equal(data.values.view(np.uint32), values.view(np.uint32))
 
-    @pytest.mark.parametrize("fault", ["value", "width", "utf8", "cut_utf8"])
+    @pytest.mark.parametrize("fault", ["value", "width", "utf8", "cut_utf8",
+                                       "label", "mixed", "duplicate"])
     @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b) for b in LINE_BREAKS])
     def test_fault_in_a_later_window_names_its_row(self, tmp_path, monkeypatch, brk, fault):
         monkeypatch.setattr("conal.io._CSV_READ_BYTES", 7)

@@ -1,5 +1,4 @@
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +7,6 @@ from conal.data import DatasetSpec, ShiftSpec, balanced_test_spec, generate_mixt
 from conal.errors import ConfigError, DataError
 from conal.loop import LoopConfig, Oracle, PoolState, run_active_learning
 from conal.model import ModelConfig
-
-warnings.filterwarnings("ignore", category=UserWarning)
 
 
 def small_setup(rho=8.0, n0=120, d=8, k=4, sep=4.0, seed=0):
