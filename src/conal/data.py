@@ -214,7 +214,7 @@ def full_shift_suite(kinds=SHIFT_KINDS, intensities=(1, 2, 3, 4, 5)) -> list[Shi
 
 
 def apply_shift(data: FeatureMatrix, shift: ShiftSpec, seed: int) -> FeatureMatrix:
-    """Return a shifted copy of ``data``; ids and labels are untouched."""
+    """Return ``data`` with shifted values; it shares ``data``'s ids and labels."""
     rng = rng_for(seed, "shift", shift.kind, shift.intensity)
     x = data.values.astype(np.float64)
     mag = shift.magnitude
@@ -231,8 +231,7 @@ def apply_shift(data: FeatureMatrix, shift: ShiftSpec, seed: int) -> FeatureMatr
         shifted = x + mag * direction
     else:  # pragma: no cover - ShiftSpec already validates
         raise ConfigError(f"unknown shift kind {shift.kind!r}")
-    return FeatureMatrix(np.asarray(shifted, dtype=np.float32), data.ids.copy(),
-                         None if data.labels is None else data.labels.copy())
+    return FeatureMatrix(np.asarray(shifted, dtype=np.float32), data.ids, data.labels)
 
 
 def balanced_test_spec(spec: DatasetSpec, n_per_class: int) -> DatasetSpec:

@@ -17,6 +17,7 @@ name/shape/dtype entries) followed by the raw arrays in manifest order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -107,7 +108,10 @@ def _load_binary(path: Path) -> FeatureMatrix:
         if fh.readinto(values) != values.nbytes or fh.readinto(labels) != labels.nbytes:
             raise DataError(f"{path}: truncated, header promises {n} x {d} values")
         ids = _read_id_table(path, fh.read(), n, size)
-    return FeatureMatrix(values, ids, labels.astype(np.int64) if has_labels else None)
+    try:
+        return FeatureMatrix(values, ids, labels.astype(np.int64) if has_labels else None)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _read_id_table(path: Path, table: bytes, n: int, size: int) -> np.ndarray:
@@ -208,7 +212,8 @@ def _load_csv(path: Path) -> FeatureMatrix:
         parsed_labels = None
     elif all(labels):
         parsed_labels = _parse_cells(path, labels, rows, int, np.int64,
-                                     "unparseable label {cell!r}")
+                                     "unparseable label {cell!r}",
+                                     lambda v: v >= 0, "negative label {cell!r}")
     else:
         raise DataError(
             f"{path}: row {rows[labels.index('')]}: empty label in a labeled file "
@@ -248,30 +253,34 @@ def _csv_rows(path: Path, windows, d: int) -> tuple[list[str], list[str], np.nda
             cells += row[2:]
             rows.append(row_idx)
         blocks.append(_parse_cells(path, cells, rows, float, np.float32,
-                                   "unparseable feature value ({exc})"))
+                                   "unparseable feature value ({exc})", np.isfinite,
+                                   "feature value {cell!r} is not a finite float32"))
         row_blocks.append(np.array(rows, dtype=np.int64))
     return (ids, labels, np.concatenate(blocks).reshape(len(ids), d),
             np.concatenate(row_blocks))
 
 
-def _parse_cells(path: Path, cells: list[str], rows, parse, dtype, fault: str) -> np.ndarray:
+def _parse_cells(path: Path, cells: list[str], rows, parse, dtype, fault: str,
+                 valid, invalid: str) -> np.ndarray:
     """The ``dtype`` array of ``parse`` applied to ``cells``, the cells of the
     file rows numbered ``rows``, each row holding the same number of cells.
 
-    The first cell that ``parse`` rejects, or that ``dtype`` cannot hold,
-    raises a ``DataError`` naming its row, with ``fault`` formatted from the
-    ``cell`` and the ``exc`` it raised.
+    The first cell that ``parse`` rejects, that ``dtype`` cannot hold or whose
+    value the elementwise test ``valid`` rejects raises a ``DataError`` naming
+    its row: ``fault`` formatted from the ``cell`` and its ``exc``, or ``invalid``.
     """
-    try:
-        return np.fromiter(map(parse, cells), dtype=dtype, count=len(cells))
-    except (ValueError, OverflowError):
-        per_row = len(cells) // len(rows)
+    with np.errstate(over="ignore"):  # a float32 overflow reads inf, which ``valid`` rejects
+        with contextlib.suppress(ValueError, OverflowError):
+            out = np.fromiter(map(parse, cells), dtype=dtype, count=len(cells))
+            if valid(out).all():
+                return out
         for i, cell in enumerate(cells):
             try:
-                dtype(parse(cell))
+                message = None if valid(dtype(parse(cell))) else invalid.format(cell=cell)
             except (ValueError, OverflowError) as exc:
-                raise DataError(f"{path}: row {rows[i // per_row]}: "
-                                + fault.format(cell=cell, exc=exc)) from exc
+                message = fault.format(cell=cell, exc=exc)
+            if message is not None:
+                raise DataError(f"{path}: row {rows[i // (len(cells) // len(rows))]}: {message}")
 
 
 # ---------------------------------------------------------------------------

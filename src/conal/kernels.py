@@ -8,8 +8,9 @@ matrix shape and thread count, so another block shape can move the last bit
 of a result. The block rules are therefore fixed:
 
 - ``nearest_sq_dist`` takes ``BLOCK_ROWS`` points at a time against
-  ``CENTER_CHUNK`` centers at a time, a ~2 MB intermediate. A short last
-  row block joins the one before it.
+  ``CENTER_CHUNK`` centers at a time, ~2 MB in one product buffer, sized for
+  the last (largest) block, that every block reuses. A short last row block
+  joins the one before it.
 - ``max_dot`` takes ``max_dot_rows(len(refs)) = 4e6 // len(refs)`` query rows
   at a time, ~32 MB.
 """
@@ -60,12 +61,14 @@ def nearest_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     starts = list(range(0, points.shape[0], BLOCK_ROWS))
     if len(starts) > 1 and points.shape[0] - starts[-1] < BLOCK_ROWS:
         starts.pop()
+    work = np.empty((len(points) - (starts or [0])[-1]) * min(len(centers), CENTER_CHUNK))
     for start, stop in zip(starts, starts[1:] + [points.shape[0]]):
         nearest = out[start:stop]
         for first in range(0, centers.shape[0], CENTER_CHUNK):
             chunk = slice(first, first + CENTER_CHUNK)
             # (sq_p - 2 p.c) + sq_c in place: a - b is a + (-b) bit for bit
-            d2 = points[start:stop] @ centers[chunk].T
+            d2 = work[:(stop - start) * len(sq_c[chunk])].reshape(stop - start, -1)
+            np.matmul(points[start:stop], centers[chunk].T, out=d2)
             d2 *= -2.0
             d2 += sq_p[start:stop, None]
             d2 += sq_c[chunk]

@@ -197,15 +197,14 @@ def predict_proba_from_features(state: ModelState, z: np.ndarray) -> np.ndarray:
     return _softmax(logits)
 
 
-def stochastic_proba(state: ModelState, values: np.ndarray, tau: int,
-                     seed: int = 0) -> np.ndarray:
-    """(tau, n, K) probabilities from tau dropout-masked encoder passes.
+def dropout_passes(state: ModelState, values: np.ndarray, tau: int, seed: int = 0):
+    """Yield the (n, K) probabilities of tau dropout-masked encoder passes.
 
     Each pass multiplies the encoder hidden layer by an i.i.d. Bernoulli keep
     mask scaled by 1/(1-config.dropout_rate), then classifies as usual. The
     hidden layer does not depend on the mask, so it is computed once, in the
     batch-sized blocks of ``encode_values``; each pass still counts one
-    forward pass per block.
+    forward pass per block, as it is drawn. A consumer holds one pass at a time.
     """
     if tau < 2:
         raise UsageError(f"tau must be >= 2, got {tau}")
@@ -214,7 +213,7 @@ def stochastic_proba(state: ModelState, values: np.ndarray, tau: int,
     rate = state.config.dropout_rate
     if rate == 0.0:
         warnings.warn("dropout_rate is 0: all stochastic passes are identical",
-                      stacklevel=2)
+                      stacklevel=3)
     values = np.asarray(values)
     _check_d_in(state, values)
     n, cfg = values.shape[0], state.config
@@ -224,13 +223,12 @@ def stochastic_proba(state: ModelState, values: np.ndarray, tau: int,
         hidden[rows] = np.tanh(np.asarray(values[rows], dtype=np.float64) @ state.w1
                               + state.b1)
     rng = rng_for(seed, "stochastic")
-    out = np.empty((tau, n, cfg.n_classes))
     # one block's buffers, reused: its uniform draws become its masked hidden
     # layer. Drawing block by block gives the stream of one (n, d_hidden) draw.
     masked = np.empty((min(n, cfg.batch_size), cfg.d_hidden))
     keep = np.empty(masked.shape, dtype=bool)
     z = np.empty((n, cfg.d_feat))
-    for t in range(tau):
+    for _ in range(tau):
         for rows in blocks:
             h = hidden[rows]
             if rate != 0.0:
@@ -242,8 +240,13 @@ def stochastic_proba(state: ModelState, values: np.ndarray, tau: int,
                 h = m
             z[rows] = h @ state.w2 + state.b2
         state.forward_pass_count += len(blocks)
-        out[t] = predict_proba_from_features(state, z)
-    return out
+        yield predict_proba_from_features(state, z)
+
+
+def stochastic_proba(state: ModelState, values: np.ndarray, tau: int,
+                     seed: int = 0) -> np.ndarray:
+    """(tau, n, K) probabilities: the passes of ``dropout_passes``, stacked."""
+    return np.stack(list(dropout_passes(state, values, tau, seed)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,11 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-def _check_stochastic_rows(probs: np.ndarray, what: str) -> None:
-    sums = probs.sum(axis=-1)
-    if probs.size and (np.abs(sums - 1.0).max() > 1e-4 or probs.min() < -1e-12):
-        raise DataError(f"{what}: rows are not probability vectors")
-
-
 def score_entropy(probs: np.ndarray) -> np.ndarray:
     """Predictive entropy -sum_k p_k ln p_k per row; select max."""
     probs = np.asarray(probs, dtype=np.float64)
-    _check_stochastic_rows(probs, "entropy scores")
+    if probs.size and (np.abs(probs.sum(axis=-1) - 1.0).max() > 1e-4 or probs.min() < -1e-12):
+        raise DataError("entropy scores: rows are not probability vectors")
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.log(probs)
         terms *= probs
@@ -50,19 +45,30 @@ def score_entropy(probs: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
-def score_bald(stochastic: np.ndarray) -> np.ndarray:
+def score_bald(stochastic) -> np.ndarray:
     """Mutual information between predictions and the mask ensemble.
 
     Entropy of the mean predictive minus mean entropy across the tau slices;
-    tiny negative values from roundoff clamp to 0. Select max.
+    tiny negative values from roundoff clamp to 0. Select max. ``stochastic``
+    is tau >= 2 (n, K) slices, a (tau, n, K) array or any iterable, read once;
+    sums in slice order over tau give ``.mean(axis=0)`` bit for bit.
     """
-    stochastic = np.asarray(stochastic, dtype=np.float64)
-    if stochastic.ndim != 3 or stochastic.shape[0] < 2:
+    return _bald(stochastic)[0]
+
+
+def _bald(stochastic) -> tuple[np.ndarray, np.ndarray]:
+    tau = 0
+    for tau, probs in enumerate(stochastic, 1):
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.ndim != 2 or (tau > 1 and probs.shape != total.shape):
+            raise UsageError("stochastic slices must be (n, K) arrays of one shape")
+        entropy = score_entropy(probs)
+        total, entropies = (probs, entropy) if tau == 1 else (total + probs, entropies + entropy)
+    if tau < 2:
         raise UsageError("stochastic tensor must be (tau, n, K) with tau >= 2")
-    _check_stochastic_rows(stochastic, "stochastic slices")
-    mean_entropy = np.stack([score_entropy(s) for s in stochastic]).mean(axis=0)
-    disagreement = score_entropy(stochastic.mean(axis=0)) - mean_entropy
-    return np.where(disagreement > 0.0, disagreement, 0.0)
+    total /= tau
+    disagreement = score_entropy(total) - entropies / tau
+    return np.where(disagreement > 0.0, disagreement, 0.0), total
 
 
 def score_featuresim(z_query: np.ndarray, class_features: np.ndarray) -> float:
@@ -174,8 +180,8 @@ def _entropy_scorer(state, values, ctx):
 
 
 def _bald_scorer(state, values, ctx):
-    tensor = model.stochastic_proba(state, values, ctx.tau, seed=ctx.bald_seed)
-    return score_bald(tensor), tensor.mean(axis=0).argmax(axis=1)
+    scores, mean = _bald(model.dropout_passes(state, values, ctx.tau, seed=ctx.bald_seed))
+    return scores, mean.argmax(axis=1)
 
 
 def _coreset_scorer(state, values, ctx):

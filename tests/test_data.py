@@ -135,6 +135,12 @@ class TestApplyShift:
             assert np.array_equal(out.ids, data.ids)
             assert np.array_equal(out.labels, data.labels)
 
+    def test_shares_ids_and_labels(self):
+        data = self._data()
+        out = apply_shift(data, ShiftSpec("mean_drift", 2), seed=1)
+        assert np.shares_memory(out.ids, data.ids)
+        assert np.shares_memory(out.labels, data.labels)
+
     def test_deterministic_given_seed(self):
         data = self._data()
         spec = ShiftSpec("feature_dropout_mask", 4)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ class TestBinaryFormat:
             save_features(data, path, "binary")
         assert not path.exists()
         assert "np.str_" not in str(err.value)
+
+    def test_non_finite_value_names_file(self, labeled, tmp_path):
+        path = tmp_path / "inf.bin"
+        save_features(labeled, path)
+        blob = bytearray(path.read_bytes())
+        blob[14:18] = np.float32(np.inf).tobytes()  # the first value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=re.escape(f"{path}: values contain NaN or Inf")):
+            load_features(path, "binary")
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -227,6 +237,20 @@ class TestCsvFormat:
         path.write_text("id,label,f0\na,0,1.0\nb,99999999999999999999,2.0\n")
         with pytest.raises(DataError, match="row 2: unparseable label"):
             load_features(path, "csv")
+
+    @pytest.mark.parametrize("label, value, fault", [
+        ("-1", "2", "row 3: negative label '-1'"),
+        ("1", "inf", "row 3: feature value 'inf' is not a finite float32"),
+        ("1", "nan", "row 3: feature value 'nan' is not a finite float32"),
+        ("1", "1e39", "row 3: feature value '1e39' is not a finite float32"),
+    ], ids=["negative_label", "inf", "nan", "float32_overflow"])
+    def test_value_a_feature_matrix_rejects_names_row(self, tmp_path, label, value, fault):
+        path = tmp_path / "v.csv"
+        path.write_text(f"id,label,f0\na,0,1\n\nb,{label},{value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a float32 overflow warns nothing
+            with pytest.raises(DataError, match=re.escape(f"{path}: {fault}")):
+                load_features(path, "csv")
 
     def test_mixed_labeling_rejected(self, tmp_path):
         path = tmp_path / "mix.csv"

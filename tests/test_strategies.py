@@ -60,6 +60,18 @@ class TestBald:
         with pytest.raises(UsageError):
             score_bald(np.ones((1, 2, 2)) / 2)
 
+    def test_slices_read_as_drawn_equal_the_stack(self):
+        stacked = np.random.default_rng(7).dirichlet(np.ones(10), size=(50, 2000))
+        # the whole-tensor means, reduced by numpy over the slice axis
+        mean_entropy = np.stack([score_entropy(s) for s in stacked]).mean(axis=0)
+        reference = np.maximum(score_entropy(stacked.mean(axis=0)) - mean_entropy, 0.0)
+        assert np.array_equal(score_bald(s for s in stacked), score_bald(stacked))
+        assert np.array_equal(score_bald(stacked), reference)
+
+    def test_one_drawn_slice_rejected(self):
+        with pytest.raises(UsageError):
+            score_bald(s for s in np.ones((1, 2, 2)) / 2)
+
 
 class TestFeaturesim:
     def test_query_in_reference_set_scores_its_norm(self):
