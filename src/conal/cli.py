@@ -293,30 +293,32 @@ def cmd_report(args) -> None:
 def cmd_score(args) -> None:
     info = get_strategy(args.strategy)
     if info.selector == "random":
-        raise ConfigError(
-            "random has no scoring function; "
-            f"scoreable strategies: {', '.join(n for n in VALID_STRATEGIES if n != 'random')}"
-        )
+        raise ConfigError("random has no scoring function; scoreable strategies: "
+                          + ", ".join(n for n in VALID_STRATEGIES if n != "random"))
     if args.tau < 2:
         raise ConfigError(f"--tau must be >= 2, got {args.tau}")
+    if info.needs_labeled and not args.labeled:
+        raise ConfigError(f"strategy {info.name} requires --labeled")
     state = load_model(args.checkpoint)
-    queries = load_features(args.features, args.format)
-
-    labeled_feats = labeled_labels = None
-    if info.needs_labeled:
-        if not args.labeled:
-            raise ConfigError(f"strategy {info.name} requires --labeled")
-        labeled = load_features(args.labeled, args.format)
-        if labeled.labels is None:
-            raise DataError("--labeled feature file must carry labels")
-        labeled_feats = encode_values(state, labeled.values)
-        labeled_labels = labeled.labels
-
-    ctx = scoring_context(info, labeled_feats, labeled_labels, tau=args.tau)
+    d_in = state.config.d_in
+    queries = _load_scored(args.features, args.format, d_in)
+    labeled = _load_scored(args.labeled, args.format, d_in) if info.needs_labeled else None
+    try:
+        ctx = scoring_context(info, state, labeled, tau=args.tau)
+    except DataError as exc:
+        raise DataError(f"{args.labeled}: {exc}") from None
     scores, predicted = info.score(state, queries.values, ctx)
 
     save_scores(args.out, queries.ids, predicted, scores)
     print(f"wrote {len(queries.ids)} scores to {args.out}")
+
+
+def _load_scored(path, file_format, d_in: int):
+    """A feature file to score: a DataError unless its rows are the checkpoint's d_in wide."""
+    features = load_features(path, file_format)
+    if features.d != d_in:
+        raise DataError(f"{path}: {features.d} features per row, the checkpoint takes {d_in}")
+    return features
 
 
 if __name__ == "__main__":

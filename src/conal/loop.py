@@ -236,10 +236,7 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
         iter_config = replace(model_config, seed=_derived_seed(seed, "model", t),
                               loss_kind=loss_kind, d_in=pool.d)
         state = train(init_model(iter_config), train_fm)
-
-        labeled_feats = (encode_values(state, train_fm.values)
-                         if strategy.needs_labeled else None)
-        ctx = scoring_context(strategy, labeled_feats, train_fm.labels, tau=loop_config.tau)
+        ctx = scoring_context(strategy, state, train_fm, tau=loop_config.tau)
 
         reports.append(_evaluate(
             state, test, ood, shifted_tests, train_labels,
@@ -346,23 +343,29 @@ def _score_and_select(state, pool, pool_state, loop_config, strategy, t, m_now, 
     return cost, selection
 
 
-def scoring_context(strategy: StrategyInfo, labeled_feats: np.ndarray | None,
-                    labeled_labels: np.ndarray | None, *, tau: int = 50) -> ScoringContext:
-    """The scorers' view of an encoded labeled set; defaults match ``LoopConfig``.
+def scoring_context(strategy: StrategyInfo, state: ModelState, labeled: FeatureMatrix | None,
+                    *, tau: int = 50) -> ScoringContext:
+    """The scorers' view of ``labeled`` under ``state``; ``tau`` defaults as in ``LoopConfig``.
 
-    PCA strategies get a subspace per class with at least two labeled rows
-    and a pooled subspace over all labeled rows for every other class.
+    Strategies that read the labeled set get it encoded, once it is checked to be
+    labeled, nonempty and within [0, n_classes). PCA strategies also get a subspace per
+    class with 2+ labeled rows and a pooled one over all rows for every other class.
     """
+    if not strategy.needs_labeled:
+        return ScoringContext(None, None, None, None, tau)
+    labels, k = labeled.labels, state.config.n_classes
+    if labels is None or labels.size == 0:
+        raise DataError("the labeled set must be labeled and hold at least one row")
+    if labels.max() >= k:
+        raise DataError(f"labeled classes must lie in [0, {k}) for the model's {k} classes")
+    feats = encode_values(state, labeled.values)
     pca_model = pca_fallback = None
     if strategy.uses_pca:
-        by_class = {int(k): labeled_feats[labeled_labels == k]
-                    for k in np.unique(labeled_labels) if (labeled_labels == k).sum() >= 2}
-        if by_class:
-            pca_model = fit_class_pca(by_class)
-        else:
-            pca_model = ClassPcaModel(labeled_feats.shape[1], {})
-        pca_fallback = fit_class_pca({0: labeled_feats})
-    return ScoringContext(labeled_feats, labeled_labels, pca_model, pca_fallback, tau)
+        by_class = {int(c): feats[labels == c]
+                    for c in np.unique(labels) if (labels == c).sum() >= 2}
+        pca_model = fit_class_pca(by_class) if by_class else ClassPcaModel(feats.shape[1], {})
+        pca_fallback = fit_class_pca({0: feats})
+    return ScoringContext(feats, labels, pca_model, pca_fallback, tau)
 
 
 def _ood_scores(strategy, state, values, ctx, seed, *seed_tag):

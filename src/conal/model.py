@@ -87,8 +87,8 @@ class ModelState:
     c1: np.ndarray
     v2: np.ndarray
     c2: np.ndarray
-    wc: np.ndarray | None = None
-    bc: np.ndarray | None = None
+    wc: np.ndarray
+    bc: np.ndarray
     training_loss: list = field(default_factory=list)
     forward_pass_count: int = 0
 
@@ -109,17 +109,17 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_model(config: ModelConfig) -> ModelState:
-    """Glorot weights drawn from ``config.seed`` in ``_ENCODER_PROJECTION`` order; zero biases."""
+    """Glorot weights drawn from ``config.seed`` in ``_ENCODER_PROJECTION`` order, zero
+    biases, and the zero classifier ``train`` starts from: it predicts 1/K per class."""
     config.validate()
     rng = rng_for(config.seed, "init")
-    shapes = _param_shapes(config)
 
     def glorot(fan_in, fan_out):
         return rng.standard_normal((fan_in, fan_out)) * math.sqrt(2.0 / (fan_in + fan_out))
 
     return ModelState(config=config, **{
-        name: glorot(*shapes[name]) if len(shapes[name]) == 2 else np.zeros(shapes[name])
-        for name in _ENCODER_PROJECTION})
+        name: glorot(*shape) if len(shape) == 2 and name != "wc" else np.zeros(shape)
+        for name, shape in _param_shapes(config).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +189,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def predict_proba_from_features(state: ModelState, z: np.ndarray) -> np.ndarray:
-    """Class probabilities from precomputed features; no encoder pass."""
-    if state.wc is None:
-        raise UsageError("classifier not trained; call train() first")
+    """Class probabilities from precomputed features; no encoder pass. An
+    untrained state's zero classifier gives 1/K for every class."""
     logits = np.asarray(z, dtype=np.float64) @ state.wc
     logits += state.bc
     return _softmax(logits)
@@ -208,8 +207,6 @@ def dropout_passes(state: ModelState, values: np.ndarray, tau: int, seed: int = 
     """
     if tau < 2:
         raise UsageError(f"tau must be >= 2, got {tau}")
-    if state.wc is None:
-        raise UsageError("classifier not trained; call train() first")
     rate = state.config.dropout_rate
     if rate == 0.0:
         warnings.warn("dropout_rate is 0: all stochastic passes are identical",
@@ -245,8 +242,11 @@ def dropout_passes(state: ModelState, values: np.ndarray, tau: int, seed: int = 
 
 def stochastic_proba(state: ModelState, values: np.ndarray, tau: int,
                      seed: int = 0) -> np.ndarray:
-    """(tau, n, K) probabilities: the passes of ``dropout_passes``, stacked."""
-    return np.stack(list(dropout_passes(state, values, tau, seed)))
+    """(tau, n, K) probabilities: the passes of ``dropout_passes``, filled in as drawn."""
+    out = np.empty((max(tau, 0), len(values), state.config.n_classes))
+    for i, probs in enumerate(dropout_passes(state, values, tau, seed)):
+        out[i] = probs
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +434,6 @@ def train(state: ModelState, labeled: FeatureMatrix) -> ModelState:
     x = labeled.values.astype(np.float64)
     y = labeled.labels
 
-    state.wc = np.zeros((cfg.d_feat, cfg.n_classes))
-    state.bc = np.zeros(cfg.n_classes)
     if cfg.loss_kind == "contrastive":
         _warn_singleton_classes(y)
         _sgd(state, x, y, rng, _contrastive_step, _ENCODER_PROJECTION)
@@ -493,16 +491,15 @@ def _cross_entropy_step(state: ModelState, rng, x: np.ndarray, y: np.ndarray):
 
 def _fit_classifier(state: ModelState, z: np.ndarray, y: np.ndarray) -> None:
     """Full-batch softmax regression on frozen features (deterministic),
-    from the zero classifier that ``train`` sets."""
+    from the state's classifier: the zero one of ``init_model``."""
     opt = _SgdMomentum(state, ("wc", "bc"), CLASSIFIER_LR)
     for _ in range(CLASSIFIER_STEPS):
         opt.step(_classifier_grads(state, z, y)[2])
 
 
 def _assert_finite(state: ModelState) -> None:
-    params = {**state.encoder_projection_params(), "wc": state.wc, "bc": state.bc}
-    for name, value in params.items():
-        if not np.all(np.isfinite(value)):
+    for name in _param_shapes(state.config):
+        if not np.all(np.isfinite(getattr(state, name))):
             raise DataError(f"non-finite weights in {name} after training")
 
 
@@ -513,15 +510,13 @@ def _assert_finite(state: ModelState) -> None:
 
 def save_model(state: ModelState, path) -> None:
     meta = {"kind": "model", "config": asdict(state.config)}
-    arrays = dict(state.encoder_projection_params())
-    if state.wc is not None:
-        arrays.update(wc=state.wc, bc=state.bc)
-    write_container(path, meta, arrays)
+    write_container(path, meta, {name: getattr(state, name)
+                                 for name in _param_shapes(state.config)})
 
 
 def load_model(path) -> ModelState:
-    """Read a checkpoint; a DataError unless its config is valid and every
-    array has the shape that config gives it."""
+    """Read a checkpoint; a DataError unless its config is valid and it holds every
+    array of ``_param_shapes``, the classifier included, in the shape that config gives."""
     meta, arrays = read_container(path)
     if meta.get("kind") != "model":
         raise DataError(f"{path}: container holds {meta.get('kind')!r}, not a model")
@@ -538,8 +533,8 @@ def load_model(path) -> ModelState:
     except (ConfigError, TypeError) as exc:  # TypeError: a value of the wrong type
         raise DataError(f"{path}: invalid model config: {exc}") from None
     shapes = _param_shapes(config)
-    if set(arrays) not in (set(_ENCODER_PROJECTION), set(shapes)):
-        raise DataError(f"{path}: arrays {sorted(arrays)} are not a model's")
+    if set(arrays) != set(shapes):
+        raise DataError(f"{path}: arrays {sorted(arrays)} are not a model's {sorted(shapes)}")
     for name, value in arrays.items():
         if value.shape != shapes[name]:
             raise DataError(f"{path}: array {name} has shape {value.shape}, "

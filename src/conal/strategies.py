@@ -128,11 +128,12 @@ def score_fre(z_query: np.ndarray, k: int, pca_model: ClassPcaModel) -> float:
 
 
 def fre_scores_batch(z_query: np.ndarray, predicted: np.ndarray, pca_model: ClassPcaModel,
-                     fallback: ClassPcaModel | None = None) -> np.ndarray:
+                     fallback: ClassPcaModel) -> np.ndarray:
     """Batched fre against each query's predicted class.
 
-    Queries predicted as an unfitted class score against ``fallback`` (a
-    single-subspace model over the whole labeled pool) when provided.
+    Queries predicted as an unfitted class score against ``fallback``: the
+    one subspace, class 0, over the whole labeled pool that every fre
+    ``ScoringContext`` carries.
     """
     z_query = np.asarray(z_query, dtype=np.float64)
     scores = np.empty(z_query.shape[0])
@@ -140,14 +141,12 @@ def fre_scores_batch(z_query: np.ndarray, predicted: np.ndarray, pca_model: Clas
         rows = np.flatnonzero(predicted == k)
         if pca_model.fitted(int(k)):
             scores[rows] = fre_scores(pca_model, z_query, int(k), rows)
-        elif fallback is not None:
+        else:
             logger.warning(
                 "fre: class %d has no fitted subspace; scoring %d candidates "
                 "against the pooled subspace", k, rows.size
             )
             scores[rows] = fre_scores(fallback, z_query, 0, rows)
-        else:
-            raise UsageError(f"class {k} has no fitted subspace and no fallback was given")
     return scores
 
 

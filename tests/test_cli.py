@@ -408,9 +408,9 @@ class TestScore:
         assert main(["score", str(q_path), "--checkpoint", str(ckpt),
                      "--strategy", "entropy", "--out", str(out)]) == 0
 
-        info = get_strategy("entropy")
-        scores, predicted = info.score(load_model(ckpt), queries.values,
-                                       scoring_context(info, None, None))
+        info, state = get_strategy("entropy"), load_model(ckpt)
+        scores, predicted = info.score(state, queries.values,
+                                       scoring_context(info, state, None))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["id", "predicted_class", "score"])
@@ -502,6 +502,44 @@ class TestScore:
         write_container(ckpt, meta, arrays)
         assert main(["score", str(q_path), "--checkpoint", str(ckpt),
                      "--strategy", "entropy", "--out", str(tmp_path / "s.csv")]) == 3
+
+    def test_classifierless_checkpoint_exits_3_naming_it(self, artifacts, capsys):
+        """A checkpoint of only the 8 encoder and projection arrays is not a model's."""
+        ckpt, _, q_path, tmp_path = artifacts
+        meta, arrays = read_container(ckpt)
+        write_container(ckpt, meta, {k: v for k, v in arrays.items() if k not in ("wc", "bc")})
+        assert main(["score", str(q_path), "--checkpoint", str(ckpt),
+                     "--strategy", "entropy", "--out", str(tmp_path / "s.csv")]) == 3
+        assert f"{ckpt}: arrays" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["empty", "label_k"])
+    @pytest.mark.parametrize("strategy", ["coreset", "featuresim", "fre"])
+    def test_bad_labeled_set_exits_3_naming_it(self, artifacts, capsys, strategy, fault):
+        """An empty labeled file, or a label equal to the checkpoint's K = 3."""
+        ckpt, lab_path, q_path, tmp_path = artifacts
+        labeled = load_features(lab_path)
+        if fault == "empty":
+            labeled = labeled.take(np.arange(0))
+        else:
+            labeled = FeatureMatrix(labeled.values, labeled.ids,
+                                    np.where(np.arange(labeled.n) == 5, 3, labeled.labels))
+        save_features(labeled, lab_path)
+        out = tmp_path / "s.csv"
+        assert main(["score", str(q_path), "--checkpoint", str(ckpt), "--strategy", strategy,
+                     "--labeled", str(lab_path), "--out", str(out)]) == 3
+        assert f"data error: {lab_path}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["queries", "labeled"])
+    def test_width_fault_names_its_file(self, artifacts, capsys, target):
+        ckpt, lab_path, q_path, tmp_path = artifacts
+        path = q_path if target == "queries" else lab_path
+        data = load_features(path)
+        save_features(FeatureMatrix(np.hstack([data.values, data.values[:, :1]]), data.ids,
+                                    data.labels), path)
+        assert main(["score", str(q_path), "--checkpoint", str(ckpt), "--strategy", "fre",
+                     "--labeled", str(lab_path), "--out", str(tmp_path / "s.csv")]) == 3
+        assert f"{path}: 7 features per row, the checkpoint takes 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tau", [0, 1])
     def test_bad_tau_exits_2_before_reading_files(self, tmp_path, tau):

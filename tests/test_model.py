@@ -371,10 +371,19 @@ class TestPredictProba:
         np.testing.assert_allclose(probs[0], [e / (e + 1), 1 / (e + 1)], atol=1e-9)
         assert probs[0, 0] == pytest.approx(0.731, abs=5e-4)
 
-    def test_untrained_errors(self):
-        state = init_model(small_config())
-        with pytest.raises(UsageError):
-            predict_proba_from_features(state, np.zeros((2, 6)))
+    def test_untrained_state_is_uniform_and_equals_epochs_zero(self):
+        """An ``init_model`` state carries the zero classifier: it predicts 1/K for
+        every class and is, array for array, cross-entropy ``train`` at epochs = 0."""
+        config = small_config(loss_kind="cross_entropy", epochs=0)
+        fresh = init_model(config)
+        z = np.random.default_rng(3).standard_normal((5, 6))
+        np.testing.assert_allclose(predict_proba_from_features(fresh, z), 1.0 / 3.0,
+                                   rtol=1e-15, atol=0)
+        data = generate_mixture(DatasetSpec(k=3, d=4, n_per_class=10, seed=5))
+        trained = train(init_model(config), data)
+        for name in [*fresh.encoder_projection_params(), "wc", "bc"]:
+            np.testing.assert_array_equal(getattr(trained, name), getattr(fresh, name))
+        assert (trained.training_loss, trained.forward_pass_count) == ([], 0)
 
 
 class TestStochasticProba:
@@ -415,6 +424,23 @@ class TestStochasticProba:
         state, data = self._trained()
         with pytest.raises(UsageError):
             stochastic_proba(state, data.values, tau=1, seed=0)
+
+    def test_traced_peak_holds_one_tensor(self):
+        """The passes fill one (tau, n, K) tensor: at tau 50, 2000 rows and K = 10
+        the traced peak stays within 1.4x its bytes. A list of the passes and
+        their np.stack traced 2.0x."""
+        import tracemalloc
+
+        data = generate_mixture(DatasetSpec(k=10, d=10, n_per_class=200, seed=13))
+        state = train(init_model(small_config(d_in=10, n_classes=10, epochs=1)), data)
+        tracemalloc.start()
+        try:
+            tensor = stochastic_proba(state, data.values, tau=50, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tensor.shape == (50, 2000, 10)
+        assert peak <= 1.4 * tensor.nbytes, f"{peak / tensor.nbytes:.2f}x the tensor"
 
 
 class TestAugmentedBatch:

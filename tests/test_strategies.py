@@ -138,8 +138,6 @@ class TestFreStrategy:
         predicted = np.array([0, 0, 3, 3])
         scores = fre_scores_batch(queries, predicted, model, fallback)
         assert np.isfinite(scores).all()
-        with pytest.raises(UsageError):
-            fre_scores_batch(queries, predicted, model, None)
 
 
 def make_candidates(entries):
