@@ -299,6 +299,8 @@ def cmd_score(args) -> None:
         raise ConfigError(f"--tau must be >= 2, got {args.tau}")
     if info.needs_labeled and not args.labeled:
         raise ConfigError(f"strategy {info.name} requires --labeled")
+    if args.labeled and not info.needs_labeled:
+        raise ConfigError(f"strategy {info.name} does not read --labeled")
     state = load_model(args.checkpoint)
     d_in = state.config.d_in
     queries = _load_scored(args.features, args.format, d_in)

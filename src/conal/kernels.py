@@ -8,9 +8,10 @@ matrix shape and thread count, so another block shape can move the last bit
 of a result. The block rules are therefore fixed:
 
 - ``nearest_sq_dist`` takes ``BLOCK_ROWS`` points at a time against
-  ``CENTER_CHUNK`` centers at a time, ~2 MB in one product buffer, sized for
+  ``CENTER_CHUNK`` centers at a time, ~1 MB, in one product buffer sized for
   the last (largest) block, that every block reuses. A short last row block
-  joins the one before it.
+  joins the one before it, so the buffer holds at most 959 rows (< 2 MB, one
+  core's L2).
 - ``max_dot`` takes ``max_dot_rows(len(refs)) = 4e6 // len(refs)`` query rows
   at a time, ~32 MB.
 """
@@ -20,10 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 CENTER_CHUNK = 256
-# 2**18 // CENTER_CHUNK = 1024 rows, rounded down to a multiple of 48. With one
+# 2**17 // CENTER_CHUNK = 512 rows, rounded down to a multiple of 48. With one
 # BLAS thread (OpenBLAS 0.3.31, AVX-512 dgemm) these blocks give the unblocked
-# distances bit for bit on every shape tried; 1024-row blocks do not.
-BLOCK_ROWS = 1008
+# distances bit for bit on every shape tried, as do 240- and 1008-row blocks;
+# 96- and 48-row blocks and 1024-row blocks do not.
+BLOCK_ROWS = 480
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ far, and evaluates the full metric suite. Runs are deterministic per seed;
 the initial random batch depends only on the seed, not the strategy, so
 strategies fork from identical starting pools.
 
-Sample ids are strings only at the boundary. The pool is sorted by id once
-on entry, so inside the loop a sample is its row index, and a row's order
-is its id's order: the selectors' ascending-id tie-break holds on rows.
+Sample ids are strings only at the boundary. On entry the pool is sorted by
+id, unless its ids already ascend (then it is used as given, with no copy),
+so inside the loop a sample is its row index, and a row's order is its id's
+order: the selectors' ascending-id tie-break holds on rows.
 
 ``run_cells`` runs a sweep's (strategy, seed) cells on up to one worker
 process per usable CPU, each forked from this one. A worker shares the
@@ -184,11 +185,13 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
         raise ConfigError("subset_size exceeds the initial pool size")
     strategy = get_strategy(loop_config.strategy)
     loss_kind = loop_config.loss_override or strategy.default_loss
-    # sort once: from here on a sample is its row, and rows ascend with ids
-    ids = pool.ids.astype(str)
-    order = np.argsort(ids)
-    pool = FeatureMatrix(pool.values[order], ids[order],
-                         None if pool.labels is None else pool.labels[order])
+    # from here on a sample is its row, and rows ascend with ids: sort only
+    # string ids that do not ascend yet, and convert any others
+    ids = pool.ids.astype(str, copy=False)
+    if ids is not pool.ids or not np.all(ids[:-1] < ids[1:]):
+        order = np.argsort(ids)
+        pool = FeatureMatrix(pool.values[order], ids[order],
+                             None if pool.labels is None else pool.labels[order])
     oracle = Oracle(pool)
     seed = loop_config.seed
     m_target = loop_config.acquisition_size

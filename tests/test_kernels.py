@@ -42,10 +42,11 @@ def test_nearest_sq_dist_matches_brute_force(rng):
 
 # The formula before row blocking: every point against 256 centers at a time.
 # With one BLAS thread the row-blocked kernel must equal it bit for bit, on
-# the preset's coreset shapes (2000 points, 100..900 centers, d = 32), on row
+# the preset's coreset shapes (the 2000-point subset against 100..1000
+# labeled centers, the 1000-row OOD set against as many, d = 32), on row
 # counts that are not a multiple of the block, one row past a block, on shapes
-# where a block of 1024 rows (not a multiple of 48) differs, and on 0 points
-# or 0 centers.
+# where blocks of 1024 rows (not a multiple of 48) or of 96 rows differ, and on
+# 0 points or 0 centers.
 _EXACT_SCRIPT = textwrap.dedent("""
     import numpy as np
     from conal import kernels
@@ -61,7 +62,7 @@ _EXACT_SCRIPT = textwrap.dedent("""
         return out
 
     rows = kernels.BLOCK_ROWS
-    shapes = [(2000, m, 32) for m in range(100, 1000, 100)]
+    shapes = [(n, m, 32) for n in (1000, 2000) for m in range(100, 1001, 100)]
     shapes += [(n, m, d) for n in (1, 37, rows + 1, 2 * rows + 1, 5003)
                for m in (1, 7, 255, 257, 333, 1000) for d in (8, 32)]
     shapes += [(14000, m, d) for m in (255, 500) for d in (16, 32)]

@@ -149,14 +149,16 @@ class TestPoolBookkeeping:
         ood = generate_ood(DatasetSpec(k=4, d=8, n_per_class=10,
                                        class_separation=4.0, seed=0), 40, 7)
         shifts = [ShiftSpec("additive_gaussian", 3)]
-        by_id = pool.take(np.argsort(pool.ids))
         permuted = pool.take(np.random.default_rng(12).permutation(pool.n))
+        reversed_rows = pool.take(np.arange(pool.n)[::-1])
         runs = [run_active_learning(p, test, model, quick_loop(strategy), ood=ood,
-                                    shifts=shifts) for p in (by_id, permuted)]
-        assert runs[0].pool.history == runs[1].pool.history
+                                    shifts=shifts) for p in (pool, permuted, reversed_rows)]
+        # generate_mixture's ids ascend with its rows, so that pool is used as given
+        assert np.shares_memory(runs[0].pool.universe, pool.ids)
+        assert runs[0].pool.history == runs[1].pool.history == runs[2].pool.history
         rows = [[{k: v for k, v in r.to_dict().items() if k != "query_wall_ms"}
                  for r in run.reports] for run in runs]
-        assert rows[0] == rows[1]
+        assert rows[0] == rows[1] == rows[2]
 
 
 class TestDeterminism:
