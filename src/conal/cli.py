@@ -27,7 +27,7 @@ from .data import (DEFAULT_SHIFT_MAGNITUDES, balanced_test_spec, full_shift_suit
                    generate_mixture, generate_ood)
 from .errors import ConalError, ConfigError, DataError
 from .io import load_features, save_features, save_scores
-from .loop import run_cells, scoring_context
+from .loop import run_cells, scorer_input, scoring_context
 from .metrics import CURVE_METRICS, MCE_NORMALIZATION, read_reports_jsonl, write_reports_jsonl
 # names imported but not called here stay bound for perfbench/tracing.py to wrap
 from .loop import run_active_learning
@@ -309,10 +309,12 @@ def cmd_score(args) -> None:
         ctx = scoring_context(info, state, labeled, tau=args.tau)
     except DataError as exc:
         raise DataError(f"{args.labeled}: {exc}") from None
-    scores, predicted = info.score(state, queries.values, ctx)
-
-    save_scores(args.out, queries.ids, predicted, scores)
-    print(f"wrote {len(queries.ids)} scores to {args.out}")
+    ids, x = queries.ids, scorer_input(info, state, queries.values)
+    del queries  # only x, the features (bald: the values), is held while scoring
+    scores, predicted = info.score(state, x, ctx)
+    del x  # nor is it held while the scores are written
+    save_scores(args.out, ids, predicted, scores)
+    print(f"wrote {len(ids)} scores to {args.out}")
 
 
 def _load_scored(path, file_format, d_in: int):

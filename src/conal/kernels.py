@@ -43,10 +43,11 @@ def kcenter_greedy(points: np.ndarray, min_sq_dist: np.ndarray, m: int) -> np.nd
     points = np.ascontiguousarray(points, dtype=np.float64)
     picks = np.empty(m, dtype=np.int64)
     current = np.array(min_sq_dist, dtype=np.float64)  # a copy: updated in place
+    diff = np.empty_like(points)
     for j in range(m):
         idx = int(np.argmax(current))
         picks[j] = idx
-        diff = points - points[idx]
+        np.subtract(points, points[idx], out=diff)
         np.minimum(current, np.einsum("nd,nd->n", diff, diff), out=current)
     return picks
 

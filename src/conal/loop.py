@@ -159,7 +159,6 @@ class RunResult:
     pool: PoolState
     final_state: ModelState
     truncated: bool
-    selection_log: list[dict]
 
 
 def _derived_seed(seed: int, *tags) -> int:
@@ -206,7 +205,6 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     ctx: ScoringContext | None = None
 
     reports: list[IterationReport] = []
-    selection_log: list[dict] = []
     truncated = False
 
     for t in range(1, loop_config.iterations + 1):
@@ -226,11 +224,6 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
             )
         pool_state.acquire(selection.ids)
         pool_state.check_invariants(m_target, truncated)
-        selection_log.append({
-            "iteration": t,
-            "deficit_fills": selection.deficit_fills,
-            "per_class_taken": selection.per_class_taken,
-        })
 
         labeled_rows = pool_state.labeled_rows
         train_labels = oracle.label(labeled_rows)
@@ -249,7 +242,7 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
         if truncated:
             break
 
-    return RunResult(reports, pool_state, state, truncated, selection_log)
+    return RunResult(reports, pool_state, state, truncated)
 
 
 def _worker_count(n_cells: int) -> int:
@@ -320,29 +313,28 @@ def _score_and_select(state, pool, pool_state, loop_config, strategy, t, m_now, 
     unlabeled = pool_state.unlabeled_rows
     n_sub = min(loop_config.subset_size, unlabeled.size)
     subset = np.sort(unlabeled[rng_subset.choice(unlabeled.size, size=n_sub, replace=False)])
-    subset_values = pool.values[subset]
 
     passes_before = state.forward_pass_count
     t_before = time.perf_counter()
 
     if strategy.selector == "random":
         selection = SelectionResult(select_random(subset, m_now, rng_for(seed, "pick", t)), 0)
-    elif strategy.selector == "kcenter":
-        z_u = encode_values(state, subset_values)
-        selection = SelectionResult(
-            select_kcenter_greedy(z_u, subset, ctx.labeled_feats, m_now), 0)
     else:
-        scores, predicted = strategy.score(
-            state, subset_values, replace(ctx, bald_seed=_derived_seed(seed, "bald", t)))
-        request = SelectionRequest(m_now, state.config.n_classes, strategy.direction)
-        if strategy.selector == "per_class" or loop_config.force_per_class:
-            selection = select_per_class(subset, predicted, scores, request)
+        x = scorer_input(strategy, state, pool.values[subset])
+        if strategy.selector == "kcenter":
+            selection = SelectionResult(
+                select_kcenter_greedy(x, subset, ctx.labeled_feats, m_now), 0)
         else:
-            selection = select_global(subset, predicted, scores, request)
+            scores, predicted = strategy.score(
+                state, x, replace(ctx, bald_seed=_derived_seed(seed, "bald", t)))
+            request = SelectionRequest(m_now, state.config.n_classes, strategy.direction)
+            if strategy.selector == "per_class" or loop_config.force_per_class:
+                selection = select_per_class(subset, predicted, scores, request)
+            else:
+                selection = select_global(subset, predicted, scores, request)
 
-    t_after = time.perf_counter()
     cost = QueryCost.from_snapshots(passes_before, state.forward_pass_count,
-                                    t_before, t_after)
+                                    t_before, time.perf_counter())
     return cost, selection
 
 
@@ -371,37 +363,41 @@ def scoring_context(strategy: StrategyInfo, state: ModelState, labeled: FeatureM
     return ScoringContext(feats, labels, pca_model, pca_fallback, tau)
 
 
-def _ood_scores(strategy, state, values, ctx, seed, *seed_tag):
-    """Score a sample set with the strategy's own scorer, higher = more OOD."""
-    scores, _ = strategy.score(state, values,
+def scorer_input(strategy: StrategyInfo, state: ModelState, values: np.ndarray, z=None):
+    """``strategy.score``'s input: ``values`` if it reads them, else features (``z`` if given)."""
+    if strategy.reads_values:
+        return values
+    return encode_values(state, values) if z is None else z
+
+
+def _ood_scores(strategy, state, values, z, ctx, seed, *seed_tag):
+    """The strategy's own scores of a sample set, features ``z`` if encoded; higher = more OOD."""
+    scores, _ = strategy.score(state, scorer_input(strategy, state, values, z),
                                replace(ctx, bald_seed=_derived_seed(seed, *seed_tag)))
     return -scores if strategy.direction == "min" else scores
 
 
 def _evaluate(state, test, ood, shifted_tests, train_labels, batch_labels, n_classes,
               strategy, seed, cost, selection, t, ctx, truncated):
-    test_probs = predict_proba_from_features(
-        state, encode_values(state, test.values))
+    z_test = encode_values(state, test.values)
+    test_probs = predict_proba_from_features(state, z_test)
+    auroc_ood = None
+    if ood is not None and ood.n > 0:
+        in_scores = _ood_scores(strategy, state, test.values, z_test, ctx, seed, "ood-in", t)
+        del z_test  # not held while the OOD and shifted sets are encoded
+        out_scores = _ood_scores(strategy, state, ood.values, None, ctx, seed, "ood-out", t)
+        auroc_ood = auroc(in_scores, out_scores)
+
     per_shift = []
-    shift_errors = []
     for spec, shifted in shifted_tests:
-        probs = predict_proba_from_features(
-            state, encode_values(state, shifted.values))
-        cell_acc = accuracy(probs, shifted.labels)
+        probs = predict_proba_from_features(state, encode_values(state, shifted.values))
         per_shift.append({
             "kind": spec.kind,
             "intensity": spec.intensity,
             "magnitude": spec.magnitude,
-            "accuracy": cell_acc,
+            "accuracy": accuracy(probs, shifted.labels),
             "ece": ece(probs, shifted.labels),
         })
-        shift_errors.append(1.0 - cell_acc)
-
-    auroc_ood = None
-    if ood is not None and ood.n > 0:
-        in_scores = _ood_scores(strategy, state, test.values, ctx, seed, "ood-in", t)
-        out_scores = _ood_scores(strategy, state, ood.values, ctx, seed, "ood-out", t)
-        auroc_ood = auroc(in_scores, out_scores)
 
     cumulative_counts = np.bincount(train_labels, minlength=n_classes)
     batch_counts = np.bincount(batch_labels, minlength=n_classes)
@@ -415,7 +411,7 @@ def _evaluate(state, test, ood, shifted_tests, train_labels, batch_labels, n_cla
         brier=brier(test_probs, test.labels),
         sampling_bias=sampling_bias(cumulative_counts, n_classes),
         auroc_ood=auroc_ood,
-        mce=mce(shift_errors) if shift_errors else None,
+        mce=mce([1.0 - cell["accuracy"] for cell in per_shift]) if per_shift else None,
         per_shift=per_shift,
         query_wall_ms=cost.wall_ms,
         forward_passes_used=cost.forward_passes,

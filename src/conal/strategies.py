@@ -11,6 +11,8 @@ leftovers.
 
 Each strategy's score is defined once, by the scorer in its registry entry;
 the loop's query, the loop's OOD scoring and ``conal score`` all call it.
+A scorer reads the features of the rows it scores, encoded once by its caller;
+bald alone reads raw values, as its dropout masks act on the hidden layer.
 """
 
 from __future__ import annotations
@@ -168,13 +170,8 @@ class ScoringContext:
     bald_seed: int = 0  # the loop derives one per call; conal score keeps 0
 
 
-def _encode_and_predict(state, values):
-    z = model.encode_values(state, values)
-    return z, model.predict_proba_from_features(state, z).argmax(axis=1)
-
-
-def _entropy_scorer(state, values, ctx):
-    probs = model.predict_proba_from_features(state, model.encode_values(state, values))
+def _entropy_scorer(state, z, ctx):
+    probs = model.predict_proba_from_features(state, z)
     return score_entropy(probs), probs.argmax(axis=1)
 
 
@@ -183,19 +180,19 @@ def _bald_scorer(state, values, ctx):
     return scores, mean.argmax(axis=1)
 
 
-def _coreset_scorer(state, values, ctx):
+def _coreset_scorer(state, z, ctx):
     """Distance to the nearest labeled feature; large means poorly covered."""
-    z, predicted = _encode_and_predict(state, values)
+    predicted = model.predict_proba_from_features(state, z).argmax(axis=1)
     return np.sqrt(kernels.nearest_sq_dist(z, ctx.labeled_feats)), predicted
 
 
-def _featuresim_scorer(state, values, ctx):
-    z, predicted = _encode_and_predict(state, values)
+def _featuresim_scorer(state, z, ctx):
+    predicted = model.predict_proba_from_features(state, z).argmax(axis=1)
     return featuresim_scores(z, predicted, ctx.labeled_feats, ctx.labeled_labels), predicted
 
 
-def _fre_scorer(state, values, ctx):
-    z, predicted = _encode_and_predict(state, values)
+def _fre_scorer(state, z, ctx):
+    predicted = model.predict_proba_from_features(state, z).argmax(axis=1)
     return fre_scores_batch(z, predicted, ctx.pca_model, ctx.pca_fallback), predicted
 
 
@@ -207,9 +204,10 @@ class StrategyInfo:
     direction: str | None     # "min" or "max" for score-based strategies
     selector: str             # per_class | global | kcenter | random
     default_loss: str         # training loss the strategy pairs with
-    score: Callable           # (state, values, ScoringContext) -> (scores, predicted)
+    score: Callable           # (state, features, ScoringContext) -> (scores, predicted)
     needs_labeled: bool = False  # the scorer reads the encoded labeled set
     uses_pca: bool = False       # the scorer reads per-class PCA subspaces
+    reads_values: bool = False   # the scorer reads raw values, not their features
 
 
 STRATEGIES: dict[str, StrategyInfo] = {
@@ -217,7 +215,8 @@ STRATEGIES: dict[str, StrategyInfo] = {
     # wherever a score is needed (OOD detection)
     "random": StrategyInfo("random", None, "random", "cross_entropy", _entropy_scorer),
     "entropy": StrategyInfo("entropy", "max", "global", "cross_entropy", _entropy_scorer),
-    "bald": StrategyInfo("bald", "max", "global", "cross_entropy", _bald_scorer),
+    "bald": StrategyInfo("bald", "max", "global", "cross_entropy", _bald_scorer,
+                         reads_values=True),
     "coreset": StrategyInfo("coreset", None, "kcenter", "cross_entropy", _coreset_scorer,
                             needs_labeled=True),
     "featuresim": StrategyInfo("featuresim", "min", "per_class", "contrastive",
@@ -330,9 +329,9 @@ def select_kcenter_greedy(unlabeled_values: np.ndarray, unlabeled_ids: np.ndarra
         raise DataError(f"cannot pick {m} of {values.shape[0]} points")
     if m == 0:
         return []
-    order = np.argsort(ids)
-    values = values[order]
-    ids = ids[order]
+    if not np.all(ids[:-1] < ids[1:]):  # the loop's subset rows already ascend
+        order = np.argsort(ids)
+        values, ids = values[order], ids[order]
 
     labeled_values = np.asarray(labeled_values, dtype=np.float64)
     if labeled_values.shape[0] == 0:

@@ -394,7 +394,7 @@ class TestScore:
         [" lead", "é日本🙂", ""],
     ], ids=["plain", "comma", "quote", "newline", "all_but_cr", "space_utf8_empty"])
     def test_scores_csv_bytes_match_csv_writer(self, artifacts, ids):
-        from conal.loop import scoring_context
+        from conal.loop import scorer_input, scoring_context
         from conal.model import load_model
         from conal.strategies import get_strategy
 
@@ -409,7 +409,7 @@ class TestScore:
                      "--strategy", "entropy", "--out", str(out)]) == 0
 
         info, state = get_strategy("entropy"), load_model(ckpt)
-        scores, predicted = info.score(state, queries.values,
+        scores, predicted = info.score(state, scorer_input(info, state, queries.values),
                                        scoring_context(info, state, None))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -890,18 +890,23 @@ class TestScoreMemoryBudget:
     """`conal score` holds each row's data once: the traced peak of a call on a
     20 000-row, d = 32 file stays under a budget in bytes per row.
 
-    Each budget sits ~10% over the traced peak of a reader and scorers that
-    make no whole-file copy: 526, 526 and 540 bytes per row. Readers and
-    scorers that copied the whole file, its text or its float64 values traced
-    846, 1437 and 861. bald, holding one dropout pass at a time, traces 1219
-    (5379 with its whole tau = 50 tensor); coreset, with one product buffer of
-    480-row blocks, traces 555 (663 with 1008-row blocks, and 842 with those
-    and a new product block per center chunk).
+    Each budget sits ~10% over the traced peak of a reader that makes no
+    whole-file copy and a call that drops the raw values once they are encoded
+    and the features once they are scored: 480 bytes per row for entropy
+    (binary and CSV), 457 for fre, 455 for coreset and 455 for featuresim.
+    Holding the raw values through scoring and writing traced 526, 540, 556
+    and 553. Readers and scorers that copied the whole file, its text or its
+    float64 values traced 846, 1437 and 861. bald, holding one dropout pass at
+    a time, traces 1219 (5379 with its whole tau = 50 tensor). coreset, while
+    it held the raw values, traced 555 with one product buffer of 480-row
+    blocks, 663 with 1008-row blocks, and 842 with those and a new product
+    block per center chunk.
     """
 
     ROWS = 20000
-    BUDGETS = {("entropy", "binary"): 580, ("entropy", "csv"): 580, ("fre", "binary"): 600,
-               ("bald", "binary"): 1350, ("coreset", "binary"): 610}
+    BUDGETS = {("entropy", "binary"): 530, ("entropy", "csv"): 530, ("fre", "binary"): 505,
+               ("bald", "binary"): 1350, ("coreset", "binary"): 500,
+               ("featuresim", "binary"): 500}
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -925,7 +930,7 @@ class TestScoreMemoryBudget:
         argv = ["score", str(files / f"queries.{ext}"), "--checkpoint",
                 str(files / "model.ckpt"), "--strategy", strategy, "--format", fmt,
                 "--out", str(files / f"{strategy}-{fmt}.csv")]
-        if strategy in ("fre", "coreset"):
+        if strategy in ("fre", "coreset", "featuresim"):
             argv += ["--labeled", str(files / f"labeled.{ext}")]
         assert main(argv) == 0  # imports and first-call caches stay out of the trace
         tracemalloc.start()

@@ -195,7 +195,6 @@ class TestDeterminism:
         assert copy.reports == result.reports
         assert copy.pool.history == result.pool.history
         np.testing.assert_array_equal(copy.pool.labeled, result.pool.labeled)
-        assert copy.selection_log == result.selection_log
         assert copy.truncated == result.truncated
         for name, value in result.final_state.encoder_projection_params().items():
             np.testing.assert_array_equal(getattr(copy.final_state, name), value)
@@ -257,16 +256,62 @@ class TestReports:
             assert rf.forward_passes_used == re.forward_passes_used
             assert rb.forward_passes_used == 3 * re.forward_passes_used  # tau=3
 
-    def test_quota_histogram_within_deficit(self):
+
+class TestEncodeOnce:
+    """One iteration encodes each set it reads once: the subset, the test set,
+    each shifted test set and the OOD set, and the labeled set for a strategy
+    that reads it. bald's dropout passes read raw values, so it encodes no
+    subset or OOD rows. Contrastive training encodes the labeled set once more,
+    to fit its classifier."""
+
+    @pytest.mark.parametrize("strategy",
+                             ["random", "entropy", "bald", "coreset", "featuresim", "fre"])
+    def test_rows_encoded_per_iteration(self, monkeypatch, strategy):
+        import hashlib
+
+        import conal.loop
+        import conal.model
+        from conal.data import apply_shift
+        from conal.strategies import get_strategy
+
+        def key(values):
+            return hashlib.sha1(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+        encoded = []
+        encode = conal.model.encode_values
+
+        def counting(state, values):
+            encoded.append((key(values), len(values)))
+            return encode(state, values)
+
+        monkeypatch.setattr(conal.model, "encode_values", counting)
+        monkeypatch.setattr(conal.loop, "encode_values", counting)
         pool, test, model = small_setup()
-        result = run_active_learning(pool, test, model, quick_loop("featuresim"),
-                                     shifts=[])
-        m, k = 20, 4
-        for entry in result.selection_log[1:]:
-            taken = entry["per_class_taken"]
-            cap = -(-m // k)  # ceil
-            for cls, count in taken.items():
-                assert count <= cap + entry["deficit_fills"]
+        ood = generate_ood(DatasetSpec(k=4, d=8, n_per_class=10,
+                                       class_separation=4.0, seed=0), 40, 7)
+        shifts = [ShiftSpec("additive_gaussian", 3), ShiftSpec("feature_scale", 1)]
+        config = quick_loop(strategy)
+        run_active_learning(pool, test, model, config, ood=ood, shifts=shifts)
+
+        info, iterations = get_strategy(strategy), config.iterations
+        named = {key(test.values): "test", key(ood.values): "ood"}
+        named.update({key(apply_shift(test, spec, conal.loop.SHIFT_SEED).values): str(spec)
+                      for spec in shifts})
+        counts = {name: 0 for name in named.values()}
+        other_rows = []
+        for digest, rows in encoded:
+            if digest in named:
+                counts[named[digest]] += 1
+            else:
+                other_rows.append(rows)
+        assert counts == {name: 0 if name == "ood" and info.reads_values else iterations
+                          for name in counts}
+        labeled_encodes = info.needs_labeled + (info.default_loss == "contrastive")
+        scores_subset = info.selector != "random" and not info.reads_values
+        expected = [config.acquisition_size * t for t in range(1, iterations + 1)
+                    for _ in range(labeled_encodes)]
+        expected += [config.subset_size] * (iterations - 1) * scores_subset
+        assert sorted(other_rows) == sorted(expected)
 
 
 class TestModes:

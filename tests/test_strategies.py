@@ -293,6 +293,25 @@ class TestKCenterGreedy:
         picks = select_kcenter_greedy(points, self._ids(3), np.array([[0.0, 0.0]]), 1)
         assert picks == ["p002"]
 
+    def test_ascending_ids_copy_no_points(self):
+        """Ids that already ascend, as the loop's subset rows do, skip the id
+        sort, and one n x d distance buffer serves every pick. The traced peak
+        of this call is ~1.2x the points; a sorted copy of the points and a new
+        buffer per pick traced ~3.3x."""
+        import tracemalloc
+
+        rng = np.random.default_rng(12)
+        points, labeled = rng.standard_normal((2000, 32)), rng.standard_normal((100, 32))
+        ids = np.arange(2000)
+        select_kcenter_greedy(points, ids, labeled, 20)  # first-call caches stay out of the trace
+        tracemalloc.start()
+        try:
+            select_kcenter_greedy(points, ids, labeled, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * points.nbytes, f"{peak / points.nbytes:.2f}x the points"
+
 
 class TestSelectRandom:
     def test_m_equals_n_returns_all(self):
