@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .seeding import rng_for
 
+_STRINGS = np.strings if hasattr(np, "strings") else np.char  # numpy 2 loads np.char lazily
 SHIFT_KINDS = ("additive_gaussian", "feature_scale", "feature_dropout_mask", "mean_drift")
 
 # Intensity 1..5 magnitude schedules. The corruption protocol this mirrors
@@ -148,6 +149,16 @@ def class_centers(spec: DatasetSpec) -> np.ndarray:
     return centers
 
 
+def _row_ids(prefix: str, rows: np.ndarray) -> np.ndarray:
+    """``np.array([f"{prefix}{i:08d}" for i in rows])`` for nonempty ``rows`` >= 0."""
+    width = max(8, len(str(rows.max())))
+    ids = np.empty(len(rows), dtype=f"<U{len(prefix) + width}")
+    for start in range(0, len(rows), 1024):  # blocks under malloc's 128 KiB mmap threshold
+        block = rows[start:start + 1024].astype(f"<U{width}")
+        ids[start:start + 1024] = _STRINGS.add(prefix, _STRINGS.zfill(block, 8))
+    return ids
+
+
 def generate_mixture(spec: DatasetSpec, id_prefix: str = "") -> FeatureMatrix:
     """Draw the labeled Gaussian mixture described by ``spec``.
 
@@ -167,8 +178,7 @@ def generate_mixture(spec: DatasetSpec, id_prefix: str = "") -> FeatureMatrix:
         values[start:start + n_k] = noise
         start += n_k
     labels = np.repeat(np.arange(spec.k, dtype=np.int64), sizes)
-    ids = np.array([f"{id_prefix}{i:08d}" for i in range(values.shape[0])])
-    return FeatureMatrix(values, ids, labels)
+    return FeatureMatrix(values, _row_ids(id_prefix, np.arange(values.shape[0])), labels)
 
 
 def generate_ood(spec: DatasetSpec, n: int, seed: int) -> FeatureMatrix:
@@ -185,8 +195,7 @@ def generate_ood(spec: DatasetSpec, n: int, seed: int) -> FeatureMatrix:
     rng = rng_for(seed, "ood")
     assignment = rng.integers(0, spec.k, size=n)
     values = centers[assignment] + spec.noise_sigma * rng.standard_normal((n, spec.d))
-    ids = np.array([f"ood-{i:08d}" for i in range(n)])
-    return FeatureMatrix(values.astype(np.float32), ids, None)
+    return FeatureMatrix(values.astype(np.float32), _row_ids("ood-", np.arange(n)), None)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ Feature files
 
 Score files are CSV ``id,predicted_class,score`` with the score as ``repr``
 of its float64 value, quoted as ``csv.writer`` quotes; ids hold no CR.
+CSV values, one-width id tables and score rows take numpy's bulk C paths; other
+input goes cell by cell or id by id, a path kept for its exact errors.
 
 Checkpoints reuse the same little-endian framing under a ``MODL1`` magic:
 a u32-length JSON header (config echo plus an array manifest of
@@ -37,7 +39,7 @@ MODEL_MAGIC = b"MODL1"
 
 FORMATS = ("binary", "csv")
 
-_CSV_BLOCK_ROWS = 4096  # CSV rows formatted, or binary ids encoded, per write
+_CSV_BLOCK_ROWS = 4096  # CSV or score rows formatted per write, binary ids encoded per block
 _CSV_READ_BYTES = 1 << 16  # bytes of whole lines read per window, split and parsed at once
 # ``,`` ends a CSV cell; the rest are every line break ``str.splitlines`` splits on
 _CSV_ID_BREAKS = re.compile("[,\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
@@ -68,20 +70,21 @@ def _save_binary(data: FeatureMatrix, path: Path) -> None:
     has_labels = data.labels is not None
     if has_labels and data.labels.max(initial=0) > 0xFFFF:
         raise DataError("labels exceed the u16 range of the binary format")
-    bad = next((sid for ids in _id_blocks(data.ids) for sid in ids
-                if len(sid.encode("utf-8")) > 0xFFFF), None)
-    if bad is not None:
-        raise DataError(f"sample id {bad[:40]!r}... is {len(bad.encode('utf-8'))} UTF-8 "
-                        "bytes; the binary format holds at most 65535")
+    table = []  # the id table, one bytes object per block of ids
+    for ids in _id_blocks(data.ids):
+        raws = [sid.encode("utf-8") for sid in ids]
+        if max(map(len, raws), default=0) > 0xFFFF:
+            bad = next(sid for sid, raw in zip(ids, raws) if len(raw) > 0xFFFF)
+            raise DataError(f"sample id {bad[:40]!r}... is {len(bad.encode('utf-8'))} UTF-8 "
+                            "bytes; the binary format holds at most 65535")
+        table.append(b"".join([len(raw).to_bytes(2, "little") + raw for raw in raws]))
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IIB", data.n, data.d, int(has_labels)))
         fh.write(np.ascontiguousarray(data.values, dtype="<f4"))
         if has_labels:
             fh.write(data.labels.astype("<u2"))
-        for ids in _id_blocks(data.ids):
-            raws = [sid.encode("utf-8") for sid in ids]
-            fh.write(b"".join([len(raw).to_bytes(2, "little") + raw for raw in raws]))
+        fh.writelines(table)
 
 
 def _id_blocks(ids: np.ndarray):
@@ -116,7 +119,12 @@ def _load_binary(path: Path) -> FeatureMatrix:
 
 def _read_id_table(path: Path, table: bytes, n: int, size: int) -> np.ndarray:
     """The ``n`` ids of a binary feature file's id table, the last ``len(table)``
-    of its ``size`` bytes."""
+    of its ``size`` bytes: if all are ASCII and ``w >= 1`` bytes long, the ``S{w}``
+    view of one ``(n, 2 + w)`` byte grid (cast as decoding casts), else id by id."""
+    if n and (w := len(table) // n - 2) > 0 and len(table) == n * (2 + w):
+        grid = np.frombuffer(table, dtype=np.uint8).reshape(n, 2 + w)
+        if (grid[:, :2] == [w & 0xFF, w >> 8]).all() and (grid[:, 2:] < 0x80).all():
+            return grid[:, 2:].view(f"S{w}")[:, 0].astype(str)
     offset, raw = 0, []
     try:
         for _ in range(n):
@@ -135,11 +143,11 @@ def _read_id_table(path: Path, table: bytes, n: int, size: int) -> np.ndarray:
 
 
 def _save_csv(data: FeatureMatrix, path: Path) -> None:
-    bad = next((sid for ids in _id_blocks(data.ids) for sid in ids
-                if _CSV_ID_BREAKS.search(sid)), None)
-    if bad is not None:
-        raise DataError(f"sample id {bad!r} holds a comma or line break, "
-                        "which a CSV row cannot carry")
+    for ids in _id_blocks(data.ids):
+        if _CSV_ID_BREAKS.search("".join(ids)):
+            bad = next(sid for sid in ids if _CSV_ID_BREAKS.search(sid))
+            raise DataError(f"sample id {bad!r} holds a comma or line break, "
+                            "which a CSV row cannot carry")
     # 9 significant digits reproduce float32 values exactly
     row = "%s,%s," + ",".join(["%.9g"] * data.d) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -153,15 +161,16 @@ def _save_csv(data: FeatureMatrix, path: Path) -> None:
 
 def save_scores(path: str | Path, ids: np.ndarray, predicted: np.ndarray,
                 scores: np.ndarray) -> None:
-    """Write ``id,predicted_class,score`` rows with ``csv.writer``, which
-    formats each float64 score of ``tolist()`` as its ``repr``.
+    """Write ``id,predicted_class,score`` rows as ``csv.writer`` writes them,
+    each float64 score of ``tolist()`` as its ``repr``; rows are formatted
+    ``%s,%d,%r`` a block at a time when no id holds what it quotes.
 
     ``csv.writer`` leaves an id holding a bare CR unquoted, and a CSV reader
     then splits its row in two; such an id is a data error, raised before
     the file is opened.
     """
     id_list = ids.tolist()
-    if "\r" in "".join(id_list):
+    if "\r" in (joined := "".join(id_list)):
         bad = next(sid for sid in id_list if "\r" in sid)
         raise DataError(f"score id {bad!r} holds a carriage return, which the "
                         "score CSV cannot carry")
@@ -169,7 +178,11 @@ def save_scores(path: str | Path, ids: np.ndarray, predicted: np.ndarray,
                np.asarray(scores, dtype=np.float64).tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("id,predicted_class,score\n")
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        if re.search('[,"\n]', joined):  # what csv.writer quotes
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        else:
+            while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+                fh.write("".join(["%s,%d,%r\n" % row for row in block]))
 
 
 def _csv_windows(path: Path):
@@ -233,31 +246,49 @@ def _load_csv(path: Path) -> FeatureMatrix:
 def _csv_rows(path: Path, windows, d: int) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
     """The ids, the label cells, the (n, d) float32 values and the file row
     numbers of the nonempty rows in ``windows``, the line lists that follow
-    the header. The feature cells of one window are parsed before the next
-    window is read."""
+    the header, each read by ``_bulk_window`` or else ``_window_by_cell``."""
     ids, labels, blocks, row_blocks = [], [], [], []
     row_idx = 0
     for lines in windows:
-        cells, rows = [], []  # the window's feature cells, and each row's number
-        for line in lines:
-            row_idx += 1
-            if not line:
-                continue
-            row = line.split(",")
-            if len(row) != d + 2:
-                raise DataError(
-                    f"{path}: row {row_idx} has {len(row) - 2} feature values, expected {d}"
-                )
-            ids.append(row[0])
-            labels.append(row[1])
-            cells += row[2:]
-            rows.append(row_idx)
-        blocks.append(_parse_cells(path, cells, rows, float, np.float32,
-                                   "unparseable feature value ({exc})", np.isfinite,
-                                   "feature value {cell!r} is not a finite float32"))
-        row_blocks.append(np.array(rows, dtype=np.int64))
-    return (ids, labels, np.concatenate(blocks).reshape(len(ids), d),
-            np.concatenate(row_blocks))
+        rows = np.flatnonzero(np.fromiter(map(len, lines), np.int64, len(lines))) + row_idx + 1
+        row_idx += len(lines)
+        new_ids, new_labels, block = _bulk_window(lines, d) or _window_by_cell(path, lines, rows, d)
+        ids += new_ids
+        labels += new_labels
+        blocks.append(block)
+        row_blocks.append(rows)
+    return ids, labels, np.concatenate(blocks), np.concatenate(row_blocks)
+
+
+def _bulk_window(lines: list[str], d: int):
+    """The ids, label cells and (m, d) float32 values of the m nonempty ``lines`` by
+    numpy's C text reader, else None (a line not of d + 2 cells, a non-finite value).
+    Bar ``\\x1f``, refused here, it reads a subset of what ``float`` reads, bit for bit."""
+    try:  # ValueError: no nonempty line, one of < 3 cells, or a cell the reader rejects
+        ids, labels, text = zip(*[line.split(",", 2) for line in lines if line])
+        if "" in text or "\x1f" in "".join(text):  # numpy skips "", strips \x1f; float won't
+            return None
+        values = np.loadtxt(text, delimiter=",", dtype=np.float32, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    ok = values.shape == (len(text), d) and np.isfinite(values).all()
+    return (ids, labels, values) if ok else None
+
+
+def _window_by_cell(path: Path, lines: list[str], rows: np.ndarray, d: int):
+    """``_bulk_window``'s result by ``float``, cell by cell: a fault names its row."""
+    ids, labels, cells = [], [], []
+    for row, line in zip(rows.tolist(), filter(None, lines)):
+        cols = line.split(",")
+        if len(cols) != d + 2:
+            raise DataError(f"{path}: row {row} has {len(cols) - 2} feature values, expected {d}")
+        ids.append(cols[0])
+        labels.append(cols[1])
+        cells += cols[2:]
+    values = _parse_cells(path, cells, rows, float, np.float32,
+                          "unparseable feature value ({exc})", np.isfinite,
+                          "feature value {cell!r} is not a finite float32")
+    return ids, labels, values.reshape(len(ids), d)
 
 
 def _parse_cells(path: Path, cells: list[str], rows, parse, dtype, fault: str,

@@ -4,6 +4,7 @@ import pytest
 from conal.data import (DEFAULT_SHIFT_MAGNITUDES, DatasetSpec, FeatureMatrix,
                         ShiftSpec, apply_shift, balanced_test_spec, class_sizes,
                         first_repeat, full_shift_suite, generate_mixture, generate_ood)
+from conal.data import _row_ids
 from conal.errors import ConfigError, DataError
 
 
@@ -70,6 +71,24 @@ class TestGenerateMixture:
         data = generate_mixture(DatasetSpec(k=2, d=2, n_per_class=30))
         assert len(set(data.ids)) == data.n
         assert list(data.ids) == sorted(data.ids)
+
+    @pytest.mark.parametrize("prefix", ["", "tr-", "ood-", "é-"])
+    @pytest.mark.parametrize("rows", [range(1), range(2500), range(99_999_998, 100_000_002)],
+                             ids=["one", "blocks", "9_digit_edge"])
+    def test_row_ids_match_f_string(self, prefix, rows):
+        ids = _row_ids(prefix, np.arange(rows.start, rows.stop))
+        reference = np.array([f"{prefix}{i:08d}" for i in rows])
+        assert ids.dtype == reference.dtype
+        assert ids.tolist() == reference.tolist()
+
+    def test_generated_ids_match_f_string(self):
+        spec = DatasetSpec(k=3, d=4, n_per_class=20, imbalance_ratio=2.0, seed=1)
+        ids = generate_mixture(spec, id_prefix="q-").ids
+        assert ids.dtype == np.dtype("<U10")
+        assert ids.tolist() == [f"q-{i:08d}" for i in range(sum(class_sizes(spec)))]
+        ood = generate_ood(spec, n=5, seed=2).ids
+        assert ood.dtype == np.dtype("<U12")
+        assert ood.tolist() == [f"ood-{i:08d}" for i in range(5)]
 
 
 class TestFeatureMatrix:

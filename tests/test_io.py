@@ -383,3 +383,156 @@ class TestCsvReadWindows:
         path.write_bytes(b"id,label,f\xff0\na,0,1\n")
         with pytest.raises(DataError, match=r"row 0: not UTF-8 text"):
             load_features(path, "csv")
+
+
+# cells that numpy's text reader and ``float`` both read, or one of them rejects
+BULK_CELLS = ["1_0", "１", " 1.5 ", "+.5", "1.", "inf", "nan", "1e39", "", '"1"', "0x1p3",
+              "\x00", "1\x00", "-0", "4e-45", "1e-46", "1\u3000", "\x1f2", "2\x1f", "1e400"]
+CELL_ROW, EMPTY_ROW, ROWS = 150, 20, 400
+
+
+def _cell_file(path, cell: str) -> None:
+    """A labeled d = 6 CSV file of ``ROWS`` rows: row ``EMPTY_ROW`` is an empty
+    line and row ``CELL_ROW`` holds ``cell`` as its third value."""
+    rng = np.random.default_rng(0)
+    lines = ["id,label,f0,f1,f2,f3,f4,f5"]
+    for row in range(1, ROWS + 1):
+        values = [f"{v:.9g}" for v in rng.standard_normal(6) * 10.0 ** rng.integers(-8, 8, 6)]
+        if row == CELL_ROW:
+            values[2] = cell
+        lines.append("" if row == EMPTY_ROW else f"r{row},{row % 3}," + ",".join(values))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _csv_outcome(path):
+    """The ids, labels and value bits of a CSV file, or its DataError text."""
+    try:
+        data = load_features(path, "csv")
+    except DataError as exc:
+        return str(exc)
+    return data.ids.tolist(), data.labels.tolist(), data.values.view(np.uint32).tolist()
+
+
+class TestCsvBulkRead:
+    """numpy's C text reader reads a window only when ``float``, cell by cell,
+    reads it to the same bits, and leaves every fault to that path."""
+
+    @pytest.mark.parametrize("window", [1, 7, 1 << 10, 7 << 10, 1 << 16])
+    @pytest.mark.parametrize("cell", BULK_CELLS, ids=repr)
+    def test_matches_per_cell_path(self, tmp_path, monkeypatch, cell, window):
+        monkeypatch.setattr("conal.io._CSV_READ_BYTES", window)
+        path = tmp_path / "cells.csv"
+        _cell_file(path, cell)
+        bulk = _csv_outcome(path)
+        monkeypatch.setattr("conal.io._bulk_window", lambda lines, d: None)
+        assert bulk == _csv_outcome(path)
+        try:
+            with np.errstate(over="ignore"):
+                value = np.float32(float(cell))
+        except ValueError:
+            assert bulk.endswith(f"row {CELL_ROW}: unparseable feature value "
+                                 f"(could not convert string to float: {cell!r})")
+            return
+        if not np.isfinite(value):
+            assert bulk.endswith(f"row {CELL_ROW}: feature value {cell!r} is not a finite float32")
+        else:
+            ids, _, bits = bulk
+            assert bits[ids.index(f"r{CELL_ROW}")][2] == value.view(np.uint32)
+
+    @pytest.mark.parametrize("window", [1, 1 << 16])
+    def test_plain_file_reads_in_bulk(self, tmp_path, monkeypatch, window):
+        from conal.io import _window_by_cell
+
+        def blank_only(path, lines, rows, d):
+            assert not any(lines), "a window of rows went cell by cell"
+            return _window_by_cell(path, lines, rows, d)
+
+        monkeypatch.setattr("conal.io._CSV_READ_BYTES", window)
+        monkeypatch.setattr("conal.io._window_by_cell", blank_only)
+        path = tmp_path / "plain.csv"
+        _cell_file(path, " 1.5 ")
+        data = load_features(path, "csv")
+        assert data.n == ROWS - 1 and data.values[CELL_ROW - 2, 2] == 1.5
+
+
+def _reference_id_table(path, table: bytes, n: int, size: int) -> np.ndarray:
+    """The id-by-id read of a binary id table that the byte grid stands in for."""
+    offset, raw = 0, []
+    try:
+        for _ in range(n):
+            start = offset + 2
+            offset = start + (table[offset] | table[offset + 1] << 8)
+            raw.append(table[start:offset])
+    except IndexError:
+        raise DataError(f"{path}: truncated id table ({len(raw)} of {n} ids)") from None
+    if offset != len(table):
+        raise DataError(f"{path}: the id table ends at byte {size - len(table) + offset} "
+                        f"of {size}")
+    try:
+        return np.array([sid.decode("utf-8") for sid in raw], dtype=str)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: corrupt id table ({exc})") from None
+
+
+ID_TABLES = {
+    "fixed": [b"abc", b"def", b"ghi"],
+    "trailing_nul": [b"a\x00", b"b\x00", b"cd"],
+    "all_trailing_nul": [b"a\x00", b"\x00\x00"],
+    "embedded_nul": [b"a\x00b", b"ccc"],
+    "non_ascii": ["é".encode(), b"ab"],
+    "invalid_utf8": [b"\xff\xfe", b"ab"],
+    "one_empty": [b""],
+    "all_empty": [b"", b""],
+    "mixed": [b"ab", b"abc", b"a"],
+    "mixed_one_mean_width": [b"a", b"abc"],
+    "wide": [b"x" * 300, b"y" * 300],
+}
+
+
+class TestIdTableGrid:
+    @pytest.mark.parametrize("cut", ["whole", "last_byte", "last_id", "extra_byte"])
+    @pytest.mark.parametrize("name", list(ID_TABLES))
+    def test_matches_id_by_id_read(self, name, cut):
+        from conal.io import _read_id_table
+
+        raws = ID_TABLES[name]
+        table = b"".join(len(raw).to_bytes(2, "little") + raw for raw in raws)
+        table = {"whole": table, "last_byte": table[:-1], "extra_byte": table + b"a",
+                 "last_id": table[:-(2 + len(raws[-1]))]}[cut]
+        outcomes = []
+        for read in (_read_id_table, _reference_id_table):
+            try:
+                ids = read("f.bin", table, len(raws), 100 + len(table))
+                outcomes.append((ids.dtype, ids.tolist()))
+            except DataError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+# ids that csv.writer quotes, or writes as they are
+SCORE_IDS = ["a,b", 'say "hi"', "a\nb", "a\x00b", " lead", "a\tb", "é日本🙂", ""]
+
+
+class TestScoreRows:
+    @pytest.mark.parametrize("odd", [None] + SCORE_IDS, ids=repr)
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, odd):
+        import csv
+        import io
+
+        from conal.io import save_scores
+
+        rng = np.random.default_rng(1)
+        ids = [f"s{i}" for i in range(4100)]  # across a write block
+        if odd is not None:
+            ids[4097] = odd
+        predicted = rng.integers(0, 10, len(ids))
+        scores = rng.standard_normal(len(ids)) * 10.0 ** rng.integers(-20, 20, len(ids))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", "predicted_class", "score"])
+        writer.writerows(zip(ids, predicted.tolist(), scores.tolist()))
+        if odd is None or not set(odd) & set(',"\n'):
+            monkeypatch.setattr("conal.io.csv", None)  # the rows are formatted without it
+        path = tmp_path / "scores.csv"
+        save_scores(path, np.array(ids), predicted, scores)
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
