@@ -40,7 +40,8 @@ def first_repeat(ids: np.ndarray) -> int | None:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Dense n x d feature block with unique sample ids and optional labels."""
+    """Dense n x d feature block with unique sample ids and optional labels; the
+    ids are always ``str``: a ``<U`` array is kept, any other cast to its text."""
 
     values: np.ndarray
     ids: np.ndarray
@@ -50,7 +51,7 @@ class FeatureMatrix:
         values = np.asarray(self.values, dtype=np.float32)
         if values.ndim != 2:
             raise DataError(f"values must be 2-D, got shape {values.shape}")
-        ids = np.asarray(self.ids)
+        ids = np.asarray(self.ids).astype(str, copy=False)
         if ids.shape != (values.shape[0],):
             raise DataError("ids length does not match row count")
         labels = self.labels

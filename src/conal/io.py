@@ -7,10 +7,10 @@ Feature files
             values | (n LE u16 labels when labeled) | n ids, each a u16 LE
             byte length followed by UTF-8 bytes.
 
-Score files are CSV ``id,predicted_class,score`` with the score as ``repr``
-of its float64 value, quoted as ``csv.writer`` quotes; ids hold no CR.
-CSV values, one-width id tables and score rows take numpy's bulk C paths; other
-input goes cell by cell or id by id, a path kept for its exact errors.
+Score files are CSV ``id,predicted_class,score`` rows of one ``%s,%d,%r``
+template: a score is the ``repr`` of its float64, an id is quoted as
+``csv.writer`` quotes and holds no CR. CSV values and one-width id tables take
+numpy's bulk C paths; other input goes cell by cell or id by id, for exact errors.
 
 Checkpoints reuse the same little-endian framing under a ``MODL1`` magic:
 a u32-length JSON header (config echo plus an array manifest of
@@ -20,7 +20,6 @@ name/shape/dtype entries) followed by the raw arrays in manifest order.
 from __future__ import annotations
 
 import contextlib
-import csv
 import itertools
 import json
 import math
@@ -43,6 +42,7 @@ _CSV_BLOCK_ROWS = 4096  # CSV or score rows formatted per write, binary ids enco
 _CSV_READ_BYTES = 1 << 16  # bytes of whole lines read per window, split and parsed at once
 # ``,`` ends a CSV cell; the rest are every line break ``str.splitlines`` splits on
 _CSV_ID_BREAKS = re.compile("[,\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_CSV_QUOTED = re.compile('[,"\n]')  # what csv.writer quotes, bar the CR no score id holds
 
 
 def save_features(data: FeatureMatrix, path: str | Path, format: str = "binary") -> None:
@@ -88,9 +88,9 @@ def _save_binary(data: FeatureMatrix, path: Path) -> None:
 
 
 def _id_blocks(ids: np.ndarray):
-    """The ids as ``str`` lists, ``_CSV_BLOCK_ROWS`` ids at a time."""
+    """A FeatureMatrix's ``str`` ids as lists, ``_CSV_BLOCK_ROWS`` ids at a time."""
     for start in range(0, len(ids), _CSV_BLOCK_ROWS):
-        yield [str(sid) for sid in ids[start:start + _CSV_BLOCK_ROWS].tolist()]
+        yield ids[start:start + _CSV_BLOCK_ROWS].tolist()
 
 
 def _load_binary(path: Path) -> FeatureMatrix:
@@ -161,9 +161,9 @@ def _save_csv(data: FeatureMatrix, path: Path) -> None:
 
 def save_scores(path: str | Path, ids: np.ndarray, predicted: np.ndarray,
                 scores: np.ndarray) -> None:
-    """Write ``id,predicted_class,score`` rows as ``csv.writer`` writes them,
-    each float64 score of ``tolist()`` as its ``repr``; rows are formatted
-    ``%s,%d,%r`` a block at a time when no id holds what it quotes.
+    """Write ``id,predicted_class,score`` rows as ``csv.writer`` writes them:
+    ``%s,%d,%r`` a block at a time, a float64 score as its ``repr``, and an id
+    holding ``,``, ``"`` or LF wrapped in ``"``, each inner ``"`` doubled.
 
     ``csv.writer`` leaves an id holding a bare CR unquoted, and a CSV reader
     then splits its row in two; such an id is a data error, raised before
@@ -174,15 +174,15 @@ def save_scores(path: str | Path, ids: np.ndarray, predicted: np.ndarray,
         bad = next(sid for sid in id_list if "\r" in sid)
         raise DataError(f"score id {bad!r} holds a carriage return, which the "
                         "score CSV cannot carry")
+    if _CSV_QUOTED.search(joined):
+        id_list = ['"%s"' % sid.replace('"', '""') if _CSV_QUOTED.search(sid) else sid
+                   for sid in id_list]
     rows = zip(id_list, predicted.tolist(),
                np.asarray(scores, dtype=np.float64).tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("id,predicted_class,score\n")
-        if re.search('[,"\n]', joined):  # what csv.writer quotes
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-        else:
-            while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
-                fh.write("".join(["%s,%d,%r\n" % row for row in block]))
+        while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+            fh.write("".join(["%s,%d,%r\n" % row for row in block]))
 
 
 def _csv_windows(path: Path):
@@ -232,12 +232,11 @@ def _load_csv(path: Path) -> FeatureMatrix:
             f"{path}: row {rows[labels.index('')]}: empty label in a labeled file "
             "(label all rows or none)"
         )
-    id_arr = np.array(ids, dtype=str)
     try:
-        return FeatureMatrix(values, id_arr, parsed_labels)
+        return FeatureMatrix(values, ids, parsed_labels)
     except DataError:
         # a duplicate id gets its row number, which FeatureMatrix cannot give
-        repeat = first_repeat(id_arr)
+        repeat = first_repeat(np.array(ids))
         if repeat is not None:
             raise DataError(f"{path}: row {rows[repeat]}: duplicate id {ids[repeat]!r}") from None
         raise

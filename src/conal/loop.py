@@ -7,8 +7,8 @@ far, and evaluates the full metric suite. Runs are deterministic per seed;
 the initial random batch depends only on the seed, not the strategy, so
 strategies fork from identical starting pools.
 
-Sample ids are strings only at the boundary. On entry the pool is sorted by
-id, unless its ids already ascend (then it is used as given, with no copy),
+Sample ids are ``str``, as every ``FeatureMatrix`` holds them. On entry the
+pool is sorted by id, unless its ids already ascend (then it is used as given),
 so inside the loop a sample is its row index, and a row's order is its id's
 order: the selectors' ascending-id tie-break holds on rows.
 
@@ -116,7 +116,7 @@ class PoolState:
         return np.flatnonzero(~self.labeled)
 
     @property
-    def labeled_ids(self) -> list:
+    def labeled_ids(self) -> list[str]:
         return self.universe[self.labeled_rows].tolist()
 
     @property
@@ -124,7 +124,7 @@ class PoolState:
         return self.universe[~self.labeled]
 
     @property
-    def history(self) -> list[list]:
+    def history(self) -> list[list[str]]:
         return [self.universe[rows].tolist() for rows in self.batches]
 
     def acquire(self, rows) -> None:
@@ -184,13 +184,9 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
         raise ConfigError("subset_size exceeds the initial pool size")
     strategy = get_strategy(loop_config.strategy)
     loss_kind = loop_config.loss_override or strategy.default_loss
-    # from here on a sample is its row, and rows ascend with ids: sort only
-    # string ids that do not ascend yet, and convert any others
-    ids = pool.ids.astype(str, copy=False)
-    if ids is not pool.ids or not np.all(ids[:-1] < ids[1:]):
-        order = np.argsort(ids)
-        pool = FeatureMatrix(pool.values[order], ids[order],
-                             None if pool.labels is None else pool.labels[order])
+    # from here on a sample is its row, and rows ascend with ids
+    if not np.all(pool.ids[:-1] < pool.ids[1:]):
+        pool = pool.take(np.argsort(pool.ids))
     oracle = Oracle(pool)
     seed = loop_config.seed
     m_target = loop_config.acquisition_size
@@ -256,7 +252,8 @@ def _worker_count(n_cells: int) -> int:
 
     if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         return 1
-    return min(n_cells, len(os.sched_getaffinity(0)))
+    affinity = getattr(os, "sched_getaffinity", None)  # macOS can fork but has none
+    return min(n_cells, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def run_cells(pool: FeatureMatrix, test: FeatureMatrix, model_config: ModelConfig,

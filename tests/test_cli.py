@@ -300,6 +300,22 @@ class TestRun:
         assert len(calls) == 4
 
 
+class TestTracerBindings:
+    def test_perfbench_tracer_installs(self):
+        # perfbench/tracing.install wraps names that conal.cli and conal.loop bind
+        # but never call (stochastic_proba, featuresim_scores, fre_scores_batch,
+        # score_bald, score_entropy; in cli also encode_values, fit_class_pca and
+        # predict_proba_from_features) and loop.Oracle.label: removing one breaks
+        # `perfbench/run.py --trace 1`
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                           str(root / "perfbench")]))
+        proc = subprocess.run([sys.executable, "-c",
+                               "import tracing; tracing.install(tracing.Tracer())"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestReport:
     def test_report_outputs(self, tiny_config, tmp_path):
         main(["run", str(tiny_config)])

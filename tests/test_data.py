@@ -106,10 +106,17 @@ class TestFeatureMatrix:
         with pytest.raises(DataError, match="not unique"):
             FeatureMatrix(np.zeros((len(ids), 2)), np.array(ids))
 
-    @pytest.mark.parametrize("ids", [[3, 1, 2], ["", "a", "ab", "abc", "b", "\x00a"]])
+    @pytest.mark.parametrize("ids", [[3, 1, 2], ["", "a", "ab", "abc", "b", "\x00a"],
+                                     [1.5, -2.0], ["b", 7, None]])
     def test_distinct_ids_pass(self, ids):
         data = FeatureMatrix(np.zeros((len(ids), 2)), np.array(ids))
-        assert data.ids.tolist() == ids
+        assert data.ids.dtype.kind == "U"  # ids of any other dtype become their text
+        assert data.ids.tolist() == [str(sid) for sid in ids]  # [3, 1, 2] -> ["3", "1", "2"]
+
+    def test_str_ids_are_kept_without_a_copy(self):
+        ids = np.array(["b", "a", "c"])
+        assert FeatureMatrix(np.zeros((3, 2)), ids).ids is ids
+        assert np.shares_memory(FeatureMatrix(np.zeros((3, 2)), ids[::-1]).ids, ids)
 
     @pytest.mark.parametrize("ids, index", [
         (["c", "a", "b", "a", "c"], 3),

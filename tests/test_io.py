@@ -513,26 +513,40 @@ class TestIdTableGrid:
 SCORE_IDS = ["a,b", 'say "hi"', "a\nb", "a\x00b", " lead", "a\tb", "é日本🙂", ""]
 
 
+def _assert_scores_match_csv_writer(path, ids):
+    import csv
+    import io
+
+    from conal.io import save_scores
+
+    rng = np.random.default_rng(1)
+    predicted = rng.integers(0, 10, len(ids))
+    scores = rng.standard_normal(len(ids)) * 10.0 ** rng.integers(-20, 20, len(ids))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "predicted_class", "score"])
+    writer.writerows(zip(ids, predicted.tolist(), scores.tolist()))
+    save_scores(path, np.array(ids), predicted, scores)
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
 class TestScoreRows:
     @pytest.mark.parametrize("odd", [None] + SCORE_IDS, ids=repr)
-    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, odd):
-        import csv
-        import io
-
-        from conal.io import save_scores
-
-        rng = np.random.default_rng(1)
+    def test_bytes_match_csv_writer(self, tmp_path, odd):
         ids = [f"s{i}" for i in range(4100)]  # across a write block
         if odd is not None:
             ids[4097] = odd
-        predicted = rng.integers(0, 10, len(ids))
-        scores = rng.standard_normal(len(ids)) * 10.0 ** rng.integers(-20, 20, len(ids))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "predicted_class", "score"])
-        writer.writerows(zip(ids, predicted.tolist(), scores.tolist()))
-        if odd is None or not set(odd) & set(',"\n'):
-            monkeypatch.setattr("conal.io.csv", None)  # the rows are formatted without it
-        path = tmp_path / "scores.csv"
-        save_scores(path, np.array(ids), predicted, scores)
-        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+        _assert_scores_match_csv_writer(tmp_path / "scores.csv", ids)
+
+    @pytest.mark.parametrize("odd_rows", [
+        {10: "a,b", 11: 'say "hi"', 12: "plain", 4000: "a\nb", 4001: '""'},  # one block
+        {4095: "a,b", 4096: 'say "hi"'},  # both sides of the block edge
+        {4094: "x", 4095: "a\nb", 4096: "y", 4097: '"a","b"'},
+        {0: '"', 4099: ","},  # one-character ids, first and last row
+        {4095: ",", 4096: '"'},
+    ], ids=repr)
+    def test_quoted_ids_anywhere_match_csv_writer(self, tmp_path, odd_rows):
+        ids = [f"s{i}" for i in range(4100)]
+        for row, odd in odd_rows.items():
+            ids[row] = odd
+        _assert_scores_match_csv_writer(tmp_path / "scores.csv", ids)

@@ -1,11 +1,14 @@
+import json
 import pickle
 
 import numpy as np
 import pytest
 
-from conal.data import DatasetSpec, ShiftSpec, balanced_test_spec, generate_mixture, generate_ood
+from conal.data import (DatasetSpec, FeatureMatrix, ShiftSpec, balanced_test_spec,
+                        generate_mixture, generate_ood)
 from conal.errors import ConfigError, DataError
-from conal.loop import LoopConfig, Oracle, PoolState, run_active_learning
+from conal.loop import LoopConfig, Oracle, PoolState, _worker_count, run_active_learning
+from conal.metrics import write_reports_jsonl
 from conal.model import ModelConfig
 
 
@@ -159,6 +162,31 @@ class TestPoolBookkeeping:
         rows = [[{k: v for k, v in r.to_dict().items() if k != "query_wall_ms"}
                  for r in run.reports] for run in runs]
         assert rows[0] == rows[1] == rows[2]
+
+    def test_int_ids_report_as_their_str_twin(self, tmp_path):
+        pool, test, model = small_setup()
+        ints = np.random.default_rng(4).permutation(pool.n) * 7  # not ascending as text
+        reports = []
+        for name, ids in (("int", ints), ("str", ints.astype(str))):
+            run = run_active_learning(FeatureMatrix(pool.values, ids, pool.labels), test, model,
+                                      quick_loop("featuresim"),
+                                      shifts=[ShiftSpec("feature_scale", 2)])
+            write_reports_jsonl(run.reports, tmp_path / f"{name}.jsonl")
+            rows = map(json.loads, (tmp_path / f"{name}.jsonl").read_text().splitlines())
+            reports.append(([{k: v for k, v in row.items() if k != "query_wall_ms"}
+                             for row in rows], run.pool.history))
+        assert reports[0] == reports[1]
+        assert all(isinstance(sid, str) for sid in reports[0][1][0])
+
+
+class TestWorkerCount:
+    def test_cpu_count_without_sched_getaffinity(self, monkeypatch):
+        import os
+        import threading
+
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS, which can fork
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        assert _worker_count(4) == min(4, os.cpu_count())
 
 
 class TestDeterminism:
