@@ -167,7 +167,9 @@ class ExperimentConfig:
                     raise ConfigError(f"data.{label}_path does not exist: {p}")
             if self.ood_path is not None and not Path(self.ood_path).exists():
                 raise ConfigError(f"data.ood_path does not exist: {self.ood_path}")
-        elif self.source != "synthetic":
+        elif self.source == "synthetic":
+            self.dataset.validate()
+        else:
             raise ConfigError("data.source must be 'synthetic' or 'files'")
         self.model.validate()
         self.loop.validate()

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .seeding import rng_for
 
-_STRINGS = np.strings if hasattr(np, "strings") else np.char  # numpy 2 loads np.char lazily
 SHIFT_KINDS = ("additive_gaussian", "feature_scale", "feature_dropout_mask", "mean_drift")
 
 # Intensity 1..5 magnitude schedules. The corruption protocol this mirrors
@@ -85,9 +84,6 @@ class FeatureMatrix:
             None if self.labels is None else self.labels[indices],
         )
 
-    def without_labels(self) -> "FeatureMatrix":
-        return FeatureMatrix(self.values, self.ids, None)
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -113,6 +109,9 @@ class DatasetSpec:
             raise ConfigError(f"need at least 2 dimensions, got d={self.d}")
         if self.d < self.k:
             raise ConfigError(f"d={self.d} < k={self.k}: class centers need one axis each")
+        for name in ("imbalance_ratio", "class_separation", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.imbalance_ratio < 1.0:
             raise ConfigError(f"imbalance_ratio must be >= 1, got {self.imbalance_ratio}")
         if self.n_per_class < 1:
@@ -156,7 +155,7 @@ def _row_ids(prefix: str, rows: np.ndarray) -> np.ndarray:
     ids = np.empty(len(rows), dtype=f"<U{len(prefix) + width}")
     for start in range(0, len(rows), 1024):  # blocks under malloc's 128 KiB mmap threshold
         block = rows[start:start + 1024].astype(f"<U{width}")
-        ids[start:start + 1024] = _STRINGS.add(prefix, _STRINGS.zfill(block, 8))
+        ids[start:start + 1024] = np.strings.add(prefix, np.strings.zfill(block, 8))
     return ids
 
 
@@ -235,12 +234,10 @@ def apply_shift(data: FeatureMatrix, shift: ShiftSpec, seed: int) -> FeatureMatr
     elif shift.kind == "feature_dropout_mask":
         keep = rng.random(x.shape) >= mag
         shifted = x * keep
-    elif shift.kind == "mean_drift":
+    else:  # mean_drift, the last kind ShiftSpec admits
         direction = rng.standard_normal(data.d)
         direction /= np.linalg.norm(direction)
         shifted = x + mag * direction
-    else:  # pragma: no cover - ShiftSpec already validates
-        raise ConfigError(f"unknown shift kind {shift.kind!r}")
     return FeatureMatrix(np.asarray(shifted, dtype=np.float32), data.ids, data.labels)
 
 

@@ -70,10 +70,6 @@ class LoopConfig:
         if self.loss_override is not None and self.loss_override not in LOSS_KINDS:
             raise ConfigError(f"loss_override must be one of {LOSS_KINDS}")
 
-    @property
-    def iterations(self) -> int:
-        return self.budget // self.acquisition_size
-
 
 class Oracle:
     """Ground-truth label lookups by row of the pool universe."""
@@ -189,7 +185,9 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
         pool = pool.take(np.argsort(pool.ids))
     oracle = Oracle(pool)
     seed = loop_config.seed
-    m_target = loop_config.acquisition_size
+    m = loop_config.acquisition_size
+    # every batch size, fixed up front: a budget past the pool ends on a short batch
+    sizes = [min(m, pool.n - s) for s in range(0, min(loop_config.budget, pool.n), m)]
 
     if shifts is None:
         shifts = full_shift_suite()
@@ -203,13 +201,8 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     reports: list[IterationReport] = []
     truncated = False
 
-    for t in range(1, loop_config.iterations + 1):
-        n_unlabeled = pool.n - np.count_nonzero(pool_state.labeled)
-        if n_unlabeled == 0:
-            break
-        m_now = min(m_target, n_unlabeled)
-        truncated = m_now < m_target  # the last iteration: the loop stops after it
-
+    for t, m_now in enumerate(sizes, start=1):
+        truncated = m_now < m  # only the last batch can be short
         if t == 1:
             cost = QueryCost(0, 0.0)
             selection = SelectionResult(select_random(
@@ -219,7 +212,7 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
                 state, pool, pool_state, loop_config, strategy, t, m_now, ctx,
             )
         pool_state.acquire(selection.ids)
-        pool_state.check_invariants(m_target, truncated)
+        pool_state.check_invariants(m, truncated)
 
         labeled_rows = pool_state.labeled_rows
         train_labels = oracle.label(labeled_rows)
@@ -235,8 +228,6 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
             oracle.label(pool_state.batches[-1]),
             model_config.n_classes, strategy, seed, cost, selection, t, ctx, truncated,
         ))
-        if truncated:
-            break
 
     return RunResult(reports, pool_state, state, truncated)
 

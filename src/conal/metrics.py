@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 MCE_NORMALIZATION = "none"  # plain mean error; no baseline-model normalization
+ECE_BINS = 15
 
 
 def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -25,8 +26,8 @@ def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float((probs.argmax(axis=1) == labels).mean())
 
 
-def ece(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> float:
-    """Expected calibration error over equal-width confidence bins.
+def ece(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Expected calibration error over ``ECE_BINS`` equal-width confidence bins.
 
     Confidence is the max class probability; each nonempty bin contributes
     its sample share times |accuracy - mean confidence|.
@@ -36,18 +37,16 @@ def ece(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> float:
     n = probs.shape[0]
     if n == 0:
         raise DataError("ece undefined for empty input")
-    if n_bins < 1:
-        raise ConfigError("n_bins must be positive")
     sums = probs.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-4:
         raise DataError("probability rows must sum to 1")
     conf = probs.max(axis=1)
     correct = (probs.argmax(axis=1) == labels).astype(np.float64)
-    # bin b covers [b/n_bins, (b+1)/n_bins); confidence 1.0 joins the last bin
-    idx = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
-    nonzero = np.bincount(idx, minlength=n_bins) > 0
-    gaps = np.abs(np.bincount(idx, weights=correct, minlength=n_bins)[nonzero]
-                  - np.bincount(idx, weights=conf, minlength=n_bins)[nonzero])
+    # bin b covers [b/ECE_BINS, (b+1)/ECE_BINS); confidence 1.0 joins the last bin
+    idx = np.minimum((conf * ECE_BINS).astype(np.int64), ECE_BINS - 1)
+    nonzero = np.bincount(idx, minlength=ECE_BINS) > 0
+    gaps = np.abs(np.bincount(idx, weights=correct, minlength=ECE_BINS)[nonzero]
+                  - np.bincount(idx, weights=conf, minlength=ECE_BINS)[nonzero])
     return float(gaps.sum() / n)
 
 

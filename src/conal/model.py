@@ -228,14 +228,12 @@ def dropout_passes(state: ModelState, values: np.ndarray, tau: int, seed: int = 
     for _ in range(tau):
         for rows in blocks:
             h = hidden[rows]
-            if rate != 0.0:
-                m, k = masked[:len(h)], keep[:len(h)]
-                rng.random(out=m)
-                np.greater_equal(m, rate, out=k)
-                np.divide(k, 1.0 - rate, out=m)
-                m *= h
-                h = m
-            z[rows] = h @ state.w2 + state.b2
+            m, k = masked[:len(h)], keep[:len(h)]
+            rng.random(out=m)
+            np.greater_equal(m, rate, out=k)
+            np.divide(k, 1.0 - rate, out=m)
+            m *= h
+            z[rows] = m @ state.w2 + state.b2
         state.forward_pass_count += len(blocks)
         yield predict_proba_from_features(state, z)
 

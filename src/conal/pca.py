@@ -45,9 +45,6 @@ class ClassPcaModel:
     d: int
     classes: dict[int, ClassSubspace]
 
-    def fitted(self, k: int) -> bool:
-        return k in self.classes
-
 
 def class_covariance_eig(centered: np.ndarray):
     """Descending eigenpairs of the sample covariance (1/(n-1)) of centered rows.
@@ -127,7 +124,7 @@ def fre_scores(model: ClassPcaModel, z: np.ndarray, k: int,
                rows: np.ndarray | None = None) -> np.ndarray:
     """Vectorized residual norms of the queries ``z[rows]`` (every row of z by
     default) against class k."""
-    if not model.fitted(k):
+    if k not in model.classes:
         raise UsageError(f"class {k} has no fitted subspace")
     sub = model.classes[k]
     z = np.asarray(z, dtype=np.float64)

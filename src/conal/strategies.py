@@ -141,7 +141,7 @@ def fre_scores_batch(z_query: np.ndarray, predicted: np.ndarray, pca_model: Clas
     scores = np.empty(z_query.shape[0])
     for k in np.unique(predicted):
         rows = np.flatnonzero(predicted == k)
-        if pca_model.fitted(int(k)):
+        if int(k) in pca_model.classes:
             scores[rows] = fre_scores(pca_model, z_query, int(k), rows)
         else:
             logger.warning(

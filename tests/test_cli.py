@@ -771,6 +771,35 @@ class TestFailureHandling:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [key for key, (kind, _) in _KEYS.items() if kind is float])
+    def test_nonfinite_float_key_exits_2(self, tmp_path, capsys, command, raw, key):
+        kept = [line for line in TINY_CONFIG.splitlines() if line.split("=")[0].strip() != key]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(kept + [f"{key} = {raw}", f"run.out = {tmp_path / 'o'}"])
+                       + "\n")
+        assert main([command, str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_budget_past_the_pool_ends_on_a_truncated_row(self, tmp_path):
+        # a pool of 60 + 42 + 30 = 132 rows: 13 batches of 10, then the last 2
+        edits = {"data.k": 3, "data.d": 4, "data.imbalance_ratio": 2, "loop.budget": 140,
+                 "loop.acquisition_size": 10, "loop.subset_size": 30,
+                 "run.strategies": "random", "run.seeds": 0, "run.out": tmp_path / "o"}
+        kept = [line for line in TINY_CONFIG.splitlines() if line.split("=")[0].strip() not in edits]
+        cfg = tmp_path / "exhaust.cfg"
+        cfg.write_text("\n".join(kept + [f"{key} = {value}" for key, value in edits.items()])
+                       + "\n")
+        assert main(["run", str(cfg)]) == 0
+        cell = tmp_path / "o" / "random_seed0"
+        rows = [json.loads(line) for line in (cell / "report.jsonl").read_text().splitlines()]
+        assert len(rows) == 14
+        assert [row["truncated"] for row in rows] == [False] * 13 + [True]
+        assert rows[-1]["labeled_count"] == 132
+        assert not list(cell.glob("*.tmp"))
+
     def test_nonfinite_training_fails_every_cell(self, tmp_path, capsys):
         # the config is valid, but every cell's weights overflow in training
         cfg = self._files_config(tmp_path, lambda name, fm: fm)

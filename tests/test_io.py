@@ -34,7 +34,7 @@ class TestBinaryFormat:
 
     def test_unlabeled_round_trip(self, labeled, tmp_path):
         path = tmp_path / "feats.bin"
-        save_features(labeled.without_labels(), path, "binary")
+        save_features(FeatureMatrix(labeled.values, labeled.ids), path, "binary")
         back = load_features(path, "binary")
         assert back.labels is None
         assert np.array_equal(back.values, labeled.values)
@@ -119,7 +119,8 @@ class TestTruncation:
     def test_feature_file_cut_anywhere(self, with_labels, tmp_path):
         data = generate_mixture(DatasetSpec(k=2, d=2, n_per_class=3, seed=5), id_prefix="é-")
         path = tmp_path / "feats.bin"
-        save_features(data if with_labels else data.without_labels(), path, "binary")
+        save_features(data if with_labels else FeatureMatrix(data.values, data.ids), path,
+                      "binary")
         blob = path.read_bytes()
         cut = tmp_path / "cut.bin"
         for size in range(len(blob)):

@@ -321,7 +321,7 @@ class TestEncodeOnce:
         config = quick_loop(strategy)
         run_active_learning(pool, test, model, config, ood=ood, shifts=shifts)
 
-        info, iterations = get_strategy(strategy), config.iterations
+        info, iterations = get_strategy(strategy), config.budget // config.acquisition_size
         named = {key(test.values): "test", key(ood.values): "ood"}
         named.update({key(apply_shift(test, spec, conal.loop.SHIFT_SEED).values): str(spec)
                       for spec in shifts})
@@ -362,5 +362,5 @@ class TestModes:
     def test_unlabeled_test_rejected(self):
         pool, test, model = small_setup()
         with pytest.raises(DataError):
-            run_active_learning(pool, test.without_labels(), model,
+            run_active_learning(pool, FeatureMatrix(test.values, test.ids), model,
                                 quick_loop("random"), shifts=[])

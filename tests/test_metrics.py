@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conal.metrics
 from conal.errors import DataError
 from conal.metrics import (IterationReport, QueryCost, accuracy, auroc, brier,
                            ece, mce, nll, read_reports_jsonl, sampling_bias,
@@ -40,15 +41,19 @@ class TestEce:
         perm = rng.permutation(50)
         assert ece(probs[perm], labels[perm]) == pytest.approx(base, abs=1e-12)
 
-    def test_bin_refinement_on_model_like_data(self):
+    def test_bin_refinement_on_model_like_data(self, monkeypatch):
         # on roughly calibrated data, doubling the bin count moves ece by
         # at most the coarse bin width
         rng = np.random.default_rng(1)
         probs = rng.dirichlet(np.ones(4) * 2, size=2000)
         labels = np.array([rng.choice(4, p=row) for row in probs])
+
+        def ece_with(bins):
+            monkeypatch.setattr(conal.metrics, "ECE_BINS", bins)
+            return ece(probs, labels)
+
         for bins in (5, 10, 15):
-            delta = abs(ece(probs, labels, bins) - ece(probs, labels, 2 * bins))
-            assert delta <= 1.0 / bins
+            assert abs(ece_with(bins) - ece_with(2 * bins)) <= 1.0 / bins
 
     def test_empty_input_errors(self):
         with pytest.raises(DataError):
