@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -28,11 +27,12 @@ from .data import (DEFAULT_SHIFT_MAGNITUDES, balanced_test_spec, full_shift_suit
 from .errors import ConalError, ConfigError, DataError
 from .io import load_features, save_features, save_scores
 from .loop import run_cells, scorer_input, scoring_context
-from .metrics import CURVE_METRICS, MCE_NORMALIZATION, read_reports_jsonl, write_reports_jsonl
+from .metrics import MCE_NORMALIZATION, read_reports_jsonl, write_reports_jsonl
 # names imported but not called here stay bound for perfbench/tracing.py to wrap
 from .loop import run_active_learning
 from .model import encode_values, load_model, predict_proba_from_features, stochastic_proba
 from .pca import fit_class_pca
+from .report import curves_table, report_tables, write_table
 from .strategies import (VALID_STRATEGIES, featuresim_scores, fre_scores_batch,
                          get_strategy, score_bald, score_entropy)
 
@@ -188,7 +188,7 @@ def cmd_run(args) -> None:
               f"final accuracy {result.reports[-1].accuracy:.4f}")
     if failures:
         raise failures[0]
-    _write_curves(_read_cells(cell_dirs), out / "curves.csv")
+    write_table(curves_table(_read_cells(cell_dirs)), out / "curves.csv")
     print(f"run complete: {out}")
 
 
@@ -206,87 +206,18 @@ def _read_cells(cell_dirs) -> list[tuple[str, int, list[dict]]]:
     return cells
 
 
-def _curve_values(cells):
-    """(strategy, seed, iteration, metric, value) of each non-null curve value, in cell order."""
-    for strategy, seed, rows in cells:
-        for row in rows:
-            for metric in CURVE_METRICS:
-                if row[metric] is not None:
-                    yield strategy, seed, row["iteration"], metric, row[metric]
-
-
-def _group(cells) -> dict[tuple, list]:
-    """(strategy, iteration, metric) -> its values across seeds, in ascending seed order.
-
-    One order for every table: ``curves.csv`` (cells in config order) and the
-    report tables (cells in directory-name order) then sum alike.
-    """
-    groups: dict[tuple, list] = {}
-    for strategy, _, iteration, metric, value in _curve_values(sorted(cells, key=_seed)):
-        groups.setdefault((strategy, iteration, metric), []).append(value)
-    return groups
-
-
-def _seed(cell) -> int:
-    return cell[1]
-
-
-def _mean_std(values) -> list[str]:
-    """[mean, sample std (ddof=1)] as text, ["", ""] for no values; one value's std is 0.0."""
-    if not values:
-        return ["", ""]
-    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return [repr(float(np.mean(values))), repr(std)]
-
-
-def _write_curves(cells, path) -> None:
-    """One row per (cell, iteration, metric value), with the mean and std across seeds."""
-    groups = _group(cells)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["strategy", "seed", "iteration", "metric", "value", "mean", "std"])
-        for strategy, seed, iteration, metric, value in _curve_values(cells):
-            writer.writerow([strategy, seed, iteration, metric, repr(value)]
-                            + _mean_std(groups[(strategy, iteration, metric)]))
-
-
 def cmd_report(args) -> None:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise DataError(f"run directory not found: {run_dir}")
-    cells = sorted(_read_cells(sorted(p for p in run_dir.iterdir()
-                                      if p.is_dir() and (p / "report.jsonl").exists())),
-                   key=_seed)
+    cells = _read_cells(sorted(p for p in run_dir.iterdir()
+                               if p.is_dir() and (p / "report.jsonl").exists()))
     if not cells:
         raise DataError(f"no run cells with report.jsonl under {run_dir}")
-
-    strategies = sorted({strategy for strategy, _, _ in cells})
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)
-
-    final_metrics = ("accuracy", "auroc_ood", "mce", "ece", "sampling_bias")
-    with open(report_dir / "summary_final.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["strategy"] + [f"{m}_{s}" for m in final_metrics
-                                        for s in ("mean", "std")])
-        for strategy in strategies:
-            finals = [rows[-1] for name, _, rows in cells if name == strategy]
-            row = [strategy]
-            for metric in final_metrics:
-                row += _mean_std([r[metric] for r in finals if r[metric] is not None])
-            writer.writerow(row)
-
-    groups = _group(cells)
-    iterations = sorted({row["iteration"] for _, _, rows in cells for row in rows})
-    for metric in CURVE_METRICS:
-        with open(report_dir / f"curve_{metric}.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iteration"] + [f"{strategy}_{s}" for strategy in strategies
-                                             for s in ("mean", "std")])
-            for iteration in iterations:
-                writer.writerow([iteration] + [
-                    cell for strategy in strategies
-                    for cell in _mean_std(groups.get((strategy, iteration, metric), []))])
+    for name, rows in report_tables(cells).items():
+        write_table(rows, report_dir / name)
     print(f"wrote summary tables to {report_dir}")
 
 

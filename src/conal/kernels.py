@@ -37,8 +37,8 @@ def kcenter_greedy(points: np.ndarray, min_sq_dist: np.ndarray, m: int) -> np.nd
     """Pick ``m`` row indices by farthest-point traversal.
 
     ``min_sq_dist`` holds each row's squared distance to its nearest existing
-    center; rows already covered exactly (distance 0) are never re-picked.
-    Ties go to the lowest row index.
+    center, -inf for a row never to pick. No row is picked twice, even once
+    every distance left is 0. Ties go to the lowest row index.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     picks = np.empty(m, dtype=np.int64)
@@ -49,6 +49,7 @@ def kcenter_greedy(points: np.ndarray, min_sq_dist: np.ndarray, m: int) -> np.nd
         picks[j] = idx
         np.subtract(points, points[idx], out=diff)
         np.minimum(current, np.einsum("nd,nd->n", diff, diff), out=current)
+        current[idx] = -np.inf  # its distance is 0: argmax of all zeros would pick it again
     return picks
 
 

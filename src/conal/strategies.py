@@ -339,9 +339,8 @@ def select_kcenter_greedy(unlabeled_values: np.ndarray, unlabeled_ids: np.ndarra
         first = int(np.argmax(np.einsum("nd,nd->n", to_mean, to_mean)))
         diff = values - values[first]
         min_d2 = np.einsum("nd,nd->n", diff, diff)
-        picks = [first]
-        if m > 1:
-            picks.extend(kernels.kcenter_greedy(values, min_d2, m - 1).tolist())
+        min_d2[first] = -np.inf
+        picks = [first] + kernels.kcenter_greedy(values, min_d2, m - 1).tolist()
     else:
         min_d2 = kernels.nearest_sq_dist(values, labeled_values)
         picks = kernels.kcenter_greedy(values, min_d2, m).tolist()

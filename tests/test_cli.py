@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -14,12 +15,14 @@ import pytest
 from conal.cli import main
 from conal.config import (_KEYS, build_experiment, echo_config, load_config_file,
                           parse_config_text)
-from conal.data import DatasetSpec, FeatureMatrix, generate_mixture
+from conal.data import (SHIFT_KINDS, DatasetSpec, FeatureMatrix, class_sizes,
+                        generate_mixture)
 from conal.errors import ConfigError
 from conal.io import load_features, read_container, save_features, write_container
 from conal.loop import LoopConfig
 from conal.metrics import IterationReport
-from conal.model import ModelConfig, init_model, save_model, train
+from conal.model import LOSS_KINDS, ModelConfig, init_model, save_model, train
+from conal.strategies import VALID_STRATEGIES
 
 TINY_CONFIG = """
 # tiny experiment for tests
@@ -338,6 +341,34 @@ class TestReport:
         with open(tmp_path / "o1" / "report" / "summary_final.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert all(float(r["accuracy_std"]) == 0.0 for r in rows)
+
+    # SHA-256 of curves.csv and of each report/*.csv of the run below; a change
+    # that keeps the tables' behaviour leaves every byte alone
+    TABLE_DIGESTS = {
+        "curves.csv": "a5a82d621e118a19c4b99172e73c598f46ab3728f1ef46e78de0747f822f983d",
+        "curve_accuracy.csv": "7c600d7cbfd77f4f5adef6c15d5226c3e7ed32b51bbf3bd4a6210025265ebe34",
+        "curve_auroc_ood.csv": "38579e7cb623956c53322c3e520f4e0bd48719d46853faace9a29bc43bf765d3",
+        "curve_brier.csv": "c67266539043b1a917dbc0f6e9675f2ea82028b89b790ab5531dd673e4fc324b",
+        "curve_ece.csv": "e0e04b928355350ec21aa190aed3b61b3bfe25d54c4813d131a9d24b1130b2a2",
+        "curve_mce.csv": "076ea5a29e05420d66c2fdaf1791092ef6af604fd28169a85c1ba3684ffb2607",
+        "curve_nll.csv": "3bf6c6e66b86efcc216827cdc44d2212c11e29db871fdb7501dfe1e365cd24aa",
+        "curve_sampling_bias.csv":
+            "b33fb8809e706b44ec80da9bfbb37c738ee4f6abead5337b3dbc118f5182fb02",
+        "summary_final.csv": "e338299857a178f039456b8efa2d9364bbdee7a8f8a466fc5c390361437c1edc",
+    }
+
+    def test_table_bytes_pinned(self, tmp_path):
+        cfg = tmp_path / "pin.cfg"
+        cfg.write_text(TINY_CONFIG.replace("run.strategies = featuresim,random",
+                                           "run.strategies = random,coreset,featuresim")
+                       .replace("run.seeds = 0,1", "run.seeds = 1,0")
+                       + f"run.out = {tmp_path / 'pin'}\n")
+        assert main(["run", str(cfg)]) == 0
+        assert main(["report", str(tmp_path / "pin")]) == 0
+        tables = [tmp_path / "pin" / "curves.csv"] + \
+            sorted((tmp_path / "pin" / "report").iterdir())
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tables}
+        assert digests == self.TABLE_DIGESTS, f"table bytes changed: new digests {digests}"
 
     def test_missing_run_dir_exits_3(self, tmp_path):
         assert main(["report", str(tmp_path / "nowhere")]) == 3
@@ -917,6 +948,79 @@ class TestMutationFuzz:
             outcomes[kind] = {code: codes.count(code) for code in sorted(set(codes))}
         assert not fours, fours[:3]
         assert all(0 in seen and len(seen) > 1 for seen in outcomes.values()), outcomes
+
+
+class TestConfigFuzz:
+    CONFIGS = 300
+
+    @staticmethod
+    def _config(rng) -> dict:
+        """A seeded small config: k 2-4, d up to 6, n_per_class 5-80, epochs 0-3, lr up
+        to 1e5, any strategy and loss. One in four then breaks one rule."""
+        def pick(options):
+            return options[int(rng.integers(len(options)))]
+
+        k, m, d_feat = int(rng.integers(2, 5)), int(rng.integers(1, 13)), int(rng.integers(1, 7))
+        values = {
+            "data.k": k, "data.d": int(rng.integers(k, 7)),
+            "data.n_per_class": int(rng.integers(5, 81)),
+            "data.imbalance_ratio": pick([1.0, 3.0, 20.0]),
+            "data.class_separation": pick([0.5, 4.0]), "data.seed": int(rng.integers(100)),
+            "data.test_n_per_class": int(rng.integers(2, 8)), "data.ood_n": pick([0, 8]),
+            "model.d_hidden": int(rng.integers(2, 9)), "model.d_feat": d_feat,
+            "model.d_proj": int(rng.integers(1, d_feat + 1)),
+            "model.epochs": int(rng.integers(0, 4)), "model.batch_size": pick([1, 8, 64]),
+            "model.lr": pick([0.01, 0.1, 1.0, 1e3, 1e5]),
+            "loop.acquisition_size": m, "loop.budget": m * int(rng.integers(1, 4)),
+            "loop.subset_size": m + int(rng.integers(0, 40)), "loop.tau": int(rng.integers(2, 4)),
+            "loop.loss_override": pick(LOSS_KINDS + (None,)),
+            "shift.kinds": pick(SHIFT_KINDS), "shift.intensities": pick([1, 5]),
+            "run.strategies": pick(VALID_STRATEGIES), "run.seeds": int(rng.integers(10)),
+        }
+        if rng.random() < 0.25:
+            key, value = pick([("data.d", 1), ("data.d", k - 1), ("loop.tau", 1),
+                               ("model.d_proj", d_feat + 1), ("loop.budget", m + 1),
+                               ("loop.subset_size", m - 1), ("model.epochs", -1),
+                               ("data.imbalance_ratio", 0.5), ("model.lr", "nan")])
+            values[key] = value
+        return {key: str(value) for key, value in values.items() if value is not None}
+
+    # diverging training overflows, and a one-row class gets a mean-only subspace
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    def test_every_config_runs_to_its_end_or_is_rejected(self, tmp_path, capsys):
+        """A config ``build_experiment`` rejects, or whose pool cannot be drawn or is
+        smaller than its subset, exits 2. Any other exits 0 with one report row per
+        scheduled batch, or exits 3 because training diverged. Nothing exits 4."""
+        rng = np.random.default_rng(2027)
+        outcomes = []
+        for i in range(self.CONFIGS):
+            values = self._config(rng)
+            values["run.out"] = str(tmp_path / f"r{i}")
+            cfg = tmp_path / f"c{i}.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+            try:
+                config = build_experiment(values)
+                pool = sum(class_sizes(config.dataset))
+            except ConfigError:
+                config = None
+            code = main(["run", str(cfg)])
+            err = capsys.readouterr().err
+            if config is None or config.loop.subset_size > pool:
+                assert code == 2, (values, err)
+            elif code == 3:
+                assert "non-finite weights" in err and "after training" in err, (values, err)
+            else:
+                assert code == 0, (values, err)
+                loop = config.loop
+                batches = -(-min(loop.budget, pool) // loop.acquisition_size)
+                cell = f"{config.strategies[0]}_seed{config.seeds[0]}"
+                lines = (tmp_path / f"r{i}" / cell / "report.jsonl").read_text().splitlines()
+                assert len(lines) == batches, values
+            outcomes.append((code, values["run.strategies"], values.get("loop.loss_override")))
+        assert {code for code, _, _ in outcomes} == {0, 2, 3}
+        finished = [outcome[1:] for outcome in outcomes if outcome[0] == 0]
+        assert {s for s, _ in finished} == set(VALID_STRATEGIES)
+        assert {loss for _, loss in finished} == set(LOSS_KINDS) | {None}
 
 
 def test_benchmark_tracer_installs():

@@ -31,6 +31,12 @@ def test_max_dot_rejects_empty_refs(rng):
         kernels.max_dot(rng.standard_normal((3, 4)), np.zeros((0, 4)))
 
 
+def test_kcenter_greedy_never_picks_a_row_twice():
+    # once every distance left is 0, argmax would return an already-picked row
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    assert kernels.kcenter_greedy(pts, np.full(4, np.inf), 3).tolist() == [0, 2, 1]
+
+
 def test_nearest_sq_dist_matches_brute_force(rng):
     points = rng.standard_normal((40, 5))
     centers = rng.standard_normal((300, 5))  # more than one 256-row chunk

@@ -251,6 +251,21 @@ class TestBudgetEdges:
         assert len(result.pool.history[-1]) == 20  # the partial remainder
 
 
+class TestRepeatedValues:
+    def test_coreset_over_repeated_rows_runs_to_its_end(self):
+        """Pool rows whose values repeat in groups of 8 (ids distinct) leave a
+        subset with fewer distinct features than a batch; k-center still picks
+        each row once."""
+        ds = DatasetSpec(k=4, d=8, n_per_class=40, imbalance_ratio=1.0,
+                         class_separation=4.0, seed=0)
+        pool = generate_mixture(ds, id_prefix="tr-")
+        first = np.arange(pool.n) // 8 * 8
+        pool = FeatureMatrix(pool.values[first], pool.ids, pool.labels[first])
+        _, test, model = small_setup()
+        result = run_active_learning(pool, test, model, quick_loop("coreset"), shifts=[])
+        assert [r.labeled_count for r in result.reports] == [20, 40, 60]
+
+
 class TestReports:
     def test_report_fields_populated(self):
         pool, test, model = small_setup()

@@ -293,6 +293,15 @@ class TestKCenterGreedy:
         picks = select_kcenter_greedy(points, self._ids(3), np.array([[0.0, 0.0]]), 1)
         assert picks == ["p002"]
 
+    def test_fewer_distinct_points_than_picks_never_repeat(self):
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        assert select_kcenter_greedy(pts, np.arange(4), pts[[0, 2]], 2) == [0, 1]
+
+    def test_first_pick_without_labeled_seeds_never_repeats(self):
+        # with no labeled seeds the first pick is made outside the kernel
+        assert select_kcenter_greedy(np.zeros((3, 2)), np.arange(3), np.empty((0, 2)), 2) \
+            == [0, 1]
+
     def test_ascending_ids_copy_no_points(self):
         """Ids that already ascend, as the loop's subset rows do, skip the id
         sort, and one n x d distance buffer serves every pick. The traced peak
