@@ -25,7 +25,7 @@ from .config import (ExperimentConfig, build_experiment, echo_config,
 from .data import (DEFAULT_SHIFT_MAGNITUDES, balanced_test_spec, full_shift_suite,
                    generate_mixture, generate_ood)
 from .errors import ConalError, ConfigError, DataError
-from .io import load_features, save_features, save_scores
+from .io import load_features, replacing, save_features, save_scores
 from .loop import run_cells, scorer_input, scoring_context
 from .metrics import MCE_NORMALIZATION, read_reports_jsonl, write_reports_jsonl
 # names imported but not called here stay bound for perfbench/tracing.py to wrap
@@ -162,8 +162,8 @@ def cmd_run(args) -> None:
     shifts = full_shift_suite(config.shift_kinds, config.shift_intensities)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.cfg").write_text(echo_config(config, _meta(config)),
-                                      encoding="utf-8")
+    with replacing(out / "manifest.cfg", "w", encoding="utf-8") as fh:
+        fh.write(echo_config(config, _meta(config)))
 
     cells = [replace(config.loop, strategy=strategy, seed=seed)
              for strategy in config.strategies for seed in config.seeds]
@@ -172,15 +172,15 @@ def cmd_run(args) -> None:
         cell_dir.mkdir(parents=True, exist_ok=True)
         cell_meta = _meta(config)
         cell_meta.update({"strategy": cell.strategy, "seed": cell.seed})
-        (cell_dir / "manifest.cfg").write_text(echo_config(config, cell_meta),
-                                               encoding="utf-8")
+        with replacing(cell_dir / "manifest.cfg", "w", encoding="utf-8") as fh:
+            fh.write(echo_config(config, cell_meta))
     outcomes = run_cells(train, test, config.model, cells, ood=ood, shifts=shifts)
 
     failures = []
     for cell, cell_dir, result in zip(cells, cell_dirs, outcomes):
         if isinstance(result, BaseException):
-            (cell_dir / "FAILED.txt").write_text(f"{type(result).__name__}: {result}\n",
-                                                 encoding="utf-8")
+            with replacing(cell_dir / "FAILED.txt", "w", encoding="utf-8") as fh:
+                fh.write(f"{type(result).__name__}: {result}\n")
             failures.append(result)
             continue
         write_reports_jsonl(result.reports, cell_dir / "report.jsonl")

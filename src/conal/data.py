@@ -102,7 +102,8 @@ class DatasetSpec:
     noise_sigma: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def validate(self) -> list[int]:
+        """The per-class sizes, once every field and the smallest size are checked."""
         if self.k < 2:
             raise ConfigError(f"need at least 2 classes, got k={self.k}")
         if self.d < 2:
@@ -118,6 +119,12 @@ class DatasetSpec:
             raise ConfigError("n_per_class must be positive")
         if self.noise_sigma <= 0 or self.class_separation <= 0:
             raise ConfigError("noise_sigma and class_separation must be positive")
+        sizes = [_round_half_up(self.n_per_class * self.imbalance_ratio ** (-k / (self.k - 1)))
+                 for k in range(self.k)]
+        if min(sizes) < 1:
+            raise ConfigError("imbalance_ratio too large for n_per_class: "
+                              "the smallest class rounds to 0")
+        return sizes
 
 
 def _round_half_up(x: float) -> int:
@@ -130,16 +137,7 @@ def class_sizes(spec: DatasetSpec) -> list[int]:
     The rounded per-class counts define the total exactly; class 0 is always
     ``n_per_class`` since the decay factor there is 1.
     """
-    spec.validate()
-    sizes = [
-        _round_half_up(spec.n_per_class * spec.imbalance_ratio ** (-k / (spec.k - 1)))
-        for k in range(spec.k)
-    ]
-    if min(sizes) < 1:
-        raise ConfigError(
-            "imbalance_ratio too large for n_per_class: the smallest class rounds to 0"
-        )
-    return sizes
+    return spec.validate()
 
 
 def class_centers(spec: DatasetSpec) -> np.ndarray:

@@ -18,4 +18,5 @@ class DataError(ConalError):
 
 
 class UsageError(ConalError):
-    """API called in an unsupported order (e.g. predicting before training)."""
+    """API called in an unsupported order (e.g. predicting before training), or an
+    internal invariant broken (e.g. the loop's pools): a program fault, not bad input."""

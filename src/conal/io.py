@@ -45,6 +45,20 @@ _CSV_ID_BREAKS = re.compile("[,\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 _CSV_QUOTED = re.compile('[,"\n]')  # what csv.writer quotes, bar the CR no score id holds
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str, **open_kwargs):
+    """The one way conal writes a file: yield ``<path>.tmp`` as ``open`` opens it, renamed
+    over ``path`` when the block ends, removed if it raises. No fsync: power loss can lose it."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):  # gone once renamed, or never made
+            os.remove(tmp)
+
+
 def save_features(data: FeatureMatrix, path: str | Path, format: str = "binary") -> None:
     path = Path(path)
     if format == "binary":
@@ -78,7 +92,7 @@ def _save_binary(data: FeatureMatrix, path: Path) -> None:
             raise DataError(f"sample id {bad[:40]!r}... is {len(bad.encode('utf-8'))} UTF-8 "
                             "bytes; the binary format holds at most 65535")
         table.append(b"".join([len(raw).to_bytes(2, "little") + raw for raw in raws]))
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IIB", data.n, data.d, int(has_labels)))
         fh.write(np.ascontiguousarray(data.values, dtype="<f4"))
@@ -150,7 +164,7 @@ def _save_csv(data: FeatureMatrix, path: Path) -> None:
                             "which a CSV row cannot carry")
     # 9 significant digits reproduce float32 values exactly
     row = "%s,%s," + ",".join(["%.9g"] * data.d) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["id", "label"] + [f"f{j}" for j in range(data.d)]) + "\n")
         for start, ids in zip(range(0, data.n, _CSV_BLOCK_ROWS), _id_blocks(data.ids)):
             stop = start + _CSV_BLOCK_ROWS
@@ -179,7 +193,7 @@ def save_scores(path: str | Path, ids: np.ndarray, predicted: np.ndarray,
                    for sid in id_list]
     rows = zip(id_list, predicted.tolist(),
                np.asarray(scores, dtype=np.float64).tolist())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("id,predicted_class,score\n")
         while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
             fh.write("".join(["%s,%d,%r\n" % row for row in block]))
@@ -326,7 +340,7 @@ def write_container(path: str | Path, meta: dict, arrays: dict[str, np.ndarray])
         manifest.append({"name": name, "shape": list(arr.shape), "dtype": "f8"})
         payload.append(arr.tobytes())
     header = json.dumps({"meta": meta, "manifest": manifest}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.writelines([MODEL_MAGIC, struct.pack("<I", len(header)), header, *payload])
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import FeatureMatrix, ShiftSpec, apply_shift, full_shift_suite
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, UsageError
 from .metrics import (IterationReport, QueryCost, accuracy, auroc, brier, ece,
                       mce, nll, sampling_bias)
 # names imported but not called here stay bound for perfbench/tracing.py to wrap
@@ -126,11 +126,11 @@ class PoolState:
     def acquire(self, rows) -> None:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.universe.size):
-            raise DataError("acquisition batch contains rows outside the universe")
+            raise UsageError("acquisition batch contains rows outside the universe")
         if np.unique(rows).size != rows.size:
-            raise DataError("acquisition batch contains duplicates")
+            raise UsageError("acquisition batch contains duplicates")
         if self.labeled[rows].any():
-            raise DataError("acquisition batch overlaps the labeled pool")
+            raise UsageError("acquisition batch overlaps the labeled pool")
         self.labeled[rows] = True
         self.batches.append(rows)
 
@@ -139,14 +139,14 @@ class PoolState:
         times_acquired = np.bincount(self.labeled_rows, minlength=n)
         acquired = times_acquired[:n] > 0
         if (acquired & ~self.labeled).any():
-            raise DataError("labeled and unlabeled pools overlap")
+            raise UsageError("labeled and unlabeled pools overlap")
         if times_acquired.size != n or (self.labeled & ~acquired).any():
-            raise DataError("pools no longer partition the universe")
+            raise UsageError("pools no longer partition the universe")
         if times_acquired.max(initial=0) > 1:
-            raise DataError("a sample was acquired twice")
+            raise UsageError("a sample was acquired twice")
         full_batches = self.batches if not truncated else self.batches[:-1]
         if any(rows.size != acquisition_size for rows in full_batches):
-            raise DataError("a non-final iteration acquired a wrong-sized batch")
+            raise UsageError("a non-final iteration acquired a wrong-sized batch")
 
 
 @dataclass

@@ -7,12 +7,12 @@ All functions are pure; natural logarithms throughout.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .io import replacing
 
 MCE_NORMALIZATION = "none"  # plain mean error; no baseline-model normalization
 ECE_BINS = 15
@@ -161,13 +161,10 @@ CURVE_METRICS = ("accuracy", "ece", "nll", "brier", "sampling_bias", "auroc_ood"
 
 
 def write_reports_jsonl(reports: list[IterationReport], path) -> None:
-    """Write to a temporary file beside ``path``, then rename it over ``path``:
-    a reader finds no report or a whole one, never a partial one."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    """Write one JSON object a line through ``io.replacing``: never a partial report."""
+    with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         for report in reports:
             fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
-    os.replace(tmp, path)
 
 
 def read_reports_jsonl(path) -> list[dict]:

@@ -4,10 +4,10 @@ is ``(strategy, seed, report rows)``; a table is a list of rows of plain values,
 from __future__ import annotations
 
 import csv
-import os
 
 import numpy as np
 
+from .io import replacing
 from .metrics import CURVE_METRICS
 
 
@@ -37,16 +37,9 @@ def report_tables(cells) -> dict[str, list[list]]:
 
 
 def write_table(rows, path) -> None:
-    """Write ``rows`` as CSV (UTF-8, LF line ends) to a temporary file beside ``path``, then
-    rename it over ``path``: a reader finds the old table or the new one, never a partial one."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    """Write ``rows`` as CSV (UTF-8, LF line ends) through ``io.replacing``."""
+    with replacing(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _curve_values(cells):

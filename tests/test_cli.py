@@ -814,6 +814,20 @@ class TestFailureHandling:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_a_class_that_rounds_to_0_exits_2(self, tmp_path, capsys, command):
+        edits = {"data.k": 3, "data.d": 4, "data.n_per_class": 5, "data.imbalance_ratio": 20}
+        kept = [line for line in TINY_CONFIG.splitlines() if line.split("=")[0].strip() not in edits]
+        values = {key: str(value) for key, value in edits.items()}
+        with pytest.raises(ConfigError, match="smallest class rounds to 0"):
+            build_experiment(values)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("\n".join(kept + [f"{key} = {value}" for key, value in values.items()]
+                                 + [f"run.out = {tmp_path / 'o'}"]) + "\n")
+        assert main([command, str(cfg)]) == 2
+        assert "smallest class rounds to 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_budget_past_the_pool_ends_on_a_truncated_row(self, tmp_path):
         # a pool of 60 + 42 + 30 = 132 rows: 13 batches of 10, then the last 2
         edits = {"data.k": 3, "data.d": 4, "data.imbalance_ratio": 2, "loop.budget": 140,
@@ -829,7 +843,7 @@ class TestFailureHandling:
         assert len(rows) == 14
         assert [row["truncated"] for row in rows] == [False] * 13 + [True]
         assert rows[-1]["labeled_count"] == 132
-        assert not list(cell.glob("*.tmp"))
+        assert not list((tmp_path / "o").rglob("*.tmp"))
 
     def test_nonfinite_training_fails_every_cell(self, tmp_path, capsys):
         # the config is valid, but every cell's weights overflow in training
@@ -988,8 +1002,8 @@ class TestConfigFuzz:
     # diverging training overflows, and a one-row class gets a mean-only subspace
     @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
     def test_every_config_runs_to_its_end_or_is_rejected(self, tmp_path, capsys):
-        """A config ``build_experiment`` rejects, or whose pool cannot be drawn or is
-        smaller than its subset, exits 2. Any other exits 0 with one report row per
+        """A config ``build_experiment`` rejects, or whose pool is smaller than its
+        subset, exits 2. Any other exits 0 with one report row per
         scheduled batch, or exits 3 because training diverged. Nothing exits 4."""
         rng = np.random.default_rng(2027)
         outcomes = []

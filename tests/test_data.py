@@ -16,7 +16,7 @@ class TestClassSizes:
     def test_geometric_decay_by_hand(self):
         # 90 * 9**(-k/2): 90, 90/3, 90/9
         spec = DatasetSpec(k=3, d=3, n_per_class=90, imbalance_ratio=9.0)
-        assert class_sizes(spec) == [90, 30, 10]
+        assert class_sizes(spec) == spec.validate() == [90, 30, 10]
 
     def test_ratio_fifty(self):
         spec = DatasetSpec(k=10, d=16, n_per_class=5000, imbalance_ratio=50.0)
@@ -36,10 +36,11 @@ class TestClassSizes:
         dict(k=3, d=1, n_per_class=10),
         dict(k=3, d=3, n_per_class=10, imbalance_ratio=0.5),
         dict(k=5, d=3, n_per_class=10),  # d < k
+        dict(k=3, d=4, n_per_class=5, imbalance_ratio=20),  # the smallest class rounds to 0
     ])
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ConfigError):
-            class_sizes(DatasetSpec(**kwargs))
+            DatasetSpec(**kwargs).validate()
 
 
 class TestGenerateMixture:

@@ -6,7 +6,7 @@ import pytest
 
 from conal.data import (DatasetSpec, FeatureMatrix, ShiftSpec, balanced_test_spec,
                         generate_mixture, generate_ood)
-from conal.errors import ConfigError, DataError
+from conal.errors import ConfigError, DataError, UsageError
 from conal.loop import LoopConfig, Oracle, PoolState, _worker_count, run_active_learning
 from conal.metrics import write_reports_jsonl
 from conal.model import ModelConfig
@@ -116,19 +116,19 @@ class TestPoolBookkeeping:
 
     def test_acquire_rejects_duplicates(self):
         state = PoolState(universe=np.array(["a", "b", "c"]))
-        with pytest.raises(DataError):
+        with pytest.raises(UsageError):
             state.acquire([0, 0])
 
     def test_acquire_rejects_already_labeled(self):
         state = PoolState(universe=np.array(["a", "b", "c"]))
         state.acquire([0])
-        with pytest.raises(DataError):
+        with pytest.raises(UsageError):
             state.acquire([0])
 
     def test_acquire_rejects_rows_outside_universe(self):
         state = PoolState(universe=np.array(["a", "b", "c"]))
         for rows in ([3], [-1]):
-            with pytest.raises(DataError):
+            with pytest.raises(UsageError):
                 state.acquire(rows)
 
     @pytest.mark.parametrize("corrupt, message", [
@@ -143,7 +143,7 @@ class TestPoolBookkeeping:
         state.acquire([0, 9, 2])
         state.check_invariants(3, truncated=False)
         corrupt(state)
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(UsageError, match=message):
             state.check_invariants(3, truncated=False)
 
     @pytest.mark.parametrize("strategy", ["entropy", "coreset", "featuresim"])
