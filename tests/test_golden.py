@@ -1,9 +1,10 @@
 """Golden digest: a fixed tiny sweep must reproduce its reports bit for bit.
 
 Every strategy runs the same small experiment and every report row, minus
-the timing field ``query_wall_ms``, is hashed in order. A refactor proves it
-kept behaviour by leaving the digest alone. A change that alters behaviour on
-purpose replaces ``GOLDEN_DIGEST`` with the value the failure prints and
+the timing field ``query_wall_ms``, is hashed in order, one digest per
+strategy. A refactor proves it kept behaviour by leaving the digests alone,
+and a change meant for one loss shows which strategies it reached. A change
+that alters behaviour on purpose replaces the digests the failure prints and
 says why in CHANGES.md.
 """
 
@@ -15,12 +16,17 @@ from conal.loop import LoopConfig, run_active_learning
 from conal.metrics import write_reports_jsonl
 from conal.model import ModelConfig
 
-GOLDEN_DIGEST = "c2b4d07ff8ff57d046e680ffc328e2c1d393b9f7b1f44ec05424067a463bda95"
+GOLDEN_DIGESTS = {
+    "random": "f4ea6f48304b967ef03df25365faa11857ff5a9f6971b446981b08dc07e0cb2c",
+    "entropy": "aed47a0e2fd4363e516a702af18cfa3a16893378facd565bdb59affa583b8204",
+    "bald": "177d3e3a5a19f4d9e65b8ee8fa2af60e7e62e46a5f0b212e542147b9f25bf0df",
+    "coreset": "8fa456b35e4bf7375745a2fe625a8cd0158ce9aa1619b5646d91199e94352644",
+    "featuresim": "583341b6ada776dd3ac3ae8e1a2acc4dc18d73530a942edb61af68198ec4b2f7",
+    "fre": "8a0d36643eb76c567d7989d192ec6628a49a1baa8d36c330308b25488bfe5194",
+}
 
-STRATEGIES = ("random", "entropy", "bald", "coreset", "featuresim", "fre")
 
-
-def golden_digest(tmp_path) -> str:
+def golden_digests(tmp_path) -> dict[str, str]:
     ds = DatasetSpec(k=4, d=8, n_per_class=60, imbalance_ratio=4.0,
                      class_separation=4.0, noise_sigma=1.0, seed=0)
     pool = generate_mixture(ds, id_prefix="tr-")
@@ -29,8 +35,9 @@ def golden_digest(tmp_path) -> str:
     shifts = [ShiftSpec("additive_gaussian", 3), ShiftSpec("mean_drift", 2)]
     model = ModelConfig(d_in=8, n_classes=4, d_hidden=16, d_feat=8, d_proj=4,
                         epochs=3, batch_size=32, seed=0)
-    digest = hashlib.sha256()
-    for strategy in STRATEGIES:
+    digests = {}
+    for strategy in GOLDEN_DIGESTS:
+        digest = hashlib.sha256()
         loop = LoopConfig(budget=80, acquisition_size=20, subset_size=60,
                           strategy=strategy, seed=0, tau=3)
         result = run_active_learning(pool, test, model, loop, ood=ood, shifts=shifts)
@@ -41,12 +48,14 @@ def golden_digest(tmp_path) -> str:
             row = json.loads(line)
             row.pop("query_wall_ms")
             digest.update(json.dumps(row, sort_keys=True).encode("utf-8"))
-    return digest.hexdigest()
+        digests[strategy] = digest.hexdigest()
+    return digests
 
 
 def test_golden_digest(tmp_path):
-    digest = golden_digest(tmp_path)
-    assert digest == GOLDEN_DIGEST, f"report digest changed: new digest {digest}"
+    digests = golden_digests(tmp_path)
+    changed = {s: d for s, d in digests.items() if d != GOLDEN_DIGESTS[s]}
+    assert not changed, f"report digests changed: new digests {changed}"
 
 
 # ---------------------------------------------------------------------------
