@@ -155,7 +155,7 @@ def cmd_gen(args) -> None:
 def cmd_run(args) -> None:
     config = _load_experiment(args)
     train, test, ood = _materialize_data(config)
-    if config.loop.subset_size > train.n:
+    if config.loop.subset_size > train.n:  # a file-backed pool's size, known once loaded
         raise ConfigError(
             f"loop.subset_size ({config.loop.subset_size}) exceeds the pool size ({train.n})"
         )

@@ -221,7 +221,8 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
         iter_config = replace(model_config, seed=_derived_seed(seed, "model", t),
                               loss_kind=loss_kind, d_in=pool.d)
         state = train(init_model(iter_config), train_fm)
-        ctx = scoring_context(strategy, state, train_fm, tau=loop_config.tau)
+        ctx = scoring_context(strategy, state, train_fm, tau=loop_config.tau,
+                              feats=state.train_features)
 
         reports.append(_evaluate(
             state, test, ood, shifted_tests, train_labels,
@@ -327,12 +328,14 @@ def _score_and_select(state, pool, pool_state, loop_config, strategy, t, m_now, 
 
 
 def scoring_context(strategy: StrategyInfo, state: ModelState, labeled: FeatureMatrix | None,
-                    *, tau: int = 50) -> ScoringContext:
+                    *, tau: int = 50, feats: np.ndarray | None = None) -> ScoringContext:
     """The scorers' view of ``labeled`` under ``state``; ``tau`` defaults as in ``LoopConfig``.
 
     Strategies that read the labeled set get it encoded, once it is checked to be
-    labeled, nonempty and within [0, n_classes). PCA strategies also get a subspace per
-    class with 2+ labeled rows and a pooled one over all rows for every other class.
+    labeled, nonempty and within [0, n_classes): ``feats`` if the caller already has
+    ``labeled`` encoded under ``state``, else a fresh encode. PCA strategies also get
+    a subspace per class with 2+ labeled rows and a pooled one over all rows for
+    every other class.
     """
     if not strategy.needs_labeled:
         return ScoringContext(None, None, None, None, tau)
@@ -341,7 +344,8 @@ def scoring_context(strategy: StrategyInfo, state: ModelState, labeled: FeatureM
         raise DataError("the labeled set must be labeled and hold at least one row")
     if labels.max() >= k:
         raise DataError(f"labeled classes must lie in [0, {k}) for the model's {k} classes")
-    feats = encode_values(state, labeled.values)
+    if feats is None:
+        feats = encode_values(state, labeled.values)
     pca_model = pca_fallback = None
     if strategy.uses_pca:
         by_class = {int(c): feats[labels == c]

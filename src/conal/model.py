@@ -38,6 +38,14 @@ CLASSIFIER_LR = 1.0
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Layer widths and training settings of one model.
+
+    ``epochs`` counts passes of encoded rows over the labeled set, so both
+    losses get the same encoder budget: cross-entropy trains ``epochs``
+    epochs, and contrastive training, whose epoch encodes two jittered views
+    of every row, trains ``(epochs + 1) // 2`` (one epoch at ``epochs = 1``).
+    """
+
     d_in: int
     n_classes: int
     d_hidden: int = 64
@@ -91,6 +99,9 @@ class ModelState:
     bc: np.ndarray
     training_loss: list = field(default_factory=list)
     forward_pass_count: int = 0
+    # encoder features of the rows a contrastive ``train`` fit the classifier
+    # on, in their order; not saved in checkpoints
+    train_features: np.ndarray | None = None
 
     def encoder_projection_params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _ENCODER_PROJECTION}
@@ -419,8 +430,10 @@ def train(state: ModelState, labeled: FeatureMatrix) -> ModelState:
 
     Contrastive mode runs minibatch SGD on the contrastive loss through the
     encoder and projection head, then fits the linear classifier on frozen
-    features with full-batch cross-entropy descent. Cross-entropy mode trains
-    encoder and classifier jointly. Deterministic given ``state.config.seed``.
+    features with full-batch cross-entropy descent; those features stay on the
+    state as ``train_features``. Cross-entropy mode trains encoder and
+    classifier jointly. Each mode runs the epochs ``ModelConfig`` gives it.
+    Deterministic given ``state.config.seed``.
     """
     cfg = state.config
     cfg.validate()
@@ -434,17 +447,19 @@ def train(state: ModelState, labeled: FeatureMatrix) -> ModelState:
 
     if cfg.loss_kind == "contrastive":
         _warn_singleton_classes(y)
-        _sgd(state, x, y, rng, _contrastive_step, _ENCODER_PROJECTION)
-        _fit_classifier(state, encode_values(state, x), y)
+        # an epoch encodes two views of each row
+        _sgd(state, x, y, rng, _contrastive_step, _ENCODER_PROJECTION, (cfg.epochs + 1) // 2)
+        state.train_features = encode_values(state, x)
+        _fit_classifier(state, state.train_features, y)
     else:
-        _sgd(state, x, y, rng, _cross_entropy_step, _CROSS_ENTROPY_TRAINED)
+        _sgd(state, x, y, rng, _cross_entropy_step, _CROSS_ENTROPY_TRAINED, cfg.epochs)
     _assert_finite(state)
     return state
 
 
-def _sgd(state: ModelState, x: np.ndarray, y: np.ndarray, rng, step, names) -> None:
-    """Minibatch momentum SGD of the arrays ``names`` over ``config.epochs``
-    shuffled epochs.
+def _sgd(state: ModelState, x: np.ndarray, y: np.ndarray, rng, step, names,
+         epochs: int) -> None:
+    """Minibatch momentum SGD of the arrays ``names`` over ``epochs`` shuffled epochs.
 
     ``step(state, rng, x_batch, y_batch)`` returns one batch's loss, its
     gradients and the row count to divide them by (None: use as they are).
@@ -455,8 +470,8 @@ def _sgd(state: ModelState, x: np.ndarray, y: np.ndarray, rng, step, names) -> N
     cfg = state.config
     opt = _SgdMomentum(state, names, cfg.lr)
     n = x.shape[0]
-    decay_epoch = math.floor(0.8 * cfg.epochs)
-    for epoch in range(cfg.epochs):
+    decay_epoch = math.floor(0.8 * epochs)
+    for epoch in range(epochs):
         if epoch == decay_epoch and epoch > 0:
             opt.lr = cfg.lr * 0.1
         order = rng.permutation(n)

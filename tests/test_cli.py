@@ -49,6 +49,9 @@ run.strategies = featuresim,random
 run.seeds = 0,1
 """
 
+# loop keys for a generated pool of 10 rows or more: the preset's subset is 2000
+SMALL_POOL_LOOP = "loop.acquisition_size = 10\nloop.subset_size = 10\n"
+
 
 @pytest.fixture
 def tiny_config(tmp_path):
@@ -119,8 +122,8 @@ class TestGen:
     def test_balanced_counts_uniform(self, tmp_path):
         cfg = tmp_path / "g.cfg"
         cfg.write_text("data.k = 3\ndata.d = 6\ndata.n_per_class = 10\n"
-                       "data.imbalance_ratio = 1\n"
-                       f"run.out = {tmp_path / 'data'}\n")
+                       "data.imbalance_ratio = 1\n" + SMALL_POOL_LOOP
+                       + f"run.out = {tmp_path / 'data'}\n")
         assert main(["gen", str(cfg)]) == 0
         train = load_features(tmp_path / "data" / "train.bin", "binary")
         assert list(np.bincount(train.labels)) == [10, 10, 10]
@@ -141,8 +144,8 @@ class TestGen:
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         cfg.write_text("data.k = 3\ndata.d = 6\ndata.n_per_class = 5\n"
-                       "data.imbalance_ratio = 1\n"
-                       f"run.out = {blocker / 'sub'}\n")
+                       "data.imbalance_ratio = 1\n" + SMALL_POOL_LOOP
+                       + f"run.out = {blocker / 'sub'}\n")
         assert main(["gen", str(cfg)]) == 4
 
     def test_missing_config(self, tmp_path):
@@ -345,16 +348,16 @@ class TestReport:
     # SHA-256 of curves.csv and of each report/*.csv of the run below; a change
     # that keeps the tables' behaviour leaves every byte alone
     TABLE_DIGESTS = {
-        "curves.csv": "a5a82d621e118a19c4b99172e73c598f46ab3728f1ef46e78de0747f822f983d",
-        "curve_accuracy.csv": "7c600d7cbfd77f4f5adef6c15d5226c3e7ed32b51bbf3bd4a6210025265ebe34",
-        "curve_auroc_ood.csv": "38579e7cb623956c53322c3e520f4e0bd48719d46853faace9a29bc43bf765d3",
-        "curve_brier.csv": "c67266539043b1a917dbc0f6e9675f2ea82028b89b790ab5531dd673e4fc324b",
-        "curve_ece.csv": "e0e04b928355350ec21aa190aed3b61b3bfe25d54c4813d131a9d24b1130b2a2",
-        "curve_mce.csv": "076ea5a29e05420d66c2fdaf1791092ef6af604fd28169a85c1ba3684ffb2607",
-        "curve_nll.csv": "3bf6c6e66b86efcc216827cdc44d2212c11e29db871fdb7501dfe1e365cd24aa",
+        "curves.csv": "b6a1508e423b4bc38edf2345029b3d3bb660d0954ecaa2d6bf0b8dd3bf493f82",
+        "curve_accuracy.csv": "c3610d6a9729333e0b913da4770627134af6920a2e55d5935f469f87cfff0d2b",
+        "curve_auroc_ood.csv": "9cc3fb7c9ae5b9c084629eb79d3ee50ad3f3cf8e88a1a8b14f97c5596dd0e7f9",
+        "curve_brier.csv": "bad6ab215c9ef740b5bbde36865d72694630e702ff23c24162d71c582aef8790",
+        "curve_ece.csv": "a207c3f2f807d992e0f4c51929367f651f562b8fe4572af58dd08815bd574365",
+        "curve_mce.csv": "409ad892beb3b4f1a97677ba0c1a340e683ed06a621fadec48c0fe0495d60a68",
+        "curve_nll.csv": "db528817f99411637c97f42fed8a9c7499c2d418f85714ca2a7ef21aa437e5a2",
         "curve_sampling_bias.csv":
-            "b33fb8809e706b44ec80da9bfbb37c738ee4f6abead5337b3dbc118f5182fb02",
-        "summary_final.csv": "e338299857a178f039456b8efa2d9364bbdee7a8f8a466fc5c390361437c1edc",
+            "344f9ebe57fe0796a0f588e954176ce11217648a459a15e07d56df34ae6f7627",
+        "summary_final.csv": "3d90bcbe92f0240328f2fa922d78a0d89e01aa0db61d9c1bb9ed094ca8181e4c",
     }
 
     def test_table_bytes_pinned(self, tmp_path):
@@ -828,6 +831,21 @@ class TestFailureHandling:
         assert "smallest class rounds to 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_subset_past_the_pool_exits_2(self, tmp_path, capsys, command):
+        # a pool of 60 + 38 + 24 + 15 = 137 rows
+        config = build_experiment(parse_config_text(
+            TINY_CONFIG.replace("loop.subset_size = 60", "loop.subset_size = 137")))
+        assert sum(class_sizes(config.dataset)) == config.loop.subset_size
+        text = TINY_CONFIG.replace("loop.subset_size = 60", "loop.subset_size = 138")
+        with pytest.raises(ConfigError, match=r"subset_size \(138\) exceeds the pool size \(137\)"):
+            build_experiment(parse_config_text(text))
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text + f"run.out = {tmp_path / 'o'}\n")
+        assert main([command, str(cfg)]) == 2
+        assert "exceeds the pool size (137)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_budget_past_the_pool_ends_on_a_truncated_row(self, tmp_path):
         # a pool of 60 + 42 + 30 = 132 rows: 13 batches of 10, then the last 2
         edits = {"data.k": 3, "data.d": 4, "data.imbalance_ratio": 2, "loop.budget": 140,
@@ -920,7 +938,8 @@ class TestMutationFuzz:
         save_model(train(init_model(model), labeled), ckpt)
         save_features(labeled, lab)
         save_features(labeled.take(np.arange(6)), q_csv, "csv")
-        text = TINY_CONFIG.replace("data.n_per_class = 60", "data.n_per_class = 6")
+        # a pool of 27 + 17 + 11 + 7 = 62 rows, just past loop.subset_size
+        text = TINY_CONFIG.replace("data.n_per_class = 60", "data.n_per_class = 27")
         cfg, manifest = tmp_path / "gen.cfg", tmp_path / "manifest.cfg"
         cfg.write_text(text)
         manifest.write_text(echo_config(build_experiment(parse_config_text(text)),
@@ -1002,8 +1021,7 @@ class TestConfigFuzz:
     # diverging training overflows, and a one-row class gets a mean-only subspace
     @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
     def test_every_config_runs_to_its_end_or_is_rejected(self, tmp_path, capsys):
-        """A config ``build_experiment`` rejects, or whose pool is smaller than its
-        subset, exits 2. Any other exits 0 with one report row per
+        """A config ``build_experiment`` rejects exits 2. Any other exits 0 with one report row per
         scheduled batch, or exits 3 because training diverged. Nothing exits 4."""
         rng = np.random.default_rng(2027)
         outcomes = []
@@ -1014,18 +1032,17 @@ class TestConfigFuzz:
             cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
             try:
                 config = build_experiment(values)
-                pool = sum(class_sizes(config.dataset))
             except ConfigError:
                 config = None
             code = main(["run", str(cfg)])
             err = capsys.readouterr().err
-            if config is None or config.loop.subset_size > pool:
+            if config is None:
                 assert code == 2, (values, err)
             elif code == 3:
                 assert "non-finite weights" in err and "after training" in err, (values, err)
             else:
                 assert code == 0, (values, err)
-                loop = config.loop
+                loop, pool = config.loop, sum(class_sizes(config.dataset))
                 batches = -(-min(loop.budget, pool) // loop.acquisition_size)
                 cell = f"{config.strategies[0]}_seed{config.seeds[0]}"
                 lines = (tmp_path / f"r{i}" / cell / "report.jsonl").read_text().splitlines()

@@ -21,8 +21,8 @@ GOLDEN_DIGESTS = {
     "entropy": "aed47a0e2fd4363e516a702af18cfa3a16893378facd565bdb59affa583b8204",
     "bald": "177d3e3a5a19f4d9e65b8ee8fa2af60e7e62e46a5f0b212e542147b9f25bf0df",
     "coreset": "8fa456b35e4bf7375745a2fe625a8cd0158ce9aa1619b5646d91199e94352644",
-    "featuresim": "583341b6ada776dd3ac3ae8e1a2acc4dc18d73530a942edb61af68198ec4b2f7",
-    "fre": "8a0d36643eb76c567d7989d192ec6628a49a1baa8d36c330308b25488bfe5194",
+    "featuresim": "225a59e0f166fdc4a067974c417d158be77324c5e46b051573d3a55debdd7e54",
+    "fre": "2676c8b9e516638e6f628056c0cfa46fe6df92344370637754e881bb576f7ecc",
 }
 
 
@@ -62,7 +62,7 @@ def test_golden_digest(tmp_path):
 # file path: `conal gen` and `conal score` through both feature formats
 # ---------------------------------------------------------------------------
 
-FILE_PATH_DIGEST = "16b9c20355997072c152a42ea98d9ebe3493d0d5fac13d17dcd9f813cddc0b75"
+FILE_PATH_DIGEST = "47072ffb59dc7518f954199139ce320acc9b260ce1ddfaa06f91fa61b3b4d7ab"
 
 # 2000 + 1414 + 1000 = 4414 train rows: more than one CSV write block
 # (io._CSV_BLOCK_ROWS) and several CSV read windows

@@ -303,9 +303,9 @@ class TestReports:
 class TestEncodeOnce:
     """One iteration encodes each set it reads once: the subset, the test set,
     each shifted test set and the OOD set, and the labeled set for a strategy
-    that reads it. bald's dropout passes read raw values, so it encodes no
-    subset or OOD rows. Contrastive training encodes the labeled set once more,
-    to fit its classifier."""
+    that reads it, or that trains with the contrastive loss: that loss fits its
+    classifier on the labeled set's features, and the scorers reuse them. bald's
+    dropout passes read raw values, so it encodes no subset or OOD rows."""
 
     @pytest.mark.parametrize("strategy",
                              ["random", "entropy", "bald", "coreset", "featuresim", "fre"])
@@ -349,7 +349,7 @@ class TestEncodeOnce:
                 other_rows.append(rows)
         assert counts == {name: 0 if name == "ood" and info.reads_values else iterations
                           for name in counts}
-        labeled_encodes = info.needs_labeled + (info.default_loss == "contrastive")
+        labeled_encodes = info.needs_labeled or info.default_loss == "contrastive"
         scores_subset = info.selector != "random" and not info.reads_values
         expected = [config.acquisition_size * t for t in range(1, iterations + 1)
                     for _ in range(labeled_encodes)]

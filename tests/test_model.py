@@ -260,12 +260,34 @@ class TestTrain:
         data = generate_mixture(DatasetSpec(k=2, d=4, n_per_class=20, seed=9))
         config = small_config(n_classes=2, epochs=3, loss_kind=loss_kind)
         state = train(init_model(config), data)
-        assert len(state.training_loss) == 3
+        epochs = 2 if loss_kind == "contrastive" else 3
+        assert len(state.training_loss) == epochs
         assert all(np.isfinite(loss) and loss > 0 for loss in state.training_loss)
         # one pass per minibatch, plus the contrastive classifier's encode of the set
         batches = math.ceil(data.n / config.batch_size)
         encode_passes = batches if loss_kind == "contrastive" else 0
-        assert state.forward_pass_count == config.epochs * batches + encode_passes
+        assert state.forward_pass_count == epochs * batches + encode_passes
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3, 60])
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    def test_epochs_count_encoded_row_passes(self, loss_kind, epochs):
+        """A contrastive epoch encodes two views of each row, so it runs half the
+        epochs, rounded up; cross-entropy runs ``model.epochs``."""
+        data = generate_mixture(DatasetSpec(k=2, d=4, n_per_class=12, seed=9))
+        config = small_config(n_classes=2, epochs=epochs, loss_kind=loss_kind)
+        state = train(init_model(config), data)
+        ran = (epochs + 1) // 2 if loss_kind == "contrastive" else epochs
+        assert len(state.training_loss) == ran
+        batches = math.ceil(data.n / config.batch_size)
+        encode_passes = batches if loss_kind == "contrastive" else 0
+        assert state.forward_pass_count == ran * batches + encode_passes
+
+    def test_train_features_are_the_classifier_encode(self):
+        data = generate_mixture(DatasetSpec(k=3, d=4, n_per_class=30, seed=3))
+        state = train(init_model(small_config(epochs=2)), data)
+        np.testing.assert_array_equal(state.train_features, encode_values(state, data.values))
+        ce = train(init_model(small_config(epochs=2, loss_kind="cross_entropy")), data)
+        assert ce.train_features is None
 
 
 def _sha(*arrays) -> str:
@@ -294,7 +316,7 @@ class TestKernelPins:
     """
 
     TRAIN_PINS = {
-        "contrastive": "502a0ad62458105614a652bcf5d762c0322f4e06d4c1eb0c8b136462f79f38b9",
+        "contrastive": "2fa3d5dc216668bb5c3b8e0b39fc8dbe6e624d2a7857f76e1037448012357f0f",
         "cross_entropy": "b08c9e4ac319d7528c768a19e8152eae3d7e27bba977b38c34d649bb95cee933",
     }
     STOCHASTIC_PINS = {
