@@ -26,7 +26,7 @@ from .data import (DEFAULT_SHIFT_MAGNITUDES, balanced_test_spec, full_shift_suit
                    generate_mixture, generate_ood)
 from .errors import ConalError, ConfigError, DataError
 from .io import load_features, replacing, save_features, save_scores
-from .loop import run_cells, scorer_input, scoring_context
+from .loop import LoopConfig, run_cells, scorer_input, scoring_context
 from .metrics import MCE_NORMALIZATION, read_reports_jsonl, write_reports_jsonl
 # names imported but not called here stay bound for perfbench/tracing.py to wrap
 from .loop import run_active_learning
@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--strategy", required=True, help="scoring strategy")
     p_sc.add_argument("--labeled", help="labeled feature file (featuresim/fre/coreset)")
     p_sc.add_argument("--format", choices=("binary", "csv"), default="binary")
-    p_sc.add_argument("--tau", type=int, default=50, help="stochastic passes for bald")
+    p_sc.add_argument("--tau", type=int, default=LoopConfig.tau, help="stochastic passes for bald")
     p_sc.add_argument("--out", required=True, help="output CSV path")
     return parser
 

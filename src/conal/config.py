@@ -48,7 +48,7 @@ _KEYS = {
     "loop.budget": (int, 1000),
     "loop.acquisition_size": (int, 100),
     "loop.subset_size": (int, 2000),
-    "loop.tau": (int, 50),
+    "loop.tau": (int, LoopConfig.tau),
     "loop.force_per_class": (bool, False),
     "loop.loss_override": (str, None),
     "shift.kinds": ([str], SHIFT_KINDS),

@@ -1,11 +1,13 @@
 """The iterative acquire-label-train cycle with a simulated oracle.
 
-Each iteration acquires a batch from the unlabeled pool (uniformly at random
-on the first iteration, by the configured query strategy afterwards), reveals
-ground-truth labels, retrains the model from scratch on everything labeled so
-far, and evaluates the full metric suite. Runs are deterministic per seed;
-the initial random batch depends only on the seed, not the strategy, so
-strategies fork from identical starting pools.
+Each iteration runs four phases, one job each. ``_score_and_select`` chooses
+the batch: uniformly at random on the first iteration, by the configured query
+strategy afterwards. ``train`` and ``scoring_context`` fit the model from
+scratch on every label the oracle has revealed. ``_evaluate`` measures the
+model. ``run_active_learning`` writes the report from those metrics and the
+acquisition's own facts: cost, class balance and truncation. Runs are
+deterministic per seed; the initial random batch depends only on the seed, not
+the strategy, so strategies fork from identical starting pools.
 
 Sample ids are ``str``, as every ``FeatureMatrix`` holds them. On entry the
 pool is sorted by id, unless its ids already ascend (then it is used as given),
@@ -194,28 +196,22 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     shifted_tests = [(s, apply_shift(test, s, SHIFT_SEED)) for s in shifts]
 
     pool_state = PoolState(universe=pool.ids)
+    k = model_config.n_classes
 
     state: ModelState | None = None
     ctx: ScoringContext | None = None
-
     reports: list[IterationReport] = []
     truncated = False
 
     for t, m_now in enumerate(sizes, start=1):
         truncated = m_now < m  # only the last batch can be short
-        if t == 1:
-            cost = QueryCost(0, 0.0)
-            selection = SelectionResult(select_random(
-                pool_state.unlabeled_rows, m_now, rng_for(seed, "acquire-init")), 0)
-        else:
-            cost, selection = _score_and_select(
-                state, pool, pool_state, loop_config, strategy, t, m_now, ctx,
-            )
+        cost, selection = _score_and_select(state, pool, pool_state, loop_config, strategy,
+                                            t, m_now, ctx)
         pool_state.acquire(selection.ids)
         pool_state.check_invariants(m, truncated)
 
         labeled_rows = pool_state.labeled_rows
-        train_labels = oracle.label(labeled_rows)
+        train_labels = oracle.label(labeled_rows)  # in acquisition order: the batch is last
         train_fm = FeatureMatrix(pool.values[labeled_rows], pool.ids[labeled_rows],
                                  train_labels)
         iter_config = replace(model_config, seed=_derived_seed(seed, "model", t),
@@ -224,10 +220,17 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
         ctx = scoring_context(strategy, state, train_fm, tau=loop_config.tau,
                               feats=state.train_features)
 
-        reports.append(_evaluate(
-            state, test, ood, shifted_tests, train_labels,
-            oracle.label(pool_state.batches[-1]),
-            model_config.n_classes, strategy, seed, cost, selection, t, ctx, truncated,
+        reports.append(IterationReport(
+            iteration=t,
+            labeled_count=train_labels.size,
+            sampling_bias=sampling_bias(np.bincount(train_labels, minlength=k), k),
+            sampling_bias_acquired=sampling_bias(
+                np.bincount(train_labels[-m_now:], minlength=k), k),
+            query_wall_ms=cost.wall_ms,
+            forward_passes_used=cost.forward_passes,
+            deficit_fills=selection.deficit_fills,
+            truncated=truncated,
+            **_evaluate(state, test, ood, shifted_tests, strategy, ctx, seed, t),
         ))
 
     return RunResult(reports, pool_state, state, truncated)
@@ -296,10 +299,17 @@ def _run_cell(loop_config: LoopConfig) -> RunResult:
 
 
 def _score_and_select(state, pool, pool_state, loop_config, strategy, t, m_now, ctx):
-    """Scoring phase: draw a fresh subset, score it, select m_now rows."""
+    """Scoring phase: select m_now rows and say what choosing them cost.
+
+    Before the first model (``state`` None) the rows are a free uniform draw from
+    the whole unlabeled pool. After it, a fresh subset is drawn and scored.
+    """
     seed = loop_config.seed
-    rng_subset = rng_for(seed, "subset", t)
     unlabeled = pool_state.unlabeled_rows
+    if state is None:
+        return QueryCost(0, 0.0), SelectionResult(
+            select_random(unlabeled, m_now, rng_for(seed, "acquire-init")), 0)
+    rng_subset = rng_for(seed, "subset", t)
     n_sub = min(loop_config.subset_size, unlabeled.size)
     subset = np.sort(unlabeled[rng_subset.choice(unlabeled.size, size=n_sub, replace=False)])
 
@@ -328,8 +338,8 @@ def _score_and_select(state, pool, pool_state, loop_config, strategy, t, m_now, 
 
 
 def scoring_context(strategy: StrategyInfo, state: ModelState, labeled: FeatureMatrix | None,
-                    *, tau: int = 50, feats: np.ndarray | None = None) -> ScoringContext:
-    """The scorers' view of ``labeled`` under ``state``; ``tau`` defaults as in ``LoopConfig``.
+                    *, tau: int, feats: np.ndarray | None = None) -> ScoringContext:
+    """The scorers' view of ``labeled`` under ``state``, with bald's ``tau`` passes.
 
     Strategies that read the labeled set get it encoded, once it is checked to be
     labeled, nonempty and within [0, n_classes): ``feats`` if the caller already has
@@ -355,29 +365,29 @@ def scoring_context(strategy: StrategyInfo, state: ModelState, labeled: FeatureM
     return ScoringContext(feats, labels, pca_model, pca_fallback, tau)
 
 
-def scorer_input(strategy: StrategyInfo, state: ModelState, values: np.ndarray, z=None):
-    """``strategy.score``'s input: ``values`` if it reads them, else features (``z`` if given)."""
-    if strategy.reads_values:
-        return values
-    return encode_values(state, values) if z is None else z
+def scorer_input(strategy: StrategyInfo, state: ModelState, values: np.ndarray):
+    """``strategy.score``'s input: ``values`` if it reads them, else their features."""
+    return values if strategy.reads_values else encode_values(state, values)
 
 
-def _ood_scores(strategy, state, values, z, ctx, seed, *seed_tag):
-    """The strategy's own scores of a sample set, features ``z`` if encoded; higher = more OOD."""
-    scores, _ = strategy.score(state, scorer_input(strategy, state, values, z),
-                               replace(ctx, bald_seed=_derived_seed(seed, *seed_tag)))
-    return -scores if strategy.direction == "min" else scores
+def _evaluate(state, test, ood, shifted_tests, strategy, ctx, seed, t) -> dict:
+    """The model's metrics under ``state``: the ``IterationReport`` fields it measures.
 
+    The test set is encoded once, and so is the OOD set unless the strategy reads
+    raw values. OOD AUROC ranks both sets by the strategy's own score, turned so
+    that higher means more OOD; ``mce`` is the plain mean error over the shifts.
+    """
+    def own_scores(x, tag):
+        scores, _ = strategy.score(state, x, replace(ctx, bald_seed=_derived_seed(seed, tag, t)))
+        return -scores if strategy.direction == "min" else scores
 
-def _evaluate(state, test, ood, shifted_tests, train_labels, batch_labels, n_classes,
-              strategy, seed, cost, selection, t, ctx, truncated):
     z_test = encode_values(state, test.values)
     test_probs = predict_proba_from_features(state, z_test)
     auroc_ood = None
     if ood is not None and ood.n > 0:
-        in_scores = _ood_scores(strategy, state, test.values, z_test, ctx, seed, "ood-in", t)
+        in_scores = own_scores(test.values if strategy.reads_values else z_test, "ood-in")
         del z_test  # not held while the OOD and shifted sets are encoded
-        out_scores = _ood_scores(strategy, state, ood.values, None, ctx, seed, "ood-out", t)
+        out_scores = own_scores(scorer_input(strategy, state, ood.values), "ood-out")
         auroc_ood = auroc(in_scores, out_scores)
 
     per_shift = []
@@ -391,23 +401,12 @@ def _evaluate(state, test, ood, shifted_tests, train_labels, batch_labels, n_cla
             "ece": ece(probs, shifted.labels),
         })
 
-    cumulative_counts = np.bincount(train_labels, minlength=n_classes)
-    batch_counts = np.bincount(batch_labels, minlength=n_classes)
-
-    return IterationReport(
-        iteration=t,
-        labeled_count=train_labels.size,
-        accuracy=accuracy(test_probs, test.labels),
-        ece=ece(test_probs, test.labels),
-        nll=nll(test_probs, test.labels),
-        brier=brier(test_probs, test.labels),
-        sampling_bias=sampling_bias(cumulative_counts, n_classes),
-        auroc_ood=auroc_ood,
-        mce=mce([1.0 - cell["accuracy"] for cell in per_shift]) if per_shift else None,
-        per_shift=per_shift,
-        query_wall_ms=cost.wall_ms,
-        forward_passes_used=cost.forward_passes,
-        sampling_bias_acquired=sampling_bias(batch_counts, n_classes),
-        deficit_fills=selection.deficit_fills,
-        truncated=truncated,
-    )
+    return {
+        "accuracy": accuracy(test_probs, test.labels),
+        "ece": ece(test_probs, test.labels),
+        "nll": nll(test_probs, test.labels),
+        "brier": brier(test_probs, test.labels),
+        "auroc_ood": auroc_ood,
+        "mce": mce([1.0 - cell["accuracy"] for cell in per_shift]) if per_shift else None,
+        "per_shift": per_shift,
+    }

@@ -460,7 +460,7 @@ class TestScore:
 
         info, state = get_strategy("entropy"), load_model(ckpt)
         scores, predicted = info.score(state, scorer_input(info, state, queries.values),
-                                       scoring_context(info, state, None))
+                                       scoring_context(info, state, None, tau=50))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["id", "predicted_class", "score"])

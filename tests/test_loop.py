@@ -4,12 +4,15 @@ import pickle
 import numpy as np
 import pytest
 
-from conal.data import (DatasetSpec, FeatureMatrix, ShiftSpec, balanced_test_spec,
-                        generate_mixture, generate_ood)
+from conal.data import (DatasetSpec, FeatureMatrix, ShiftSpec, apply_shift,
+                        balanced_test_spec, generate_mixture, generate_ood)
 from conal.errors import ConfigError, DataError, UsageError
 from conal.loop import LoopConfig, Oracle, PoolState, _worker_count, run_active_learning
-from conal.metrics import write_reports_jsonl
+from conal.metrics import sampling_bias, write_reports_jsonl
 from conal.model import ModelConfig
+
+# the report fields that measure the model; the others describe the acquisition
+MODEL_FIELDS = ("accuracy", "ece", "nll", "brier", "auroc_ood", "mce", "per_shift")
 
 
 def small_setup(rho=8.0, n0=120, d=8, k=4, sep=4.0, seed=0):
@@ -298,6 +301,64 @@ class TestReports:
             assert re.forward_passes_used > 0
             assert rf.forward_passes_used == re.forward_passes_used
             assert rb.forward_passes_used == 3 * re.forward_passes_used  # tau=3
+
+    @pytest.mark.parametrize("run", ["past_the_pool", "entropy_per_class"])
+    def test_bookkeeping_from_batches_and_labels(self, run):
+        """Each report's acquisition fields follow from the batches and the pool's
+        labels alone."""
+        if run == "past_the_pool":
+            pool, test, model = small_setup(rho=1.0, n0=25, k=4)  # pool 100
+            config = LoopConfig(budget=160, acquisition_size=40, subset_size=100,
+                                strategy="coreset", seed=0)
+        else:
+            pool, test, model = small_setup()
+            config = quick_loop("entropy", force_per_class=True)
+        result = run_active_learning(pool, test, model, config, shifts=[])
+        label_of = dict(zip(pool.ids.tolist(), pool.labels.tolist()))
+        batch_labels = [np.array([label_of[i] for i in ids]) for ids in result.pool.history]
+        assert len(result.reports) == len(batch_labels)
+        assert result.reports[-1].truncated == (run == "past_the_pool")
+        for t, report in enumerate(result.reports, start=1):
+            labels = np.concatenate(batch_labels[:t])
+            assert report.labeled_count == labels.size
+            assert report.sampling_bias == sampling_bias(np.bincount(labels, minlength=4), 4)
+            assert report.sampling_bias_acquired == sampling_bias(
+                np.bincount(batch_labels[t - 1], minlength=4), 4)
+            assert report.truncated == (batch_labels[t - 1].size < config.acquisition_size)
+
+    @pytest.mark.parametrize("strategy", ["bald", "featuresim", "fre"])
+    def test_evaluate_reproduces_the_last_report(self, strategy):
+        from conal.loop import SHIFT_SEED, _evaluate, scoring_context
+        from conal.strategies import get_strategy
+
+        pool, test, model = small_setup()
+        ood = generate_ood(DatasetSpec(k=4, d=8, n_per_class=10,
+                                       class_separation=4.0, seed=0), 40, 7)
+        shifts = [ShiftSpec("additive_gaussian", 3), ShiftSpec("feature_scale", 1)]
+        config = quick_loop(strategy)
+        result = run_active_learning(pool, test, model, config, ood=ood, shifts=shifts)
+
+        state, info = result.final_state, get_strategy(strategy)
+        by_id = pool.take(np.argsort(pool.ids))
+        np.testing.assert_array_equal(by_id.ids, result.pool.universe)
+        ctx = scoring_context(info, state, by_id.take(result.pool.labeled_rows),
+                              tau=config.tau, feats=state.train_features)
+        shifted_tests = [(s, apply_shift(test, s, SHIFT_SEED)) for s in shifts]
+        last = result.reports[-1]
+        metrics = _evaluate(state, test, ood, shifted_tests, info, ctx, config.seed,
+                            last.iteration)
+        assert sorted(metrics) == sorted(MODEL_FIELDS)
+        assert metrics == {name: getattr(last, name) for name in MODEL_FIELDS}
+
+    def test_evaluate_takes_no_bookkeeping(self):
+        import inspect
+
+        from conal.loop import _evaluate
+
+        params = inspect.signature(_evaluate).parameters
+        assert len(params) <= 8
+        assert not params.keys() & {"train_labels", "batch_labels", "n_classes", "cost",
+                                    "selection", "truncated"}
 
 
 class TestEncodeOnce:
