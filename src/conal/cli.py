@@ -155,10 +155,6 @@ def cmd_gen(args) -> None:
 def cmd_run(args) -> None:
     config = _load_experiment(args)
     train, test, ood = _materialize_data(config)
-    if config.loop.subset_size > train.n:  # a file-backed pool's size, known once loaded
-        raise ConfigError(
-            f"loop.subset_size ({config.loop.subset_size}) exceeds the pool size ({train.n})"
-        )
     shifts = full_shift_suite(config.shift_kinds, config.shift_intensities)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -168,10 +168,7 @@ class ExperimentConfig:
             if self.ood_path is not None and not Path(self.ood_path).exists():
                 raise ConfigError(f"data.ood_path does not exist: {self.ood_path}")
         elif self.source == "synthetic":
-            pool = sum(self.dataset.validate())
-            if self.loop.subset_size > pool:
-                raise ConfigError(f"loop.subset_size ({self.loop.subset_size}) exceeds "
-                                  f"the pool size ({pool})")
+            self.dataset.validate()
         else:
             raise ConfigError("data.source must be 'synthetic' or 'files'")
         self.model.validate()

@@ -156,7 +156,6 @@ class RunResult:
     reports: list[IterationReport]
     pool: PoolState
     final_state: ModelState
-    truncated: bool
 
 
 def _derived_seed(seed: int, *tags) -> int:
@@ -178,8 +177,6 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     model_config.validate()
     if test.labels is None:
         raise DataError("test set must be labeled")
-    if pool.n and loop_config.subset_size > pool.n:
-        raise ConfigError("subset_size exceeds the initial pool size")
     strategy = get_strategy(loop_config.strategy)
     loss_kind = loop_config.loss_override or strategy.default_loss
     # from here on a sample is its row, and rows ascend with ids
@@ -201,7 +198,6 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     state: ModelState | None = None
     ctx: ScoringContext | None = None
     reports: list[IterationReport] = []
-    truncated = False
 
     for t, m_now in enumerate(sizes, start=1):
         truncated = m_now < m  # only the last batch can be short
@@ -233,7 +229,7 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
             **_evaluate(state, test, ood, shifted_tests, strategy, ctx, seed, t),
         ))
 
-    return RunResult(reports, pool_state, state, truncated)
+    return RunResult(reports, pool_state, state)
 
 
 def _worker_count(n_cells: int) -> int:
@@ -302,7 +298,8 @@ def _score_and_select(state, pool, pool_state, loop_config, strategy, t, m_now, 
     """Scoring phase: select m_now rows and say what choosing them cost.
 
     Before the first model (``state`` None) the rows are a free uniform draw from
-    the whole unlabeled pool. After it, a fresh subset is drawn and scored.
+    the whole unlabeled pool. After it, a fresh subset is drawn and scored:
+    ``subset_size`` rows, or every unlabeled row once fewer are left.
     """
     seed = loop_config.seed
     unlabeled = pool_state.unlabeled_rows

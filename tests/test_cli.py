@@ -49,10 +49,6 @@ run.strategies = featuresim,random
 run.seeds = 0,1
 """
 
-# loop keys for a generated pool of 10 rows or more: the preset's subset is 2000
-SMALL_POOL_LOOP = "loop.acquisition_size = 10\nloop.subset_size = 10\n"
-
-
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "exp.cfg"
@@ -122,11 +118,23 @@ class TestGen:
     def test_balanced_counts_uniform(self, tmp_path):
         cfg = tmp_path / "g.cfg"
         cfg.write_text("data.k = 3\ndata.d = 6\ndata.n_per_class = 10\n"
-                       "data.imbalance_ratio = 1\n" + SMALL_POOL_LOOP
-                       + f"run.out = {tmp_path / 'data'}\n")
+                       f"data.imbalance_ratio = 1\nrun.out = {tmp_path / 'data'}\n")
         assert main(["gen", str(cfg)]) == 0
         train = load_features(tmp_path / "data" / "train.bin", "binary")
         assert list(np.bincount(train.labels)) == [10, 10, 10]
+
+    def test_data_only_config_with_a_small_pool(self, tmp_path):
+        """A config that sets only data keys needs no loop keys to fit its pool:
+        the default acquisition of 100 takes the whole 30-row pool in one
+        truncated batch."""
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("data.k = 3\ndata.d = 6\ndata.n_per_class = 10\n"
+                       f"data.imbalance_ratio = 1\nrun.seeds = 0\nrun.out = {tmp_path / 'o'}\n")
+        assert main(["gen", str(cfg)]) == 0
+        assert main(["run", str(cfg)]) == 0
+        for strategy in ("featuresim", "random"):
+            rows = read_jsonl_masked(tmp_path / "o" / f"{strategy}_seed0" / "report.jsonl")
+            assert [(row["labeled_count"], row["truncated"]) for row in rows] == [(30, True)]
 
     def test_imbalanced_ratio_fifty(self, tmp_path):
         cfg = tmp_path / "g.cfg"
@@ -144,8 +152,7 @@ class TestGen:
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         cfg.write_text("data.k = 3\ndata.d = 6\ndata.n_per_class = 5\n"
-                       "data.imbalance_ratio = 1\n" + SMALL_POOL_LOOP
-                       + f"run.out = {blocker / 'sub'}\n")
+                       f"data.imbalance_ratio = 1\nrun.out = {blocker / 'sub'}\n")
         assert main(["gen", str(cfg)]) == 4
 
     def test_missing_config(self, tmp_path):
@@ -683,13 +690,6 @@ class TestFailureHandling:
         assert (tmp_path / "out" / "manifest.cfg").exists()  # partial outputs kept
         assert not (tmp_path / "out" / "curves.csv").exists()
 
-    def test_subset_size_validated_before_running(self, tmp_path):
-        cfg = tmp_path / "big.cfg"
-        cfg.write_text(TINY_CONFIG.replace("loop.subset_size = 60",
-                                           "loop.subset_size = 100000")
-                       + f"run.out = {tmp_path / 'o'}\n")
-        assert main(["run", str(cfg)]) == 2
-
     @pytest.mark.parametrize("bad,message", [
         ("loop.accumulate_features = false", "unknown config key"),
         ("loop.symmetric_featuresim = false", "unknown config key"),
@@ -832,19 +832,24 @@ class TestFailureHandling:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "gen"])
-    def test_subset_past_the_pool_exits_2(self, tmp_path, capsys, command):
-        # a pool of 60 + 38 + 24 + 15 = 137 rows
-        config = build_experiment(parse_config_text(
-            TINY_CONFIG.replace("loop.subset_size = 60", "loop.subset_size = 137")))
-        assert sum(class_sizes(config.dataset)) == config.loop.subset_size
+    def test_subset_past_the_pool_scores_what_is_left(self, tmp_path, command):
+        """A subset past the pool is a cap, as a budget past it is: the query
+        scores every unlabeled row."""
         text = TINY_CONFIG.replace("loop.subset_size = 60", "loop.subset_size = 138")
-        with pytest.raises(ConfigError, match=r"\(138\) exceeds the pool size \(137\)"):
-            build_experiment(parse_config_text(text))
+        config = build_experiment(parse_config_text(text))
+        assert sum(class_sizes(config.dataset)) == 137  # 60 + 38 + 24 + 15
         cfg = tmp_path / "big.cfg"
         cfg.write_text(text + f"run.out = {tmp_path / 'o'}\n")
-        assert main([command, str(cfg)]) == 2
-        assert "exceeds the pool size (137)" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert main([command, str(cfg)]) == 0
+        if command == "gen":
+            assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+                "ood.bin", "test.bin", "train.bin"]
+            return
+        for seed in (0, 1):
+            for strategy, passes in (("featuresim", 4), ("random", 0)):  # ceil(117 / 32)
+                rows = read_jsonl_masked(tmp_path / "o" / f"{strategy}_seed{seed}"
+                                         / "report.jsonl")
+                assert [row["forward_passes_used"] for row in rows] == [0, passes]
 
     def test_budget_past_the_pool_ends_on_a_truncated_row(self, tmp_path):
         # a pool of 60 + 42 + 30 = 132 rows: 13 batches of 10, then the last 2
@@ -938,8 +943,7 @@ class TestMutationFuzz:
         save_model(train(init_model(model), labeled), ckpt)
         save_features(labeled, lab)
         save_features(labeled.take(np.arange(6)), q_csv, "csv")
-        # a pool of 27 + 17 + 11 + 7 = 62 rows, just past loop.subset_size
-        text = TINY_CONFIG.replace("data.n_per_class = 60", "data.n_per_class = 27")
+        text = TINY_CONFIG.replace("data.n_per_class = 60", "data.n_per_class = 6")
         cfg, manifest = tmp_path / "gen.cfg", tmp_path / "manifest.cfg"
         cfg.write_text(text)
         manifest.write_text(echo_config(build_experiment(parse_config_text(text)),
@@ -1053,18 +1057,6 @@ class TestConfigFuzz:
         finished = [outcome[1:] for outcome in outcomes if outcome[0] == 0]
         assert {s for s, _ in finished} == set(VALID_STRATEGIES)
         assert {loss for _, loss in finished} == set(LOSS_KINDS) | {None}
-
-
-def test_benchmark_tracer_installs():
-    """The benchmark's tracer wraps names that conal.cli, conal.loop and the
-    conal modules bind; deleting one of them breaks ``--trace 1``."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "perfbench"),
-                                                       str(root / "src")]))
-    proc = subprocess.run([sys.executable, "-c",
-                           "import tracing; tracing.install(tracing.Tracer())"],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
 
 
 class TestScoreMemoryBudget:

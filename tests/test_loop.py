@@ -62,10 +62,15 @@ class TestLoopConfig:
             quick_loop(strategy="entropi").validate()
 
     def test_subset_larger_than_pool(self):
+        """A subset past the pool is a cap, as a budget past it is: each query
+        scores every unlabeled row."""
         pool, test, model = small_setup()
-        with pytest.raises(ConfigError):
-            run_active_learning(pool, test, model,
-                                quick_loop(subset=pool.n + 1), shifts=[])
+        m = 20
+        result = run_active_learning(pool, test, model,
+                                     quick_loop("entropy", m=m, subset=pool.n + 1), shifts=[])
+        assert [r.labeled_count for r in result.reports] == [20, 40, 60]
+        batches = -(-(pool.n - m) // model.batch_size)
+        assert result.reports[1].forward_passes_used == batches
 
 
 def _unmark_labeled(state):
@@ -226,7 +231,6 @@ class TestDeterminism:
         assert copy.reports == result.reports
         assert copy.pool.history == result.pool.history
         np.testing.assert_array_equal(copy.pool.labeled, result.pool.labeled)
-        assert copy.truncated == result.truncated
         for name, value in result.final_state.encoder_projection_params().items():
             np.testing.assert_array_equal(getattr(copy.final_state, name), value)
         passes = result.final_state.forward_pass_count
@@ -241,14 +245,13 @@ class TestBudgetEdges:
         result = run_active_learning(pool, test, model, config, shifts=[])
         assert len(result.pool.labeled_ids) == pool.n
         assert len(result.pool.unlabeled_ids) == 0
-        assert not result.truncated
+        assert not result.reports[-1].truncated
 
     def test_pool_exhaustion_truncates(self):
         pool, test, model = small_setup(rho=1.0, n0=25, k=4)  # pool 100
         config = LoopConfig(budget=160, acquisition_size=40, subset_size=100,
                             strategy="random", seed=0)
         result = run_active_learning(pool, test, model, config, shifts=[])
-        assert result.truncated
         assert result.reports[-1].truncated
         assert len(result.pool.labeled_ids) == 100
         assert len(result.pool.history[-1]) == 20  # the partial remainder

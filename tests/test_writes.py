@@ -25,8 +25,6 @@ data.n_per_class = 40
 data.imbalance_ratio = 4
 data.test_n_per_class = 10
 data.ood_n = 10
-loop.acquisition_size = 10
-loop.subset_size = 40
 """
 
 
