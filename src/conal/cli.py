@@ -27,7 +27,7 @@ from .data import (DEFAULT_SHIFT_MAGNITUDES, balanced_test_spec, full_shift_suit
 from .errors import ConalError, ConfigError, DataError
 from .io import load_features, replacing, save_features, save_scores
 from .loop import LoopConfig, run_cells, scorer_input, scoring_context
-from .metrics import MCE_NORMALIZATION, read_reports_jsonl, write_reports_jsonl
+from .metrics import MCE_NORMALIZATION, read_reports_jsonl, write_jsonl, write_reports_jsonl
 # names imported but not called here stay bound for perfbench/tracing.py to wrap
 from .loop import run_active_learning
 from .model import encode_values, load_model, predict_proba_from_features, stochastic_proba
@@ -114,6 +114,9 @@ def _materialize_data(config: ExperimentConfig):
         test = load_features(config.test_path, config.file_format)
         ood = (load_features(config.ood_path, config.file_format)
                if config.ood_path else None)
+        for path, data in ((config.train_path, train), (config.test_path, test)):
+            if data.n == 0:
+                raise DataError(f"{path}: the feature file has no rows")
         if train.labels is None or test.labels is None:
             raise DataError("train and test feature files must be labeled")
         for name, other in (("test", test), ("OOD", ood)):
@@ -180,6 +183,9 @@ def cmd_run(args) -> None:
             failures.append(result)
             continue
         write_reports_jsonl(result.reports, cell_dir / "report.jsonl")
+        write_jsonl([{"iteration": report.iteration, "query_wall_ms": ms}
+                     for report, ms in zip(result.reports, result.query_wall_ms)],
+                    cell_dir / "timing.jsonl")
         print(f"finished {cell.strategy} seed {cell.seed}: "
               f"final accuracy {result.reports[-1].accuracy:.4f}")
     if failures:

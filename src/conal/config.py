@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .data import SHIFT_KINDS, DatasetSpec, full_shift_suite
 from .errors import ConfigError
+from .io import FORMATS
 from .loop import LoopConfig
 from .model import ModelConfig
 from .strategies import get_strategy
@@ -159,6 +160,8 @@ class ExperimentConfig:
         for name in self.strategies:
             get_strategy(name)
         full_shift_suite(self.shift_kinds, self.shift_intensities)
+        if self.file_format not in FORMATS:
+            raise ConfigError(f"data.format must be one of {', '.join(FORMATS)}")
         if self.source == "files":
             for label, p in (("train", self.train_path), ("test", self.test_path)):
                 if p is None:
@@ -169,6 +172,10 @@ class ExperimentConfig:
                 raise ConfigError(f"data.ood_path does not exist: {self.ood_path}")
         elif self.source == "synthetic":
             self.dataset.validate()
+            if self.test_n_per_class < 1:
+                raise ConfigError("data.test_n_per_class must be >= 1")
+            if self.ood_n < 0:
+                raise ConfigError("data.ood_n must be >= 0")
         else:
             raise ConfigError("data.source must be 'synthetic' or 'files'")
         self.model.validate()

@@ -5,9 +5,10 @@ the batch: uniformly at random on the first iteration, by the configured query
 strategy afterwards. ``train`` and ``scoring_context`` fit the model from
 scratch on every label the oracle has revealed. ``_evaluate`` measures the
 model. ``run_active_learning`` writes the report from those metrics and the
-acquisition's own facts: cost, class balance and truncation. Runs are
-deterministic per seed; the initial random batch depends only on the seed, not
-the strategy, so strategies fork from identical starting pools.
+acquisition's own facts: forward passes, class balance and truncation. Runs
+are deterministic per seed; the initial random batch depends only on the seed,
+not the strategy, so strategies fork from identical starting pools. Each
+query's wall time, the one measurement that is not, is kept beside the reports.
 
 Sample ids are ``str``, as every ``FeatureMatrix`` holds them. On entry the
 pool is sorted by id, unless its ids already ascend (then it is used as given),
@@ -154,6 +155,7 @@ class PoolState:
 @dataclass
 class RunResult:
     reports: list[IterationReport]
+    query_wall_ms: list[float]  # one per report: the query's wall time, not deterministic
     pool: PoolState
     final_state: ModelState
 
@@ -198,6 +200,7 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     state: ModelState | None = None
     ctx: ScoringContext | None = None
     reports: list[IterationReport] = []
+    query_wall_ms: list[float] = []
 
     for t, m_now in enumerate(sizes, start=1):
         truncated = m_now < m  # only the last batch can be short
@@ -222,14 +225,14 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
             sampling_bias=sampling_bias(np.bincount(train_labels, minlength=k), k),
             sampling_bias_acquired=sampling_bias(
                 np.bincount(train_labels[-m_now:], minlength=k), k),
-            query_wall_ms=cost.wall_ms,
             forward_passes_used=cost.forward_passes,
             deficit_fills=selection.deficit_fills,
             truncated=truncated,
             **_evaluate(state, test, ood, shifted_tests, strategy, ctx, seed, t),
         ))
+        query_wall_ms.append(cost.wall_ms)
 
-    return RunResult(reports, pool_state, state)
+    return RunResult(reports, query_wall_ms, pool_state, state)
 
 
 def _worker_count(n_cells: int) -> int:

@@ -134,7 +134,8 @@ class QueryCost:
 
 @dataclass
 class IterationReport:
-    """Everything measured in one active-learning iteration (one JSONL row)."""
+    """Everything deterministic measured in one active-learning iteration (one JSONL
+    row). The query's wall time is not, so ``RunResult.query_wall_ms`` holds it."""
 
     iteration: int
     labeled_count: int
@@ -146,7 +147,6 @@ class IterationReport:
     auroc_ood: float | None
     mce: float | None
     per_shift: list = field(default_factory=list)
-    query_wall_ms: float = 0.0
     forward_passes_used: int = 0
     sampling_bias_acquired: float | None = None
     deficit_fills: int = 0
@@ -160,11 +160,15 @@ class IterationReport:
 CURVE_METRICS = ("accuracy", "ece", "nll", "brier", "sampling_bias", "auroc_ood", "mce")
 
 
-def write_reports_jsonl(reports: list[IterationReport], path) -> None:
-    """Write one JSON object a line through ``io.replacing``: never a partial report."""
+def write_jsonl(rows, path) -> None:
+    """Write one JSON object a line through ``io.replacing``: never a partial file."""
     with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
-        for report in reports:
-            fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def write_reports_jsonl(reports: list[IterationReport], path) -> None:
+    write_jsonl((report.to_dict() for report in reports), path)
 
 
 def read_reports_jsonl(path) -> list[dict]:

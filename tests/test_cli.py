@@ -20,7 +20,7 @@ from conal.data import (SHIFT_KINDS, DatasetSpec, FeatureMatrix, class_sizes,
 from conal.errors import ConfigError
 from conal.io import load_features, read_container, save_features, write_container
 from conal.loop import LoopConfig
-from conal.metrics import IterationReport
+from conal.metrics import IterationReport, read_reports_jsonl
 from conal.model import LOSS_KINDS, ModelConfig, init_model, save_model, train
 from conal.strategies import VALID_STRATEGIES
 
@@ -56,13 +56,14 @@ def tiny_config(tmp_path):
     return path
 
 
-def read_jsonl_masked(path):
-    rows = []
-    for line in path.read_text().splitlines():
-        row = json.loads(line)
-        row.pop("query_wall_ms")
-        rows.append(row)
-    return rows
+def assert_same_results(one, two):
+    """Two runs of one config wrote the same ``report.jsonl`` in every cell, the
+    same ``curves.csv`` and, where ``conal report`` ran, the same tables."""
+    names = ["curves.csv"] + [str(p.relative_to(one)) for p in sorted(one.glob("*/report.jsonl"))
+                              + sorted(one.glob("report/*.csv"))]
+    assert len(names) > 1
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 class TestConfigParsing:
@@ -113,6 +114,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="featuresim"):
             build_experiment({"run.strategies": "entropi"})
 
+    @pytest.mark.parametrize("key,raw,message", [
+        ("data.format", "xml", "data.format must be one of binary, csv"),
+        ("data.test_n_per_class", "0", "data.test_n_per_class must be >= 1"),
+        ("data.ood_n", "-1", "data.ood_n must be >= 0"),
+    ], ids=["format_xml", "test_n_per_class_0", "ood_n_negative"])
+    def test_value_gen_would_reject_is_rejected_up_front(self, tmp_path, capsys, key, raw,
+                                                         message):
+        kept = [line for line in TINY_CONFIG.splitlines() if line.split("=")[0].strip() != key]
+        text = "\n".join(kept + [f"{key} = {raw}", f"run.out = {tmp_path / 'o'}"]) + "\n"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_experiment(parse_config_text(text))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["gen", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestGen:
     def test_balanced_counts_uniform(self, tmp_path):
@@ -133,7 +151,7 @@ class TestGen:
         assert main(["gen", str(cfg)]) == 0
         assert main(["run", str(cfg)]) == 0
         for strategy in ("featuresim", "random"):
-            rows = read_jsonl_masked(tmp_path / "o" / f"{strategy}_seed0" / "report.jsonl")
+            rows = read_reports_jsonl(tmp_path / "o" / f"{strategy}_seed0" / "report.jsonl")
             assert [(row["labeled_count"], row["truncated"]) for row in rows] == [(30, True)]
 
     def test_imbalanced_ratio_fifty(self, tmp_path):
@@ -172,21 +190,33 @@ class TestRun:
             assert (out / cell / "report.jsonl").exists()
             assert (out / cell / "manifest.cfg").exists()
 
-        # rerun into a fresh directory: identical JSONL modulo wall time
+        # rerun into a fresh directory: every deterministic file is the same
         assert main(["run", str(tiny_config), "--out", str(tmp_path / "out2")]) == 0
-        for cell in cells:
-            a = read_jsonl_masked(out / cell / "report.jsonl")
-            b = read_jsonl_masked(tmp_path / "out2" / cell / "report.jsonl")
-            assert a == b
+        for run_dir in (out, tmp_path / "out2"):
+            assert main(["report", str(run_dir)]) == 0
+        assert_same_results(out, tmp_path / "out2")
 
     def test_manifest_reproduces_run(self, tiny_config, tmp_path):
         assert main(["run", str(tiny_config)]) == 0
         manifest = tmp_path / "out" / "manifest.cfg"
         assert main(["run", str(manifest), "--out", str(tmp_path / "out3")]) == 0
-        for cell in ("featuresim_seed0", "random_seed1"):
-            a = read_jsonl_masked(tmp_path / "out" / cell / "report.jsonl")
-            b = read_jsonl_masked(tmp_path / "out3" / cell / "report.jsonl")
-            assert a == b
+        for run_dir in (tmp_path / "out", tmp_path / "out3"):
+            assert main(["report", str(run_dir)]) == 0
+        assert_same_results(tmp_path / "out", tmp_path / "out3")
+
+    def test_timing_has_one_row_per_report_row(self, tiny_config, tmp_path):
+        assert main(["run", str(tiny_config)]) == 0
+        cells = sorted((tmp_path / "out").glob("*_seed*"))
+        assert len(cells) == 4
+        for cell in cells:
+            reports = read_reports_jsonl(cell / "report.jsonl")
+            assert all("query_wall_ms" not in row for row in reports)
+            timing = [json.loads(line) for line in
+                      (cell / "timing.jsonl").read_text(encoding="utf-8").splitlines()]
+            assert [row["iteration"] for row in timing] == [row["iteration"] for row in reports]
+            for row in timing:
+                assert sorted(row) == ["iteration", "query_wall_ms"]
+                assert np.isfinite(row["query_wall_ms"]) and row["query_wall_ms"] >= 0
 
     def test_strategy_typo_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -214,11 +244,7 @@ class TestRun:
             assert main(["run", str(tiny_config), "--out", str(tmp_path / f"w{workers}")]) == 0
             assert {k: v for k, v in os.environ.items()
                     if k.endswith("_NUM_THREADS")} == blas_env
-        one, two = tmp_path / "w1", tmp_path / "w2"
-        assert (one / "curves.csv").read_bytes() == (two / "curves.csv").read_bytes()
-        for cell in ("featuresim_seed0", "featuresim_seed1", "random_seed0", "random_seed1"):
-            assert read_jsonl_masked(one / cell / "report.jsonl") == \
-                read_jsonl_masked(two / cell / "report.jsonl")
+        assert_same_results(tmp_path / "w1", tmp_path / "w2")
 
     def test_curves_schema(self, tiny_config, tmp_path):
         main(["run", str(tiny_config)])
@@ -260,7 +286,7 @@ class TestRun:
         assert main(["report", str(tmp_path / "o")]) == 0
         values: dict = {}
         for seed in (0, 1, 2, 3, 10):  # ascending integers; the directories sort 10 before 2
-            for row in read_jsonl_masked(tmp_path / "o" / f"random_seed{seed}" / "report.jsonl"):
+            for row in read_reports_jsonl(tmp_path / "o" / f"random_seed{seed}" / "report.jsonl"):
                 for metric in ("accuracy", "ece", "nll", "brier", "auroc_ood", "mce"):
                     values.setdefault((str(row["iteration"]), metric), []).append(row[metric])
         with open(tmp_path / "o" / "curves.csv") as fh:
@@ -786,23 +812,32 @@ class TestFailureHandling:
                        + f"run.out = {tmp_path / 'o'}\n")
         return cfg
 
-    @pytest.mark.parametrize("bad_part,change", [
-        ("test", "narrow"), ("ood", "narrow"), ("test", "label_7"), ("train", "label_7"),
-    ], ids=["test_width_5", "ood_width_5", "test_label_7", "train_label_7"])
+    @pytest.mark.parametrize("bad_part,change,message", [
+        ("test", "narrow", "the test file has 5 features per row"),
+        ("ood", "narrow", "the OOD file has 5 features per row"),
+        ("test", "label_7", "test labels must lie in [0, 4)"),
+        ("train", "label_7", "train labels must lie in [0, 4)"),
+        ("train", "empty", "train.bin: the feature file has no rows"),
+        ("test", "empty", "test.bin: the feature file has no rows"),
+    ], ids=["test_width_5", "ood_width_5", "test_label_7", "train_label_7", "train_empty",
+            "test_empty"])
     def test_bad_file_inputs_rejected_before_any_cell(self, tmp_path, capsys, bad_part,
-                                                      change):
+                                                      change, message):
         def edit(name, fm):
             if name != bad_part:
                 return fm
             if change == "narrow":
                 return FeatureMatrix(fm.values[:, :5], fm.ids, fm.labels)
+            if change == "empty":
+                return fm.take(np.arange(0))
             labels = fm.labels.copy()
             labels[0] = 7
             return FeatureMatrix(fm.values, fm.ids, labels)
 
         cfg = self._files_config(tmp_path, edit)
         assert main(["run", str(cfg)]) == 3
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "gen"])
@@ -847,8 +882,8 @@ class TestFailureHandling:
             return
         for seed in (0, 1):
             for strategy, passes in (("featuresim", 4), ("random", 0)):  # ceil(117 / 32)
-                rows = read_jsonl_masked(tmp_path / "o" / f"{strategy}_seed{seed}"
-                                         / "report.jsonl")
+                rows = read_reports_jsonl(tmp_path / "o" / f"{strategy}_seed{seed}"
+                                          / "report.jsonl")
                 assert [row["forward_passes_used"] for row in rows] == [0, passes]
 
     def test_budget_past_the_pool_ends_on_a_truncated_row(self, tmp_path):
@@ -955,8 +990,8 @@ class TestMutationFuzz:
                           tau=2)
         result = run_active_learning(labeled, generate_mixture(balanced_test_spec(ds, 4)),
                                      model, loop, shifts=[ShiftSpec("additive_gaussian", 1)])
-        # with no wall time in it, the report and so every mutant is the same each run
-        write_reports_jsonl([replace(r, query_wall_ms=0.0) for r in result.reports], report)
+        # a report holds no wall time, so it and every mutant is the same each run
+        write_reports_jsonl(result.reports, report)
 
         scores, data = ["--out", str(tmp_path / "s.csv")], ["--out", str(tmp_path / "data")]
         score = ["score", str(lab), "--checkpoint", str(ckpt)] + scores

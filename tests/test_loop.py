@@ -1,4 +1,3 @@
-import json
 import pickle
 
 import numpy as np
@@ -167,9 +166,7 @@ class TestPoolBookkeeping:
         # generate_mixture's ids ascend with its rows, so that pool is used as given
         assert np.shares_memory(runs[0].pool.universe, pool.ids)
         assert runs[0].pool.history == runs[1].pool.history == runs[2].pool.history
-        rows = [[{k: v for k, v in r.to_dict().items() if k != "query_wall_ms"}
-                 for r in run.reports] for run in runs]
-        assert rows[0] == rows[1] == rows[2]
+        assert runs[0].reports == runs[1].reports == runs[2].reports
 
     def test_int_ids_report_as_their_str_twin(self, tmp_path):
         pool, test, model = small_setup()
@@ -180,9 +177,7 @@ class TestPoolBookkeeping:
                                       quick_loop("featuresim"),
                                       shifts=[ShiftSpec("feature_scale", 2)])
             write_reports_jsonl(run.reports, tmp_path / f"{name}.jsonl")
-            rows = map(json.loads, (tmp_path / f"{name}.jsonl").read_text().splitlines())
-            reports.append(([{k: v for k, v in row.items() if k != "query_wall_ms"}
-                             for row in rows], run.pool.history))
+            reports.append(((tmp_path / f"{name}.jsonl").read_bytes(), run.pool.history))
         assert reports[0] == reports[1]
         assert all(isinstance(sid, str) for sid in reports[0][1][0])
 
@@ -229,6 +224,8 @@ class TestDeterminism:
         result = run_active_learning(pool, test, model, quick_loop("featuresim"), shifts=[])
         copy = pickle.loads(pickle.dumps(result))
         assert copy.reports == result.reports
+        assert len(result.query_wall_ms) == len(result.reports)
+        assert copy.query_wall_ms == result.query_wall_ms
         assert copy.pool.history == result.pool.history
         np.testing.assert_array_equal(copy.pool.labeled, result.pool.labeled)
         for name, value in result.final_state.encoder_projection_params().items():

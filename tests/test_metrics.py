@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,8 +216,9 @@ class TestIterationReport:
         d = report.to_dict()
         for key in ("iteration", "labeled_count", "accuracy", "ece", "nll", "brier",
                     "sampling_bias", "auroc_ood", "mce", "per_shift",
-                    "query_wall_ms", "forward_passes_used"):
+                    "forward_passes_used"):
             assert key in d
+        assert "query_wall_ms" not in d  # a measurement: RunResult keeps it beside the report
         assert d["mce_normalization"] == "none"
 
     def test_interrupted_write_leaves_the_old_report_whole(self, tmp_path, monkeypatch):
@@ -240,6 +243,14 @@ class TestIterationReport:
         with pytest.raises(KeyboardInterrupt):
             write_reports_jsonl(reports[:1] + reports, path)
         assert path.read_bytes() == before
+
+    def test_rows_of_older_runs_with_the_wall_time_still_read(self, tmp_path):
+        row = IterationReport(iteration=1, labeled_count=10, accuracy=0.9, ece=0.05, nll=0.3,
+                              brier=0.2, sampling_bias=0.1, auroc_ood=None,
+                              mce=None).to_dict()
+        path = tmp_path / "report.jsonl"
+        path.write_text(json.dumps(dict(row, query_wall_ms=1.5)) + "\n", encoding="utf-8")
+        assert read_reports_jsonl(path) == [dict(row, query_wall_ms=1.5)]
 
 
 class TestAccuracy:
