@@ -27,12 +27,13 @@ from .data import (DEFAULT_SHIFT_MAGNITUDES, balanced_test_spec, full_shift_suit
 from .errors import ConalError, ConfigError, DataError
 from .io import load_features, replacing, save_features, save_scores
 from .loop import LoopConfig, run_cells, scorer_input, scoring_context
-from .metrics import MCE_NORMALIZATION, read_reports_jsonl, write_jsonl, write_reports_jsonl
+from .metrics import MCE_NORMALIZATION
 # names imported but not called here stay bound for perfbench/tracing.py to wrap
 from .loop import run_active_learning
+from .metrics import read_reports_jsonl, write_reports_jsonl
 from .model import encode_values, load_model, predict_proba_from_features, stochastic_proba
 from .pca import fit_class_pca
-from .report import curves_table, report_tables, write_table
+from .report import cell_name, curves_table, read_cells, report_tables, write_cell, write_table
 from .strategies import (VALID_STRATEGIES, featuresim_scores, fre_scores_batch,
                          get_strategy, score_bald, score_entropy)
 
@@ -110,12 +111,12 @@ def _materialize_data(config: ExperimentConfig):
                                 id_prefix="te-")
         ood = generate_ood(ds, config.ood_n, ds.seed + 2) if config.ood_n else None
     else:
-        train = load_features(config.train_path, config.file_format)
-        test = load_features(config.test_path, config.file_format)
-        ood = (load_features(config.ood_path, config.file_format)
-               if config.ood_path else None)
-        for path, data in ((config.train_path, train), (config.test_path, test)):
-            if data.n == 0:
+        train, test = (load_features(path, config.file_format)
+                       for path in (config.train_path, config.test_path))
+        ood = load_features(config.ood_path, config.file_format) if config.ood_path else None
+        for path, data in ((config.train_path, train), (config.test_path, test),
+                           (config.ood_path, ood)):
+            if data is not None and data.n == 0:
                 raise DataError(f"{path}: the feature file has no rows")
         if train.labels is None or test.labels is None:
             raise DataError("train and test feature files must be labeled")
@@ -148,10 +149,9 @@ def cmd_gen(args) -> None:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     ext = "bin" if args.format == "binary" else "csv"
-    save_features(train, out / f"train.{ext}", args.format)
-    save_features(test, out / f"test.{ext}", args.format)
-    if ood is not None:
-        save_features(ood, out / f"ood.{ext}", args.format)
+    for name, data in (("train", train), ("test", test), ("ood", ood)):
+        if data is not None:
+            save_features(data, out / f"{name}.{ext}", args.format)
     print(f"wrote train/test/ood feature files to {out}")
 
 
@@ -166,54 +166,26 @@ def cmd_run(args) -> None:
 
     cells = [replace(config.loop, strategy=strategy, seed=seed)
              for strategy in config.strategies for seed in config.seeds]
-    cell_dirs = [out / f"{cell.strategy}_seed{cell.seed}" for cell in cells]
-    for cell, cell_dir in zip(cells, cell_dirs):
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        cell_meta = _meta(config)
-        cell_meta.update({"strategy": cell.strategy, "seed": cell.seed})
-        with replacing(cell_dir / "manifest.cfg", "w", encoding="utf-8") as fh:
-            fh.write(echo_config(config, cell_meta))
+    names = [cell_name(cell.strategy, cell.seed) for cell in cells]
     outcomes = run_cells(train, test, config.model, cells, ood=ood, shifts=shifts)
-
-    failures = []
-    for cell, cell_dir, result in zip(cells, cell_dirs, outcomes):
-        if isinstance(result, BaseException):
-            with replacing(cell_dir / "FAILED.txt", "w", encoding="utf-8") as fh:
-                fh.write(f"{type(result).__name__}: {result}\n")
-            failures.append(result)
-            continue
-        write_reports_jsonl(result.reports, cell_dir / "report.jsonl")
-        write_jsonl([{"iteration": report.iteration, "query_wall_ms": ms}
-                     for report, ms in zip(result.reports, result.query_wall_ms)],
-                    cell_dir / "timing.jsonl")
-        print(f"finished {cell.strategy} seed {cell.seed}: "
-              f"final accuracy {result.reports[-1].accuracy:.4f}")
+    for cell, name, result in zip(cells, names, outcomes):
+        meta = dict(_meta(config), strategy=cell.strategy, seed=cell.seed)
+        write_cell(out / name, echo_config(config, meta), result)
+        if not isinstance(result, BaseException):
+            print(f"finished {cell.strategy} seed {cell.seed}: "
+                  f"final accuracy {result.reports[-1].accuracy:.4f}")
+    failures = [result for result in outcomes if isinstance(result, BaseException)]
     if failures:
         raise failures[0]
-    write_table(curves_table(_read_cells(cell_dirs)), out / "curves.csv")
+    write_table(curves_table(read_cells(out, names)), out / "curves.csv")
     print(f"run complete: {out}")
-
-
-def _read_cells(cell_dirs) -> list[tuple[str, int, list[dict]]]:
-    """(strategy, seed, report rows) of each ``<strategy>_seed<int>`` directory, in order."""
-    cells = []
-    for cell_dir in cell_dirs:
-        strategy, _, seed = cell_dir.name.rpartition("_seed")
-        try:
-            seed = int(seed)
-        except ValueError:
-            raise DataError(f"{cell_dir}: a cell directory must be named "
-                            "<strategy>_seed<int>") from None
-        cells.append((strategy, seed, read_reports_jsonl(cell_dir / "report.jsonl")))
-    return cells
 
 
 def cmd_report(args) -> None:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise DataError(f"run directory not found: {run_dir}")
-    cells = _read_cells(sorted(p for p in run_dir.iterdir()
-                               if p.is_dir() and (p / "report.jsonl").exists()))
+    cells = read_cells(run_dir)
     if not cells:
         raise DataError(f"no run cells with report.jsonl under {run_dir}")
     report_dir = run_dir / "report"

@@ -78,11 +78,8 @@ class FeatureMatrix:
 
     def take(self, indices) -> "FeatureMatrix":
         indices = np.asarray(indices)
-        return FeatureMatrix(
-            self.values[indices],
-            self.ids[indices],
-            None if self.labels is None else self.labels[indices],
-        )
+        return FeatureMatrix(self.values[indices], self.ids[indices],
+                             None if self.labels is None else self.labels[indices])
 
 
 @dataclass(frozen=True)
@@ -141,10 +138,7 @@ def class_sizes(spec: DatasetSpec) -> list[int]:
 
 
 def class_centers(spec: DatasetSpec) -> np.ndarray:
-    centers = np.zeros((spec.k, spec.d))
-    for k in range(spec.k):
-        centers[k, k] = spec.class_separation
-    return centers
+    return np.eye(spec.k, spec.d) * spec.class_separation
 
 
 def _row_ids(prefix: str, rows: np.ndarray) -> np.ndarray:

@@ -18,11 +18,15 @@ MCE_NORMALIZATION = "none"  # plain mean error; no baseline-model normalization
 ECE_BINS = 15
 
 
-def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
+def _rows(name: str, probs, labels) -> tuple[np.ndarray, np.ndarray]:
+    probs, labels = np.asarray(probs, dtype=np.float64), np.asarray(labels)
     if probs.shape[0] == 0:
-        raise DataError("accuracy undefined for empty input")
+        raise DataError(f"{name} undefined for empty input")
+    return probs, labels
+
+
+def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
+    probs, labels = _rows("accuracy", probs, labels)
     return float((probs.argmax(axis=1) == labels).mean())
 
 
@@ -32,11 +36,8 @@ def ece(probs: np.ndarray, labels: np.ndarray) -> float:
     Confidence is the max class probability; each nonempty bin contributes
     its sample share times |accuracy - mean confidence|.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
+    probs, labels = _rows("ece", probs, labels)
     n = probs.shape[0]
-    if n == 0:
-        raise DataError("ece undefined for empty input")
     sums = probs.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-4:
         raise DataError("probability rows must sum to 1")
@@ -52,10 +53,7 @@ def ece(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def brier(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean over samples of the squared distance to the one-hot label."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if probs.shape[0] == 0:
-        raise DataError("brier undefined for empty input")
+    probs, labels = _rows("brier", probs, labels)
     onehot = np.zeros_like(probs)
     onehot[np.arange(probs.shape[0]), labels] = 1.0
     return float(((probs - onehot) ** 2).sum(axis=1).mean())
@@ -63,10 +61,7 @@ def brier(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood; probabilities clamped below at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if probs.shape[0] == 0:
-        raise DataError("nll undefined for empty input")
+    probs, labels = _rows("nll", probs, labels)
     p_true = np.clip(probs[np.arange(probs.shape[0]), labels], 1e-12, None)
     return float(-np.log(p_true).mean())
 

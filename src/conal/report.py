@@ -1,14 +1,53 @@
-"""A run's tables, as pure functions from its cells to rows, and the one CSV writer. A cell
-is ``(strategy, seed, report rows)``; a table is a list of rows of plain values, header first."""
+"""A run's cell directories and tables. A cell ``<strategy>_seed<int>`` holds ``manifest.cfg``
+and either ``FAILED.txt`` or ``timing.jsonl`` and ``report.jsonl``. ``write_cell`` removes
+``report.jsonl`` first and writes it last, so it marks a whole cell. ``read_cells`` gives cells
+as ``(strategy, seed, report rows)``; a table is a list of rows of plain values, header first."""
 
 from __future__ import annotations
 
 import csv
+import re
 
 import numpy as np
 
+from .errors import DataError
 from .io import replacing
-from .metrics import CURVE_METRICS
+from .metrics import CURVE_METRICS, read_reports_jsonl, write_jsonl, write_reports_jsonl
+
+
+def cell_name(strategy: str, seed: int) -> str:
+    return f"{strategy}_seed{seed}"
+
+
+def write_cell(cell_dir, manifest: str, outcome) -> None:
+    """Replace ``cell_dir``'s files with ``manifest`` and the cell's RunResult or exception."""
+    cell_dir.mkdir(parents=True, exist_ok=True)
+    (cell_dir / "report.jsonl").unlink(missing_ok=True)
+    with replacing(cell_dir / "manifest.cfg", "w", encoding="utf-8") as fh:
+        fh.write(manifest)
+    failed = isinstance(outcome, BaseException)
+    (cell_dir / ("timing.jsonl" if failed else "FAILED.txt")).unlink(missing_ok=True)
+    if failed:
+        with replacing(cell_dir / "FAILED.txt", "w", encoding="utf-8") as fh:
+            fh.write(f"{type(outcome).__name__}: {outcome}\n")
+        return
+    write_jsonl([{"iteration": report.iteration, "query_wall_ms": ms} for report, ms
+                 in zip(outcome.reports, outcome.query_wall_ms)], cell_dir / "timing.jsonl")
+    write_reports_jsonl(outcome.reports, cell_dir / "report.jsonl")
+
+
+def read_cells(run_dir, names=None) -> list[tuple[str, int, list[dict]]]:
+    """The cells named ``names`` under ``run_dir``, in that order; by default each
+    directory there that holds a ``report.jsonl``, in name order."""
+    if names is None:
+        names = sorted(p.name for p in run_dir.iterdir() if (p / "report.jsonl").is_file())
+    cells = []
+    for name in names:
+        match = re.fullmatch(r"(.*)_seed(-?\d+)", name)
+        if match is None:
+            raise DataError(f"{run_dir / name}: a cell directory must be <strategy>_seed<int>")
+        cells.append((match[1], int(match[2]), read_reports_jsonl(run_dir / name / "report.jsonl")))
+    return cells
 
 
 def curves_table(cells) -> list[list]:

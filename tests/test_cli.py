@@ -17,12 +17,15 @@ from conal.config import (_KEYS, build_experiment, echo_config, load_config_file
                           parse_config_text)
 from conal.data import (SHIFT_KINDS, DatasetSpec, FeatureMatrix, class_sizes,
                         generate_mixture)
-from conal.errors import ConfigError
+from conal import io as conal_io
+from conal.errors import ConfigError, DataError
 from conal.io import load_features, read_container, save_features, write_container
-from conal.loop import LoopConfig
+from conal.loop import LoopConfig, RunResult
 from conal.metrics import IterationReport, read_reports_jsonl
 from conal.model import LOSS_KINDS, ModelConfig, init_model, save_model, train
+from conal.report import cell_name, read_cells, write_cell
 from conal.strategies import VALID_STRATEGIES
+from test_writes import _Interrupted, _Partway
 
 TINY_CONFIG = """
 # tiny experiment for tests
@@ -819,8 +822,9 @@ class TestFailureHandling:
         ("train", "label_7", "train labels must lie in [0, 4)"),
         ("train", "empty", "train.bin: the feature file has no rows"),
         ("test", "empty", "test.bin: the feature file has no rows"),
+        ("ood", "empty", "ood.bin: the feature file has no rows"),
     ], ids=["test_width_5", "ood_width_5", "test_label_7", "train_label_7", "train_empty",
-            "test_empty"])
+            "test_empty", "ood_empty"])
     def test_bad_file_inputs_rejected_before_any_cell(self, tmp_path, capsys, bad_part,
                                                       change, message):
         def edit(name, fm):
@@ -916,6 +920,93 @@ class TestFailureHandling:
             assert "DataError" in (cell / "FAILED.txt").read_text()
             assert not (cell / "report.jsonl").exists()
         assert not (out / "curves.csv").exists()
+
+
+class TestCellWriter:
+    """A rerun into the same ``run.out`` replaces each cell's outcome, and a cell holds
+    ``report.jsonl`` only when every other file in it comes from the same run."""
+
+    @staticmethod
+    def _cells(out):
+        return sorted(p for p in out.iterdir() if p.is_dir() and p.name != "report")
+
+    def test_failing_rerun_leaves_no_old_results(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(tiny_config)]) == 0
+        tiny_config.write_text(tiny_config.read_text() + "model.lr = 1e300\n")
+        assert main(["run", str(tiny_config)]) == 3
+        cells = self._cells(out)
+        assert len(cells) == 4
+        for cell in cells:
+            assert sorted(p.name for p in cell.iterdir()) == ["FAILED.txt", "manifest.cfg"]
+            assert f"model.lr = {1e300}\n" in (cell / "manifest.cfg").read_text()
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 3
+        assert "no run cells with report.jsonl" in capsys.readouterr().err
+
+    def test_passing_rerun_replaces_a_failed_one(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        good = tiny_config.read_text()
+        tiny_config.write_text(good + "model.lr = 1e300\n")
+        assert main(["run", str(tiny_config)]) == 3
+        tiny_config.write_text(good)
+        assert main(["run", str(tiny_config)]) == 0
+        for cell in self._cells(out):
+            assert sorted(p.name for p in cell.iterdir()) == [
+                "manifest.cfg", "report.jsonl", "timing.jsonl"]
+        assert main(["run", str(tiny_config), "--out", str(tmp_path / "fresh")]) == 0
+        for run_dir in (out, tmp_path / "fresh"):
+            assert main(["report", str(run_dir)]) == 0
+        assert_same_results(out, tmp_path / "fresh")
+        for cell in self._cells(out):
+            assert f"model.lr = {1e300}\n" not in (cell / "manifest.cfg").read_text()
+
+    def test_interrupted_timing_write_leaves_no_report(self, tiny_config, tmp_path,
+                                                       monkeypatch):
+        out = tmp_path / "out"
+        assert main(["run", str(tiny_config)]) == 0
+        old = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        real = open
+
+        def interrupted(file, mode="r", *args, **kwargs):
+            fh = real(file, mode, *args, **kwargs)
+            if str(file).endswith("random_seed0/timing.jsonl.tmp"):
+                return _Partway(fh, _Interrupted())
+            return fh
+
+        monkeypatch.setattr(conal_io, "open", interrupted, raising=False)
+        with pytest.raises(_Interrupted):
+            main(["run", str(tiny_config)])
+        monkeypatch.undo()
+        cell = out / "random_seed0"
+        assert sorted(p.name for p in cell.iterdir()) == ["manifest.cfg", "timing.jsonl"]
+        assert (cell / "timing.jsonl").read_bytes() == old[Path("random_seed0/timing.jsonl")]
+        assert not list(out.rglob("*.tmp"))
+        # the cells before it were rewritten whole, the one after it is the old run's
+        assert [(strategy, seed) for strategy, seed, _ in read_cells(out)] == [
+            ("featuresim", 0), ("featuresim", 1), ("random", 1)]
+        later = Path("random_seed1")
+        assert all((out / later / name).read_bytes() == old[later / name]
+                   for name in ("manifest.cfg", "report.jsonl", "timing.jsonl"))
+
+    @pytest.mark.parametrize("strategy, seed", [("featuresim", 0), ("random", 12),
+                                                ("a_seed3", 4), ("entropy", -1)])
+    def test_cell_name_round_trips(self, tmp_path, strategy, seed):
+        reports = [IterationReport(t, 20 * t, 0.5, 0.1, 1.0, 0.5, 0.1, None, None)
+                   for t in (1, 2)]
+        write_cell(tmp_path / cell_name(strategy, seed), "meta.x = 1\n",
+                   RunResult(reports, [1.5, 2.5], None, None))
+        assert read_cells(tmp_path) == [(strategy, seed, [r.to_dict() for r in reports])]
+        assert read_cells(tmp_path, [cell_name(strategy, seed)]) == read_cells(tmp_path)
+
+    @pytest.mark.parametrize("name", ["featuresim_seedX", "featuresim", "featuresim_seed",
+                                      "featuresim_seed1.5", "seed0"])
+    def test_a_name_not_strategy_seed_int_is_a_data_error(self, tmp_path, name):
+        report = IterationReport(1, 20, 0.5, 0.1, 1.0, 0.5, 0.1, None, None)
+        write_cell(tmp_path / name, "meta.x = 1\n", RunResult([report], [1.5], None, None))
+        with pytest.raises(DataError, match="must be <strategy>_seed<int>"):
+            read_cells(tmp_path)
+        assert main(["report", str(tmp_path)]) == 3
 
 
 class TestManifestEcho:

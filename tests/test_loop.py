@@ -6,9 +6,11 @@ import pytest
 from conal.data import (DatasetSpec, FeatureMatrix, ShiftSpec, apply_shift,
                         balanced_test_spec, generate_mixture, generate_ood)
 from conal.errors import ConfigError, DataError, UsageError
-from conal.loop import LoopConfig, Oracle, PoolState, _worker_count, run_active_learning
+from conal.loop import (LoopConfig, Oracle, PoolState, _worker_count, run_active_learning,
+                        scoring_context)
 from conal.metrics import sampling_bias, write_reports_jsonl
-from conal.model import ModelConfig
+from conal.model import ModelConfig, init_model
+from conal.strategies import get_strategy
 
 # the report fields that measure the model; the others describe the acquisition
 MODEL_FIELDS = ("accuracy", "ece", "nll", "brier", "auroc_ood", "mce", "per_shift")
@@ -440,3 +442,37 @@ class TestModes:
         with pytest.raises(DataError):
             run_active_learning(pool, FeatureMatrix(test.values, test.ids), model,
                                 quick_loop("random"), shifts=[])
+
+
+class TestShiftedTestSets:
+    def test_every_cell_evaluates_on_the_same_shifted_sets(self, monkeypatch):
+        """The shifted test sets come from ``loop.SHIFT_SEED``: neither a cell's seed
+        nor its strategy changes them."""
+        import conal.loop as loop_mod
+
+        pool, test, model = small_setup()
+        shifts = [ShiftSpec("additive_gaussian", 3), ShiftSpec("feature_dropout_mask", 2)]
+        seen = {spec: [] for spec in shifts}
+
+        def recorded(data, spec, seed):
+            shifted = apply_shift(data, spec, seed)
+            seen[spec].append(shifted.values)
+            return shifted
+
+        monkeypatch.setattr(loop_mod, "apply_shift", recorded)
+        for strategy, seed in (("random", 0), ("random", 1), ("entropy", 7)):
+            run_active_learning(pool, test, model, quick_loop(strategy, budget=20, seed=seed),
+                                shifts=shifts)
+        for values in seen.values():
+            assert len(values) == 3
+            assert all(np.array_equal(values[0], other) for other in values[1:])
+            assert not np.array_equal(values[0], test.values)
+
+
+class TestScoringContext:
+    def test_a_class_with_two_labeled_rows_gets_its_own_subspace(self):
+        pool, _, model = small_setup()
+        labeled = FeatureMatrix(pool.values[:8], pool.ids[:8], [0, 0, 0, 0, 0, 1, 1, 2])
+        ctx = scoring_context(get_strategy("fre"), init_model(model), labeled, tau=2)
+        assert sorted(ctx.pca_model.classes) == [0, 1]
+        assert ctx.pca_model.classes[1].n_fit == 2

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from conal.data import DatasetSpec, FeatureMatrix, generate_mixture
 from conal.errors import ConfigError, DataError, UsageError
-from conal.model import (LOSS_KINDS, ModelConfig, _unit_rows, contrastive_loss_and_grads,
-                         encode_values, init_model, load_model, make_augmented_batch,
+from conal.model import (LOSS_KINDS, MOMENTUM, ModelConfig, _sgd, _unit_rows,
+                         contrastive_loss_and_grads, dropout_passes, encode_values,
+                         init_model, load_model, make_augmented_batch,
                          predict_proba_from_features, save_model, stochastic_proba,
                          supcon_loss, train)
 from conal.io import write_container
@@ -282,6 +283,26 @@ class TestTrain:
         encode_passes = batches if loss_kind == "contrastive" else 0
         assert state.forward_pass_count == ran * batches + encode_passes
 
+    @pytest.mark.parametrize("epochs, drop", [(1, None), (7, 5), (10, 8)])
+    def test_lr_drops_tenfold_at_80_percent_of_epochs(self, epochs, drop):
+        """``_sgd`` steps at ``lr`` until epoch floor(0.8 * epochs), then at lr / 10. A
+        step function that returns a unit bias gradient reads each step's rate back from
+        the bias it moved: step t moves it by -lr * (1 + MOMENTUM + ... + MOMENTUM**(t-1))."""
+        state = init_model(small_config(lr=0.5, batch_size=4))
+        seen = []
+
+        def step(state, rng, x, y):
+            seen.append(state.bc[0])
+            return 0.0, {"bc": np.ones(3)}, None
+
+        _sgd(state, np.zeros((8, 4)), np.zeros(8, np.int64), rng_for(0, "lr"), step,
+             ("bc",), epochs)
+        seen.append(state.bc[0])
+        velocity = np.cumsum(MOMENTUM ** np.arange(len(seen) - 1))
+        expected = [0.5 if drop is None or epoch < drop else 0.05
+                    for epoch in range(epochs) for _ in range(2)]  # 2 batches an epoch
+        np.testing.assert_allclose(-np.diff(seen) / velocity, expected, rtol=1e-9)
+
     def test_train_features_are_the_classifier_encode(self):
         data = generate_mixture(DatasetSpec(k=3, d=4, n_per_class=30, seed=3))
         state = train(init_model(small_config(epochs=2)), data)
@@ -442,6 +463,15 @@ class TestStochasticProba:
         tensor = stochastic_proba(state, data.values, tau=3, seed=2)
         np.testing.assert_allclose(tensor.sum(axis=2), 1.0, atol=1e-6)
 
+    def test_a_pass_scales_the_kept_hidden_units_by_one_over_keep_rate(self):
+        state, data = self._trained()
+        rate, values = state.config.dropout_rate, data.values[:16]  # one batch-sized block
+        probs = next(dropout_passes(state, values, tau=2, seed=4))
+        keep = rng_for(4, "stochastic").random((16, state.config.d_hidden)) >= rate
+        hidden = np.tanh(values.astype(np.float64) @ state.w1 + state.b1)
+        z = (keep / (1.0 - rate) * hidden) @ state.w2 + state.b2
+        np.testing.assert_allclose(probs, predict_proba_from_features(state, z), rtol=1e-12)
+
     def test_tau_validation(self):
         state, data = self._trained()
         with pytest.raises(UsageError):
@@ -471,6 +501,15 @@ class TestAugmentedBatch:
         values, labels = make_augmented_batch(np.zeros((5, 3)), np.arange(5), 0.1, rng)
         assert values.shape == (10, 3)
         np.testing.assert_array_equal(labels, np.tile(np.arange(5), 2))
+
+    def test_each_view_draws_its_own_noise(self):
+        values = np.random.default_rng(1).standard_normal((2000, 8))
+        views, _ = make_augmented_batch(values, np.zeros(2000, np.int64), 0.3, rng_for(0, "aug"))
+        first, second = views[:2000] - values, views[2000:] - values
+        assert not np.allclose(first, second)
+        for noise in (first, second):
+            assert abs(noise.std() - 0.3) < 0.01
+        assert abs(np.corrcoef(first.ravel(), second.ravel())[0, 1]) < 0.05
 
 
 class TestCheckpoint:
