@@ -33,7 +33,8 @@ from .loop import run_active_learning
 from .metrics import read_reports_jsonl, write_reports_jsonl
 from .model import encode_values, load_model, predict_proba_from_features, stochastic_proba
 from .pca import fit_class_pca
-from .report import cell_name, curves_table, read_cells, report_tables, write_cell, write_table
+from .report import (CURVES_TABLE, REPORT_DIR, cell_name, curves_table, read_cells,
+                     remove_tables, report_tables, write_cell, write_table)
 from .strategies import (VALID_STRATEGIES, featuresim_scores, fre_scores_batch,
                          get_strategy, score_bald, score_entropy)
 
@@ -163,6 +164,7 @@ def cmd_run(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with replacing(out / "manifest.cfg", "w", encoding="utf-8") as fh:
         fh.write(echo_config(config, _meta(config)))
+    remove_tables(out)
 
     cells = [replace(config.loop, strategy=strategy, seed=seed)
              for strategy in config.strategies for seed in config.seeds]
@@ -177,7 +179,7 @@ def cmd_run(args) -> None:
     failures = [result for result in outcomes if isinstance(result, BaseException)]
     if failures:
         raise failures[0]
-    write_table(curves_table(read_cells(out, names)), out / "curves.csv")
+    write_table(curves_table(read_cells(out, names)), out / CURVES_TABLE)
     print(f"run complete: {out}")
 
 
@@ -188,7 +190,7 @@ def cmd_report(args) -> None:
     cells = read_cells(run_dir)
     if not cells:
         raise DataError(f"no run cells with report.jsonl under {run_dir}")
-    report_dir = run_dir / "report"
+    report_dir = run_dir / REPORT_DIR
     report_dir.mkdir(exist_ok=True)
     for name, rows in report_tables(cells).items():
         write_table(rows, report_dir / name)

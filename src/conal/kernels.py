@@ -1,7 +1,7 @@
 """Hot numeric kernels: greedy k-center, nearest-center distances, and max
 dot product against a reference set.
 
-``max_dot`` and ``nearest_sq_dist`` are matmul-bound and take their rows in
+``max_dot`` and ``nearest_sq_dist`` are matmul-bound and their rows are taken in
 blocks, so memory stays bounded on large query sets. Blocking leaves each
 output element's expression alone, but BLAS picks its kernel and tiling by
 matrix shape and thread count, so another block shape can move the last bit
@@ -12,8 +12,8 @@ of a result. The block rules are therefore fixed:
   the last (largest) block, that every block reuses. A short last row block
   joins the one before it, so the buffer holds at most 959 rows (< 2 MB, one
   core's L2).
-- ``max_dot`` takes ``max_dot_rows(len(refs)) = 4e6 // len(refs)`` query rows
-  at a time, ~32 MB.
+- ``max_dot`` takes all its rows at once; featuresim's gather applies its rule,
+  ``max_dot_rows(len(refs)) = 4e6 // len(refs)`` query rows at a time, ~32 MB.
 """
 
 from __future__ import annotations
@@ -95,22 +95,14 @@ def max_dot(queries: np.ndarray, refs: np.ndarray,
             work: np.ndarray | None = None) -> np.ndarray:
     """Row-wise max of ``queries @ refs.T``; refs must be nonempty.
 
-    Each block's products go into ``work``, a float64 buffer of at least
-    ``min(len(queries), max_dot_rows(len(refs))) * len(refs)`` elements that a
-    caller may reuse across calls; without one, one is allocated.
+    The products go into ``work``, a float64 buffer of at least
+    ``len(queries) * len(refs)`` elements that a caller may reuse across
+    calls; without one, one is allocated.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     refs = np.ascontiguousarray(refs, dtype=np.float64)
     if refs.shape[0] == 0:
         raise ValueError("reference set is empty")
-    n, n_refs = queries.shape[0], refs.shape[0]
-    chunk = max_dot_rows(n_refs)
-    if work is None:
-        work = np.empty(min(n, chunk) * n_refs)
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, chunk):
-        block = queries[start : start + chunk]
-        product = work[: block.shape[0] * n_refs].reshape(block.shape[0], n_refs)
-        np.matmul(block, refs.T, out=product)
-        product.max(axis=1, out=out[start : start + chunk])
-    return out
+    shape = (queries.shape[0], refs.shape[0])
+    product = np.empty(shape) if work is None else work[: shape[0] * shape[1]].reshape(shape)
+    return np.matmul(queries, refs.T, out=product).max(axis=1)

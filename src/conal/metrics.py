@@ -1,7 +1,8 @@
 """Evaluation metrics: accuracy, calibration (ECE, NLL, Brier), OOD AUROC,
 mean corruption error, acquisition sampling bias, and query-cost accounting.
 
-All functions are pure; natural logarithms throughout.
+The metric functions are pure; ``write_jsonl``, ``write_reports_jsonl`` and
+``read_reports_jsonl`` write and read files. Natural logarithms throughout.
 """
 
 from __future__ import annotations

@@ -39,6 +39,20 @@ class ClassSubspace:
     def discarded_variance(self) -> float:
         return float(self.spectrum[self.n_components :].sum())
 
+    def fre_scores(self, z: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Residual norms of the queries ``z[rows]`` (every row of z by default)."""
+        z = np.asarray(z, dtype=np.float64)
+        if z.ndim != 2 or z.shape[1] != self.mean.shape[0]:
+            raise DataError(f"queries have shape {z.shape}, expected (*, {self.mean.shape[0]})")
+        # one copy of the queried rows becomes their residual in place; its norm
+        # is taken as np.linalg.norm(residual, axis=1) takes it
+        residual = z.copy() if rows is None else z[rows]
+        residual -= self.mean
+        if self.n_components:
+            residual -= (residual @ self.basis) @ self.basis.T
+        residual *= residual
+        return np.sqrt(np.add.reduce(residual, axis=1))
+
 
 @dataclass(frozen=True)
 class ClassPcaModel:
@@ -126,15 +140,4 @@ def fre_scores(model: ClassPcaModel, z: np.ndarray, k: int,
     default) against class k."""
     if k not in model.classes:
         raise UsageError(f"class {k} has no fitted subspace")
-    sub = model.classes[k]
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != model.d:
-        raise DataError(f"queries have shape {z.shape}, expected (*, {model.d})")
-    # one copy of the queried rows becomes their residual in place; its norm
-    # is taken as np.linalg.norm(residual, axis=1) takes it
-    residual = z.copy() if rows is None else z[rows]
-    residual -= sub.mean
-    if sub.n_components:
-        residual -= (residual @ sub.basis) @ sub.basis.T
-    residual *= residual
-    return np.sqrt(np.add.reduce(residual, axis=1))
+    return model.classes[k].fre_scores(z, rows)

@@ -1,7 +1,8 @@
 """A run's cell directories and tables. A cell ``<strategy>_seed<int>`` holds ``manifest.cfg``
 and either ``FAILED.txt`` or ``timing.jsonl`` and ``report.jsonl``. ``write_cell`` removes
 ``report.jsonl`` first and writes it last, so it marks a whole cell. ``read_cells`` gives cells
-as ``(strategy, seed, report rows)``; a table is a list of rows of plain values, header first."""
+as ``(strategy, seed, report rows)``; a table is a list of rows of plain values, header first:
+``conal run`` writes ``CURVES_TABLE``, ``conal report`` the ``REPORT_TABLES`` in ``REPORT_DIR``."""
 
 from __future__ import annotations
 
@@ -13,6 +14,10 @@ import numpy as np
 from .errors import DataError
 from .io import replacing
 from .metrics import CURVE_METRICS, read_reports_jsonl, write_jsonl, write_reports_jsonl
+
+CURVES_TABLE = "curves.csv"
+REPORT_DIR = "report"
+REPORT_TABLES = ("summary_final.csv", *(f"curve_{metric}.csv" for metric in CURVE_METRICS))
 
 
 def cell_name(strategy: str, seed: int) -> str:
@@ -65,14 +70,20 @@ def report_tables(cells) -> dict[str, list[list]]:
     strategies = sorted({strategy for strategy, _, _ in cells})
     final_metrics = ("accuracy", "auroc_ood", "mce", "ece", "sampling_bias")
     last = _group([(s, seed, [dict(rows[-1], iteration="last")]) for s, seed, rows in cells])
-    tables = {"summary_final.csv": [["strategy"] + _columns(final_metrics)] + [
-        [s] + _mean_std(last, [(s, "last", m) for m in final_metrics]) for s in strategies]}
+    summary = [["strategy"] + _columns(final_metrics)] + [
+        [s] + _mean_std(last, [(s, "last", m) for m in final_metrics]) for s in strategies]
     groups = _group(cells)
-    for metric in CURVE_METRICS:
-        tables[f"curve_{metric}.csv"] = [["iteration"] + _columns(strategies)] + [
-            [i] + _mean_std(groups, [(s, i, metric) for s in strategies])
-            for i in sorted({row["iteration"] for _, _, rows in cells for row in rows})]
-    return tables
+    iterations = sorted({row["iteration"] for _, _, rows in cells for row in rows})
+    curves = [[["iteration"] + _columns(strategies)] + [
+        [i] + _mean_std(groups, [(s, i, metric) for s in strategies]) for i in iterations]
+        for metric in CURVE_METRICS]
+    return dict(zip(REPORT_TABLES, [summary] + curves))
+
+
+def remove_tables(run_dir) -> None:
+    """Remove the run's ``CURVES_TABLE`` and ``REPORT_TABLES``, so none outlives its cells."""
+    for path in [run_dir / CURVES_TABLE] + [run_dir / REPORT_DIR / name for name in REPORT_TABLES]:
+        path.unlink(missing_ok=True)
 
 
 def write_table(rows, path) -> None:

@@ -84,40 +84,30 @@ def score_featuresim(z_query: np.ndarray, class_features: np.ndarray) -> float:
     if refs.ndim != 2 or refs.shape[0] == 0:
         raise DataError("class_features must be a nonempty 2-D array")
     one_class = np.zeros(refs.shape[0], dtype=np.int64)
-    return float(featuresim_scores(np.asarray(z_query, dtype=np.float64)[None, :],
-                                   one_class[:1], refs, one_class)[0])
+    return float(featuresim_scores([z_query], one_class[:1], refs, one_class)[0])
 
 
 def featuresim_scores(z_query: np.ndarray, predicted: np.ndarray,
                       labeled_features: np.ndarray, labeled_labels: np.ndarray) -> np.ndarray:
-    """Batched featuresim against each query's predicted class.
-
-    Queries predicted as a class with no labeled features fall back to the
-    whole labeled pool (logged).
-    """
+    """Batched featuresim against each query's predicted class; a class with no labeled
+    features falls back to the whole labeled pool (logged)."""
     z_query = np.asarray(z_query, dtype=np.float64)
     labeled_features = np.asarray(labeled_features, dtype=np.float64)
     if labeled_features.shape[0] == 0:
         raise DataError("labeled pool is empty")
     norms = np.linalg.norm(labeled_features, axis=1)
     unit = labeled_features / np.clip(norms, 1e-300, None)[:, None]
-    classes = []  # (query rows, unit reference rows, rows per max_dot block) per class
-    for k in np.unique(predicted):
-        rows = np.flatnonzero(predicted == k)
-        refs = unit[labeled_labels == k]
-        if refs.shape[0] == 0:
-            logger.warning(
-                "featuresim: no labeled features for predicted class %d; "
-                "scoring %d candidates against the global pool", k, rows.size
-            )
-            refs = unit
-        classes.append((rows, refs, kernels.max_dot_rows(refs.shape[0])))
+    classes = list(_by_predicted_class(
+        predicted, {int(k): unit[labeled_labels == k] for k in np.unique(labeled_labels)}, unit,
+        "featuresim: no labeled features for predicted class %d; "
+        "scoring %d candidates against the global pool"))
     # the query rows of one max_dot block are gathered at a time, and one
     # product buffer, sized for the largest block, serves every block
-    work = np.empty(max((min(rows.size, step) * refs.shape[0] for rows, refs, step in classes),
-                        default=0))
-    scores = np.empty(z_query.shape[0])
-    for rows, refs, step in classes:
+    steps = [kernels.max_dot_rows(len(refs)) for _, refs in classes]
+    work = np.empty(max((min(rows.size, step) * len(refs)
+                         for (rows, refs), step in zip(classes, steps)), default=0))
+    scores = np.empty(len(predicted))
+    for (rows, refs), step in zip(classes, steps):
         for start in range(0, rows.size, step):
             block = rows[start : start + step]
             scores[block] = kernels.max_dot(z_query[block], refs, work)
@@ -131,25 +121,25 @@ def score_fre(z_query: np.ndarray, k: int, pca_model: ClassPcaModel) -> float:
 
 def fre_scores_batch(z_query: np.ndarray, predicted: np.ndarray, pca_model: ClassPcaModel,
                      fallback: ClassPcaModel) -> np.ndarray:
-    """Batched fre against each query's predicted class.
+    """Batched fre against each query's predicted class; an unfitted class scores against
+    ``fallback``'s class 0, the one subspace over the whole labeled pool."""
+    scores = np.empty(len(predicted))
+    for rows, sub in _by_predicted_class(
+            predicted, pca_model.classes, fallback.classes[0],
+            "fre: class %d has no fitted subspace; scoring %d candidates "
+            "against the pooled subspace"):
+        scores[rows] = sub.fre_scores(z_query, rows)
+    return scores
 
-    Queries predicted as an unfitted class score against ``fallback``: the
-    one subspace, class 0, over the whole labeled pool that every fre
-    ``ScoringContext`` carries.
-    """
-    z_query = np.asarray(z_query, dtype=np.float64)
-    scores = np.empty(z_query.shape[0])
+
+def _by_predicted_class(predicted: np.ndarray, references: dict, pooled, warning: str):
+    """Each predicted class's query rows and the reference they score against: its own in
+    ``references``, or ``pooled``, with ``warning`` logged, for a class it lacks."""
     for k in np.unique(predicted):
         rows = np.flatnonzero(predicted == k)
-        if int(k) in pca_model.classes:
-            scores[rows] = fre_scores(pca_model, z_query, int(k), rows)
-        else:
-            logger.warning(
-                "fre: class %d has no fitted subspace; scoring %d candidates "
-                "against the pooled subspace", k, rows.size
-            )
-            scores[rows] = fre_scores(fallback, z_query, 0, rows)
-    return scores
+        if int(k) not in references:
+            logger.warning(warning, k, rows.size)
+        yield rows, references.get(int(k), pooled)
 
 
 # ---------------------------------------------------------------------------

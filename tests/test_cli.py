@@ -933,8 +933,12 @@ class TestCellWriter:
     def test_failing_rerun_leaves_no_old_results(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", str(tiny_config)]) == 0
+        assert main(["report", str(out)]) == 0
+        assert (out / "curves.csv").is_file() and len(list((out / "report").glob("*.csv"))) == 8
         tiny_config.write_text(tiny_config.read_text() + "model.lr = 1e300\n")
         assert main(["run", str(tiny_config)]) == 3
+        assert not (out / "curves.csv").exists()
+        assert not list((out / "report").glob("*.csv"))
         cells = self._cells(out)
         assert len(cells) == 4
         for cell in cells:

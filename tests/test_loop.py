@@ -444,6 +444,20 @@ class TestModes:
                                 quick_loop("random"), shifts=[])
 
 
+class TestOwnOodAuroc:
+    @pytest.mark.parametrize("strategy", ["featuresim", "fre"])
+    def test_a_far_ood_set_ranks_as_ood(self, strategy):
+        """The last report's AUROC ranks an OOD set placed far from the labeled features
+        (the pool's mixture mirrored through the origin) above the test set, whether the
+        strategy selects by min (featuresim) or max (fre)."""
+        pool, test, model = small_setup()
+        ood = generate_ood(DatasetSpec(k=4, d=8, n_per_class=10, class_separation=4.0,
+                                       seed=0), 40, 7)
+        result = run_active_learning(pool, test, model, quick_loop(strategy), ood=ood,
+                                     shifts=[])
+        assert result.reports[-1].auroc_ood > 0.5
+
+
 class TestShiftedTestSets:
     def test_every_cell_evaluates_on_the_same_shifted_sets(self, monkeypatch):
         """The shifted test sets come from ``loop.SHIFT_SEED``: neither a cell's seed

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conal.errors import ConfigError, DataError, UsageError
-from conal.pca import fit_class_pca
+from conal.pca import fit_class_pca, fre_scores
 from conal.seeding import rng_for
 from conal.strategies import (SelectionRequest, VALID_STRATEGIES,
                               featuresim_scores, fre_scores_batch, get_strategy,
@@ -130,14 +130,33 @@ class TestFreStrategy:
         assert score_fre(sub.mean + 2 * v, 1, model) == pytest.approx(2.0, abs=1e-9)
 
     def test_batch_fallback(self):
+        """Rows predicted as an unfitted class score against the pooled subspace, not
+        against a fitted class."""
         rng = np.random.default_rng(6)
-        feats = rng.standard_normal((20, 4))
-        model = fit_class_pca({0: feats}, n_components=2)
-        fallback = fit_class_pca({0: feats}, n_components=2)
+        model = fit_class_pca({0: rng.standard_normal((20, 4))}, n_components=2)
+        fallback = fit_class_pca({0: 3.0 + rng.standard_normal((30, 4))}, n_components=2)
         queries = rng.standard_normal((4, 4))
-        predicted = np.array([0, 0, 3, 3])
-        scores = fre_scores_batch(queries, predicted, model, fallback)
-        assert np.isfinite(scores).all()
+        fitted, unfitted = np.array([0, 1]), np.array([2, 3])
+        scores = fre_scores_batch(queries, np.array([0, 0, 3, 3]), model, fallback)
+        np.testing.assert_array_equal(scores[fitted], fre_scores(model, queries, 0, fitted))
+        np.testing.assert_array_equal(scores[unfitted],
+                                      fre_scores(fallback, queries, 0, unfitted))
+        assert (scores[unfitted] != fre_scores(model, queries, 0, unfitted)).all()
+
+
+def test_each_pooled_fallback_warning_names_its_scorer(caplog):
+    """perfbench/tracing.py counts pooled fallbacks by the ``featuresim:`` or ``fre:``
+    prefix of each warning's unformatted message."""
+    rng = np.random.default_rng(8)
+    feats, labels = rng.standard_normal((12, 4)), np.repeat([0, 1], 6)
+    queries, predicted = rng.standard_normal((3, 4)), np.array([0, 2, 2])
+    with caplog.at_level("WARNING", logger="conal.strategies"):
+        featuresim_scores(queries, predicted, feats, labels)
+        fre_scores_batch(queries, predicted, fit_class_pca({0: feats[:6], 1: feats[6:]}),
+                         fit_class_pca({0: feats}))
+    messages = [r.msg for r in caplog.records if r.name == "conal.strategies"]
+    assert len(messages) == 2
+    assert messages[0].startswith("featuresim:") and messages[1].startswith("fre:")
 
 
 def make_candidates(entries):
