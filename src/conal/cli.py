@@ -52,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run every (strategy x seed) cell")
     p_run.add_argument("config", help="experiment config file (or a run manifest)")
     p_run.add_argument("--out", help="output directory (overrides run.out)")
-    p_run.add_argument("--strategy", help="run only this strategy")
-    p_run.add_argument("--seed", type=int, help="run only this seed")
 
     p_rep = sub.add_parser("report", help="summarize a run directory")
     p_rep.add_argument("run_dir", help="directory produced by 'conal run'")
@@ -93,15 +91,10 @@ def main(argv=None) -> int:
 
 
 def _load_experiment(args) -> ExperimentConfig:
-    config = build_experiment(load_config_file(args.config))
-    if getattr(args, "out", None):
-        config.out = args.out
-    if getattr(args, "strategy", None):
-        get_strategy(args.strategy)
-        config.strategies = [args.strategy]
-    if getattr(args, "seed", None) is not None:
-        config.seeds = [args.seed]
-    return config
+    values = load_config_file(args.config)
+    if args.out:
+        values["run.out"] = args.out
+    return build_experiment(values)
 
 
 def _materialize_data(config: ExperimentConfig):
@@ -153,7 +146,9 @@ def cmd_gen(args) -> None:
     for name, data in (("train", train), ("test", test), ("ood", ood)):
         if data is not None:
             save_features(data, out / f"{name}.{ext}", args.format)
-    print(f"wrote train/test/ood feature files to {out}")
+    if ood is None:  # an earlier gen's OOD file would pass for this config's
+        (out / f"ood.{ext}").unlink(missing_ok=True)
+    print(f"wrote train/test{'' if ood is None else '/ood'} feature files to {out}")
 
 
 def cmd_run(args) -> None:

@@ -8,7 +8,7 @@ to reproduce a run (``meta.*`` keys are informational and ignored on load).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .data import SHIFT_KINDS, DatasetSpec, full_shift_suite
@@ -126,7 +126,7 @@ def _parse(key: str, raw: str):
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {what}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment: data + model + loop + sweep settings."""
 
@@ -142,9 +142,9 @@ class ExperimentConfig:
     loop: LoopConfig
     shift_kinds: list[str]
     shift_intensities: list[int]
-    strategies: list[str] = field(default_factory=list)
-    seeds: list[int] = field(default_factory=list)
-    out: str = "runs"
+    strategies: list[str]
+    seeds: list[int]
+    out: str
 
     def validate(self) -> None:
         if not self.seeds:

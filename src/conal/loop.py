@@ -360,7 +360,7 @@ def scoring_context(strategy: StrategyInfo, state: ModelState, labeled: FeatureM
     if strategy.uses_pca:
         by_class = {int(c): feats[labels == c]
                     for c in np.unique(labels) if (labels == c).sum() >= 2}
-        pca_model = fit_class_pca(by_class) if by_class else ClassPcaModel(feats.shape[1], {})
+        pca_model = fit_class_pca(by_class) if by_class else ClassPcaModel({})
         pca_fallback = fit_class_pca({0: feats})
     return ScoringContext(feats, labels, pca_model, pca_fallback, tau)
 

@@ -273,19 +273,14 @@ def make_augmented_batch(values: np.ndarray, labels: np.ndarray, aug_sigma: floa
     return views.reshape(-1, values.shape[1]), np.concatenate([labels, labels])
 
 
-def supcon_loss(projections: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    """Supervised contrastive loss over L2-normalized projection rows.
+def _supcon_loss_grad(p: np.ndarray, labels: np.ndarray, temperature: float):
+    """Supervised contrastive loss over L2-normalized projection rows p, and
+    its gradient with respect to p.
 
     For each anchor, positives are all other rows sharing its label and the
     softmax denominator runs over every other row. Log-sum-exp is stabilized
     by per-anchor max subtraction; anchors are accumulated in index order.
     """
-    loss, _ = _supcon_loss_grad(np.asarray(projections, dtype=np.float64),
-                                np.asarray(labels), temperature)
-    return loss
-
-
-def _supcon_loss_grad(p: np.ndarray, labels: np.ndarray, temperature: float):
     if temperature <= 0:
         raise ConfigError("temperature must be positive")
     m = p.shape[0]
@@ -437,6 +432,7 @@ def train(state: ModelState, labeled: FeatureMatrix) -> ModelState:
     """
     cfg = state.config
     cfg.validate()
+    _check_d_in(state, labeled.values)
     if labeled.labels is None:
         raise DataError("training data must be labeled")
     if labeled.labels.max(initial=0) >= cfg.n_classes:

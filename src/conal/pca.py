@@ -31,11 +31,6 @@ class ClassSubspace:
         return self.basis.shape[1]
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the kept components."""
-        return self.spectrum[: self.n_components]
-
-    @property
     def discarded_variance(self) -> float:
         return float(self.spectrum[self.n_components :].sum())
 
@@ -56,7 +51,6 @@ class ClassSubspace:
 
 @dataclass(frozen=True)
 class ClassPcaModel:
-    d: int
     classes: dict[int, ClassSubspace]
 
 
@@ -131,7 +125,7 @@ def fit_class_pca(features_by_class: dict[int, np.ndarray], n_components: int | 
         rank = min(n_k - 1, d)
         keep = _pick_dimension(spectrum, rank, n_components, variance_fraction)
         classes[k] = ClassSubspace(mean, eigvecs[:, :keep].copy(), spectrum, n_k)
-    return ClassPcaModel(d, classes)
+    return ClassPcaModel(classes)
 
 
 def fre_scores(model: ClassPcaModel, z: np.ndarray, k: int,

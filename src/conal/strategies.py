@@ -10,7 +10,9 @@ per predicted class and refills any deficit from the globally best
 leftovers.
 
 Each strategy's score is defined once, by the scorer in its registry entry;
-the loop's query, the loop's OOD scoring and ``conal score`` all call it.
+the loop's OOD scoring and ``conal score`` call it for every strategy, and
+the loop's query for every strategy but two: coreset queries by k-center
+greedy and random uniformly, neither reading a score.
 A scorer reads the features of the rows it scores, encoded once by its caller;
 bald alone reads raw values, as its dropout masks act on the hidden layer.
 """

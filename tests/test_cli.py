@@ -179,6 +179,17 @@ class TestGen:
     def test_missing_config(self, tmp_path):
         assert main(["gen", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_writes_exactly_its_configs_files(self, tmp_path, capsys):
+        """A gen without an OOD set leaves no earlier gen's OOD file beside its own."""
+        cfg = tmp_path / "g.cfg"
+        for ood_n, written in ((7, ["ood.bin", "test.bin", "train.bin"]),
+                               (0, ["test.bin", "train.bin"])):
+            cfg.write_text("data.k = 3\ndata.d = 6\ndata.n_per_class = 10\n"
+                           f"data.imbalance_ratio = 1\ndata.ood_n = {ood_n}\n")
+            assert main(["gen", str(cfg), "--out", str(tmp_path / "data")]) == 0
+            assert sorted(p.name for p in (tmp_path / "data").iterdir()) == written
+        assert "wrote train/test feature files" in capsys.readouterr().out
+
 
 class TestRun:
     def test_run_layout_and_determinism(self, tiny_config, tmp_path):
@@ -230,11 +241,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert "entropy" in err and "featuresim" in err
 
-    def test_strategy_and_seed_overrides(self, tiny_config, tmp_path):
-        assert main(["run", str(tiny_config), "--strategy", "random",
-                     "--seed", "1", "--out", str(tmp_path / "solo")]) == 0
-        cells = [p.name for p in (tmp_path / "solo").iterdir() if p.is_dir()]
-        assert cells == ["random_seed1"]
+    def test_run_has_no_cell_filter(self, tiny_config, tmp_path, capsys):
+        """A sweep is the cells its config names: `conal run` takes the config
+        and --out only, and an option that would pick some of the cells is a
+        usage error (exit 2) before any file is written."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-h"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) == {"--help", "--out"}
+        for option in (["--strategy", "random"], ["--seed", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", str(tiny_config)] + option)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
     def test_worker_count_changes_no_output(self, tiny_config, tmp_path, monkeypatch):
         import os
@@ -356,6 +376,24 @@ class TestTracerBindings:
                                "import tracing; tracing.install(tracing.Tracer())"],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_perfbench_argv_parses(self, tmp_path):
+        # every conal command line the benchmark runs parses: removing a flag it
+        # passes (--out, --format, --checkpoint, --strategy, --labeled, --tau)
+        # breaks `perfbench/run.py`
+        import runpy
+
+        from conal.cli import _build_parser
+
+        root = Path(__file__).resolve().parents[1]
+        workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))
+        ops = (workloads["preset_ops"](tmp_path, tmp_path / "exp.cfg")
+               + workloads["gen_ops"](tmp_path, tmp_path / "exp.cfg")
+               + workloads["score_ops"](tmp_path, tmp_path / "fixture"))
+        assert len(ops) == 10
+        parser = _build_parser()
+        for op in ops:
+            assert parser.parse_args(op["argv"]).command == op["kind"]
 
 
 class TestReport:
@@ -1020,6 +1058,16 @@ class TestManifestEcho:
         original = build_experiment(load_config_file(tiny_config))
         echoed = build_experiment(manifest)
         assert echoed == original
+        # each cell's manifest is the run's with the cell's strategy and seed added
+        run_manifest = (tmp_path / "out" / "manifest.cfg").read_bytes()
+        cells = sorted((tmp_path / "out").glob("*_seed*"))
+        assert len(cells) == 4
+        for cell in cells:
+            lines = (cell / "manifest.cfg").read_bytes().splitlines(keepends=True)
+            kept = [line for line in lines
+                    if not line.startswith((b"meta.seed = ", b"meta.strategy = "))]
+            assert len(kept) == len(lines) - 2
+            assert b"".join(kept) == run_manifest
 
     @pytest.mark.parametrize("source", ["synthetic", "files"])
     def test_every_optional_key_round_trips(self, tmp_path, source):

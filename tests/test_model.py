@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 from conal.data import DatasetSpec, FeatureMatrix, generate_mixture
 from conal.errors import ConfigError, DataError, UsageError
 from conal.model import (LOSS_KINDS, MOMENTUM, ModelConfig, _classifier_grads,
-                         _fit_classifier, _sgd, _unit_rows,
+                         _fit_classifier, _sgd, _supcon_loss_grad, _unit_rows,
                          contrastive_loss_and_grads, dropout_passes, encode_values,
                          init_model, load_model, make_augmented_batch,
                          predict_proba_from_features, save_model, stochastic_proba,
-                         supcon_loss, train)
+                         train)
 from conal.io import write_container
 from conal.seeding import rng_for
 
@@ -118,6 +119,11 @@ class TestProject:
         np.testing.assert_array_equal(dead, [True, False, True])
 
 
+def supcon_loss(projections, labels, temperature):
+    """The loss alone, as the training step computes it with its gradient."""
+    return _supcon_loss_grad(projections, labels, temperature)[0]
+
+
 class TestSupconLoss:
     def test_two_rows_same_class_is_zero(self):
         p = np.array([[1.0, 0.0], [0.6, 0.8]])
@@ -192,6 +198,15 @@ class TestGradients:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    def test_rows_of_the_wrong_width_are_a_data_error(self, loss_kind):
+        """Each loss names the caller's matrix, not the batch built from it."""
+        rng = np.random.default_rng(3)
+        data = fm(rng.standard_normal((40, 5)), np.arange(40) % 3)
+        state = init_model(small_config(loss_kind=loss_kind))
+        with pytest.raises(DataError, match=re.escape("(40, 5)")):
+            train(state, data)
+
     def test_separable_two_classes(self):
         rng = np.random.default_rng(10)
         x0 = rng.standard_normal((50, 2)) * 0.4 + [3.0, 0.0]
