@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ExperimentConfig, build_experiment, echo_config,
+from .config import (ExperimentConfig, build_experiment, config_value, echo_config,
                      load_config_file)
 from .data import (DEFAULT_SHIFT_MAGNITUDES, balanced_test_spec, full_shift_suite,
                    generate_mixture, generate_ood)
@@ -161,20 +161,19 @@ def cmd_run(args) -> None:
         fh.write(echo_config(config, _meta(config)))
     remove_tables(out)
 
-    cells = [replace(config.loop, strategy=strategy, seed=seed)
-             for strategy in config.strategies for seed in config.seeds]
-    names = [cell_name(cell.strategy, cell.seed) for cell in cells]
+    pairs = [(strategy, seed) for strategy in config.strategies for seed in config.seeds]
+    cells = [replace(config.loop, strategy=strategy, seed=seed) for strategy, seed in pairs]
     outcomes = run_cells(train, test, config.model, cells, ood=ood, shifts=shifts)
-    for cell, name, result in zip(cells, names, outcomes):
-        meta = dict(_meta(config), strategy=cell.strategy, seed=cell.seed)
-        write_cell(out / name, echo_config(config, meta), result)
+    for (strategy, seed), result in zip(pairs, outcomes):
+        meta = dict(_meta(config), strategy=strategy, seed=seed)
+        write_cell(out / cell_name(strategy, seed), echo_config(config, meta), result)
         if not isinstance(result, BaseException):
-            print(f"finished {cell.strategy} seed {cell.seed}: "
+            print(f"finished {strategy} seed {seed}: "
                   f"final accuracy {result.reports[-1].accuracy:.4f}")
     failures = [result for result in outcomes if isinstance(result, BaseException)]
     if failures:
         raise failures[0]
-    write_table(curves_table(read_cells(out, names)), out / CURVES_TABLE)
+    write_table(curves_table(read_cells(out, pairs)), out / CURVES_TABLE)
     print(f"run complete: {out}")
 
 
@@ -182,9 +181,13 @@ def cmd_report(args) -> None:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise DataError(f"run directory not found: {run_dir}")
-    cells = read_cells(run_dir)
-    if not cells:
-        raise DataError(f"no run cells with report.jsonl under {run_dir}")
+    try:  # the sweep the run's manifest.cfg names; a fault in it is a data error
+        values = load_config_file(run_dir / "manifest.cfg")
+        pairs = [(strategy, seed) for strategy in config_value(values, "run.strategies")
+                 for seed in config_value(values, "run.seeds")]
+    except ConfigError as exc:
+        raise DataError(str(exc)) from None
+    cells = read_cells(run_dir, pairs)
     report_dir = run_dir / REPORT_DIR
     report_dir.mkdir(exist_ok=True)
     for name, rows in report_tables(cells).items():

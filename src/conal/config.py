@@ -126,6 +126,14 @@ def _parse(key: str, raw: str):
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {what}") from None
 
 
+def config_value(values: dict[str, str], key: str):
+    """``key``'s value parsed from ``values``, or its default where ``values`` leaves it out."""
+    kind, default = _KEYS[key]
+    if key in values:
+        return _parse(key, values[key])
+    return list(default) if isinstance(kind, list) else default
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment: data + model + loop + sweep settings."""
@@ -146,7 +154,7 @@ class ExperimentConfig:
     seeds: list[int]
     out: str
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seed list must be nonempty")
         if not self.strategies:
@@ -171,34 +179,26 @@ class ExperimentConfig:
             if self.ood_path is not None and not Path(self.ood_path).exists():
                 raise ConfigError(f"data.ood_path does not exist: {self.ood_path}")
         elif self.source == "synthetic":
-            self.dataset.validate()
             if self.test_n_per_class < 1:
                 raise ConfigError("data.test_n_per_class must be >= 1")
             if self.ood_n < 0:
                 raise ConfigError("data.ood_n must be >= 0")
         else:
             raise ConfigError("data.source must be 'synthetic' or 'files'")
-        self.model.validate()
-        self.loop.validate()
 
 
 def build_experiment(values: dict[str, str]) -> ExperimentConfig:
     # the loop's strategy is replaced per sweep cell
     parts = {"": {}, "dataset": {}, "model": {}, "loop": {"strategy": "random"}}
-    for key, (kind, default) in _KEYS.items():
+    for key in _KEYS:
         owner, name = _attr(key)
-        if key in values:
-            parts[owner][name] = _parse(key, values[key])
-        else:
-            parts[owner][name] = list(default) if isinstance(kind, list) else default
+        parts[owner][name] = config_value(values, key)
     model = ModelConfig(**parts["model"])
     dataset = None
     if parts[""]["source"] == "synthetic":
         dataset = DatasetSpec(k=model.n_classes, d=model.d_in, **parts["dataset"])
-    config = ExperimentConfig(dataset=dataset, model=model, loop=LoopConfig(**parts["loop"]),
-                              **parts[""])
-    config.validate()
-    return config
+    return ExperimentConfig(dataset=dataset, model=model, loop=LoopConfig(**parts["loop"]),
+                            **parts[""])
 
 
 def echo_config(config: ExperimentConfig, extra_meta: dict | None = None) -> str:

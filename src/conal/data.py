@@ -99,8 +99,7 @@ class DatasetSpec:
     noise_sigma: float = 1.0
     seed: int = 0
 
-    def validate(self) -> list[int]:
-        """The per-class sizes, once every field and the smallest size are checked."""
+    def __post_init__(self):
         if self.k < 2:
             raise ConfigError(f"need at least 2 classes, got k={self.k}")
         if self.d < 2:
@@ -116,12 +115,9 @@ class DatasetSpec:
             raise ConfigError("n_per_class must be positive")
         if self.noise_sigma <= 0 or self.class_separation <= 0:
             raise ConfigError("noise_sigma and class_separation must be positive")
-        sizes = [_round_half_up(self.n_per_class * self.imbalance_ratio ** (-k / (self.k - 1)))
-                 for k in range(self.k)]
-        if min(sizes) < 1:
+        if min(class_sizes(self)) < 1:
             raise ConfigError("imbalance_ratio too large for n_per_class: "
                               "the smallest class rounds to 0")
-        return sizes
 
 
 def _round_half_up(x: float) -> int:
@@ -134,7 +130,8 @@ def class_sizes(spec: DatasetSpec) -> list[int]:
     The rounded per-class counts define the total exactly; class 0 is always
     ``n_per_class`` since the decay factor there is 1.
     """
-    return spec.validate()
+    return [_round_half_up(spec.n_per_class * spec.imbalance_ratio ** (-k / (spec.k - 1)))
+            for k in range(spec.k)]
 
 
 def class_centers(spec: DatasetSpec) -> np.ndarray:
@@ -180,7 +177,6 @@ def generate_ood(spec: DatasetSpec, n: int, seed: int) -> FeatureMatrix:
     sqrt(2)*separation from every other, i.e. farther from all in-distribution
     modes than any in-distribution point typically is.
     """
-    spec.validate()
     if n < 1:
         raise ConfigError("ood sample count must be positive")
     centers = -class_centers(spec)

@@ -57,7 +57,7 @@ class LoopConfig:
     force_per_class: bool = False
     loss_override: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         get_strategy(self.strategy)
         if self.acquisition_size < 1:
             raise ConfigError("acquisition_size must be positive")
@@ -175,8 +175,6 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     evaluation set. ``shifts`` defaults to the full 4-kind x 5-intensity
     suite evaluated on shifted copies of ``test``.
     """
-    loop_config.validate()
-    model_config.validate()
     if test.labels is None:
         raise DataError("test set must be labeled")
     strategy = get_strategy(loop_config.strategy)

@@ -61,7 +61,7 @@ class ModelConfig:
     seed: int = 0
     loss_kind: str = "contrastive"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("lr", "weight_decay", "aug_sigma", "temperature"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
@@ -122,7 +122,6 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 def init_model(config: ModelConfig) -> ModelState:
     """Glorot weights drawn from ``config.seed`` in ``_ENCODER_PROJECTION`` order, zero
     biases, and the zero classifier ``train`` starts from: it predicts 1/K per class."""
-    config.validate()
     rng = rng_for(config.seed, "init")
 
     def glorot(fan_in, fan_out):
@@ -431,7 +430,6 @@ def train(state: ModelState, labeled: FeatureMatrix) -> ModelState:
     Deterministic given ``state.config.seed``.
     """
     cfg = state.config
-    cfg.validate()
     _check_d_in(state, labeled.values)
     if labeled.labels is None:
         raise DataError("training data must be labeled")
@@ -536,9 +534,8 @@ def load_model(path) -> ModelState:
     integer_keys = [f.name for f in fields(ModelConfig) if f.type.startswith("int")]
     if any(type(raw[key]) is not int for key in integer_keys):
         raise DataError(f"{path}: model config values {integer_keys} must be integers")
-    config = ModelConfig(**raw)
     try:
-        config.validate()
+        config = ModelConfig(**raw)
     except (ConfigError, TypeError) as exc:  # TypeError: a value of the wrong type
         raise DataError(f"{path}: invalid model config: {exc}") from None
     shapes = _param_shapes(config)

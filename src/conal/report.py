@@ -1,13 +1,12 @@
 """A run's cell directories and tables. A cell ``<strategy>_seed<int>`` holds ``manifest.cfg``
 and either ``FAILED.txt`` or ``timing.jsonl`` and ``report.jsonl``. ``write_cell`` removes
-``report.jsonl`` first and writes it last, so it marks a whole cell. ``read_cells`` gives cells
-as ``(strategy, seed, report rows)``; a table is a list of rows of plain values, header first:
+``report.jsonl`` first and writes it last, so it marks a whole cell. ``read_cells`` reads named
+cells as ``(strategy, seed, report rows)``; a table is a list of rows of plain values, header first:
 ``conal run`` writes ``CURVES_TABLE``, ``conal report`` the ``REPORT_TABLES`` in ``REPORT_DIR``."""
 
 from __future__ import annotations
 
 import csv
-import re
 
 import numpy as np
 
@@ -41,18 +40,15 @@ def write_cell(cell_dir, manifest: str, outcome) -> None:
     write_reports_jsonl(outcome.reports, cell_dir / "report.jsonl")
 
 
-def read_cells(run_dir, names=None) -> list[tuple[str, int, list[dict]]]:
-    """The cells named ``names`` under ``run_dir``, in that order; by default each
-    directory there that holds a ``report.jsonl``, in name order."""
-    if names is None:
-        names = sorted(p.name for p in run_dir.iterdir() if (p / "report.jsonl").is_file())
-    cells = []
-    for name in names:
-        match = re.fullmatch(r"(.*)_seed(-?\d+)", name)
-        if match is None:
-            raise DataError(f"{run_dir / name}: a cell directory must be <strategy>_seed<int>")
-        cells.append((match[1], int(match[2]), read_reports_jsonl(run_dir / name / "report.jsonl")))
-    return cells
+def read_cells(run_dir, pairs) -> list[tuple[str, int, list[dict]]]:
+    """The cell of each ``(strategy, seed)`` in ``pairs`` under ``run_dir``, in that order;
+    a DataError names every one that holds no ``report.jsonl``, or ``run_dir`` if none is named."""
+    paths = [run_dir / cell_name(strategy, seed) / "report.jsonl" for strategy, seed in pairs]
+    missing = [str(path.parent) for path in paths if not path.is_file()]
+    if missing or not paths:
+        raise DataError(f"no run cells with report.jsonl at {', '.join(missing) or run_dir}")
+    return [(strategy, seed, read_reports_jsonl(path))
+            for (strategy, seed), path in zip(pairs, paths)]
 
 
 def curves_table(cells) -> list[list]:
@@ -103,8 +99,7 @@ def _curve_values(cells):
 
 def _group(cells) -> dict[tuple, list]:
     """(strategy, iteration, metric) -> its values across seeds, in ascending seed order:
-    one order for every table, so ``curves.csv`` (cells in config order) and the report
-    tables (cells in directory-name order) sum alike."""
+    one order for every table, whatever order its cells are read in."""
     groups: dict[tuple, list] = {}
     for s, _, i, m, value in _curve_values(sorted(cells, key=lambda cell: cell[1])):
         groups.setdefault((s, i, m), []).append(value)

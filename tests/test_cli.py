@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -112,6 +113,17 @@ class TestConfigParsing:
     def test_unparsable_value_names_key(self, key, raw):
         with pytest.raises(ConfigError, match=re.escape(f"config key {key}: cannot parse")):
             build_experiment({key: raw})
+
+    @pytest.mark.parametrize("make", [
+        lambda: replace(ModelConfig(d_in=4, n_classes=3), temperature=-1.0),
+        lambda: replace(LoopConfig(budget=40, acquisition_size=20, subset_size=60,
+                                   strategy="random"), tau=1),
+        lambda: replace(DatasetSpec(k=3, d=4, n_per_class=10), imbalance_ratio=0.5),
+        lambda: replace(build_experiment({}), seeds=[]),
+    ], ids=["model_temperature", "loop_tau", "dataset_imbalance_ratio", "experiment_seeds"])
+    def test_a_replaced_config_is_checked(self, make):
+        with pytest.raises(ConfigError):
+            make()
 
     def test_strategy_typo_lists_names(self):
         with pytest.raises(ConfigError, match="featuresim"):
@@ -470,6 +482,8 @@ class TestReport:
         cell = tmp_path / "run" / name
         cell.mkdir(parents=True)
         (cell / "report.jsonl").write_text(text)
+        (tmp_path / "run" / "manifest.cfg").write_text(
+            "run.strategies = featuresim\nrun.seeds = 0\n")
         assert main(["report", str(tmp_path / "run")]) == code
 
 
@@ -1025,8 +1039,8 @@ class TestCellWriter:
         assert (cell / "timing.jsonl").read_bytes() == old[Path("random_seed0/timing.jsonl")]
         assert not list(out.rglob("*.tmp"))
         # the cells before it were rewritten whole, the one after it is the old run's
-        assert [(strategy, seed) for strategy, seed, _ in read_cells(out)] == [
-            ("featuresim", 0), ("featuresim", 1), ("random", 1)]
+        assert [p.name for p in self._cells(out) if (p / "report.jsonl").is_file()] == [
+            "featuresim_seed0", "featuresim_seed1", "random_seed1"]
         later = Path("random_seed1")
         assert all((out / later / name).read_bytes() == old[later / name]
                    for name in ("manifest.cfg", "report.jsonl", "timing.jsonl"))
@@ -1038,17 +1052,33 @@ class TestCellWriter:
                    for t in (1, 2)]
         write_cell(tmp_path / cell_name(strategy, seed), "meta.x = 1\n",
                    RunResult(reports, [1.5, 2.5], None, None))
-        assert read_cells(tmp_path) == [(strategy, seed, [r.to_dict() for r in reports])]
-        assert read_cells(tmp_path, [cell_name(strategy, seed)]) == read_cells(tmp_path)
+        assert read_cells(tmp_path, [(strategy, seed)]) == [
+            (strategy, seed, [r.to_dict() for r in reports])]
 
-    @pytest.mark.parametrize("name", ["featuresim_seedX", "featuresim", "featuresim_seed",
-                                      "featuresim_seed1.5", "seed0"])
-    def test_a_name_not_strategy_seed_int_is_a_data_error(self, tmp_path, name):
-        report = IterationReport(1, 20, 0.5, 0.1, 1.0, 0.5, 0.1, None, None)
-        write_cell(tmp_path / name, "meta.x = 1\n", RunResult([report], [1.5], None, None))
-        with pytest.raises(DataError, match="must be <strategy>_seed<int>"):
-            read_cells(tmp_path)
-        assert main(["report", str(tmp_path)]) == 3
+    def test_report_reads_only_the_cells_its_manifest_names(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        tiny_config.write_text(tiny_config.read_text().replace("run.seeds = 0,1",
+                                                               "run.seeds = 0"))
+        assert main(["run", str(tiny_config)]) == 0
+        tiny_config.write_text(tiny_config.read_text().replace(
+            "run.strategies = featuresim,random", "run.strategies = random"))
+        assert main(["run", str(tiny_config)]) == 0
+        assert "run.strategies = random\n" in (out / "manifest.cfg").read_text()
+        assert main(["report", str(out)]) == 0
+        with open(out / "report" / "summary_final.csv") as fh:
+            assert [row["strategy"] for row in csv.DictReader(fh)] == ["random"]
+
+    def test_report_without_a_manifest_or_a_named_cell_is_a_data_error(self, tiny_config,
+                                                                        tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(tiny_config)]) == 0
+        shutil.rmtree(out / "random_seed1")
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 3
+        assert str(out / "random_seed1") in capsys.readouterr().err
+        (out / "manifest.cfg").unlink()
+        assert main(["report", str(out)]) == 3
+        assert str(out / "manifest.cfg") in capsys.readouterr().err
 
 
 class TestManifestEcho:
@@ -1129,6 +1159,7 @@ class TestMutationFuzz:
         run_dir = tmp_path / "run"
         report = run_dir / "featuresim_seed0" / "report.jsonl"
         report.parent.mkdir(parents=True)
+        (run_dir / "manifest.cfg").write_text("run.strategies = featuresim\nrun.seeds = 0\n")
         loop = LoopConfig(budget=8, acquisition_size=4, subset_size=8, strategy="featuresim",
                           tau=2)
         result = run_active_learning(labeled, generate_mixture(balanced_test_spec(ds, 4)),

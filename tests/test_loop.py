@@ -52,15 +52,15 @@ class TestOracle:
 class TestLoopConfig:
     def test_budget_divisibility(self):
         with pytest.raises(ConfigError):
-            quick_loop(budget=55, m=20).validate()
+            quick_loop(budget=55, m=20)
 
     def test_subset_at_least_m(self):
         with pytest.raises(ConfigError):
-            quick_loop(m=20, subset=10).validate()
+            quick_loop(m=20, subset=10)
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
-            quick_loop(strategy="entropi").validate()
+            quick_loop(strategy="entropi")
 
     def test_subset_larger_than_pool(self):
         """A subset past the pool is a cap, as a budget past it is: each query

@@ -41,13 +41,13 @@ def predict(state, data):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            small_config(temperature=0.0).validate()
+            small_config(temperature=0.0)
         with pytest.raises(ConfigError):
-            small_config(dropout_rate=1.0).validate()
+            small_config(dropout_rate=1.0)
         with pytest.raises(ConfigError):
-            small_config(d_proj=10).validate()  # > d_feat
+            small_config(d_proj=10)  # > d_feat
         with pytest.raises(ConfigError):
-            small_config(loss_kind="hinge").validate()
+            small_config(loss_kind="hinge")
 
 
 class TestEncode:
