@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -163,16 +164,21 @@ def cmd_run(args) -> None:
 
     pairs = [(strategy, seed) for strategy in config.strategies for seed in config.seeds]
     cells = [replace(config.loop, strategy=strategy, seed=seed) for strategy, seed in pairs]
-    outcomes = run_cells(train, test, config.model, cells, ood=ood, shifts=shifts)
-    for (strategy, seed), result in zip(pairs, outcomes):
-        meta = dict(_meta(config), strategy=strategy, seed=seed)
-        write_cell(out / cell_name(strategy, seed), echo_config(config, meta), result)
-        if not isinstance(result, BaseException):
-            print(f"finished {strategy} seed {seed}: "
-                  f"final accuracy {result.reports[-1].accuracy:.4f}")
-    failures = [result for result in outcomes if isinstance(result, BaseException)]
-    if failures:
-        raise failures[0]
+    failure = None
+    # each cell is written as it arrives and then dropped, so none is held to the end
+    with closing(run_cells(train, test, config.model, cells, ood=ood,
+                           shifts=shifts)) as outcomes:
+        for (strategy, seed), result in zip(pairs, outcomes):
+            meta = dict(_meta(config), strategy=strategy, seed=seed)
+            write_cell(out / cell_name(strategy, seed), echo_config(config, meta), result)
+            if isinstance(result, BaseException):
+                failure = failure or result
+            else:
+                print(f"finished {strategy} seed {seed}: "
+                      f"final accuracy {result.reports[-1].accuracy:.4f}")
+            del result
+    if failure:
+        raise failure
     write_table(curves_table(read_cells(out, pairs)), out / CURVES_TABLE)
     print(f"run complete: {out}")
 

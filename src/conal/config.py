@@ -179,6 +179,12 @@ class ExperimentConfig:
             if self.ood_path is not None and not Path(self.ood_path).exists():
                 raise ConfigError(f"data.ood_path does not exist: {self.ood_path}")
         elif self.source == "synthetic":
+            if self.dataset is None:
+                raise ConfigError("data.source=synthetic requires a dataset")
+            if (self.dataset.k, self.dataset.d) != (self.model.n_classes, self.model.d_in):
+                raise ConfigError(
+                    f"dataset k={self.dataset.k}, d={self.dataset.d} must equal data.k = "
+                    f"{self.model.n_classes} and data.d = {self.model.d_in}")
             if self.test_n_per_class < 1:
                 raise ConfigError("data.test_n_per_class must be >= 1")
             if self.ood_n < 0:

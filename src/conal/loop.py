@@ -18,13 +18,18 @@ order: the selectors' ascending-id tie-break holds on rows.
 ``run_cells`` runs a sweep's (strategy, seed) cells on up to one worker
 process per usable CPU, each forked from this one. A worker shares the
 parent's imports, data and BLAS thread count, so a cell's outputs depend only
-on its own config: ``import conal`` sets BLAS to one thread.
+on its own config: ``import conal`` sets BLAS to one thread. It yields each
+cell's outcome in cell order as soon as that cell and every earlier one have
+finished, and keeps none it has yielded, so a caller that writes each outcome
+and drops it holds no finished cell.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -250,26 +255,25 @@ def _worker_count(n_cells: int) -> int:
 
 def run_cells(pool: FeatureMatrix, test: FeatureMatrix, model_config: ModelConfig,
               cells: list[LoopConfig], ood: FeatureMatrix | None = None,
-              shifts: list[ShiftSpec] | None = None) -> list[RunResult | BaseException]:
+              shifts: list[ShiftSpec] | None = None) -> Iterator[RunResult | BaseException]:
     """Run ``run_active_learning`` for every cell on the same data and model.
 
-    Returns one entry per cell, in cell order: the cell's ``RunResult``, or
-    the exception it raised. Every cell runs, whichever fail. With one
-    worker the cells run here, one after another. With more, they run in
-    worker processes forked from this one, one cell per task. A worker
-    inherits the inputs and the BLAS thread count instead of receiving a
-    pickled copy, and a cell's exception comes back with its own type.
+    Yields one entry per cell, in cell order, as soon as that cell and every
+    earlier one have finished: the cell's ``RunResult``, or the exception it
+    raised. Every cell runs, whichever fail, and no yielded entry is kept
+    here. With one worker each cell runs here when it is asked for. With
+    more, they run in worker processes forked from this one, one cell per
+    task. A worker inherits the inputs and the BLAS thread count instead of
+    receiving a pickled copy, and a cell's exception comes back with its own
+    type. Closing the generator early cancels the cells not yet started and
+    waits for the running ones, so no worker outlives it.
     """
     workers = _worker_count(len(cells))
     if workers <= 1:
-        outcomes = []
         for cell in cells:
-            try:
-                outcomes.append(run_active_learning(pool, test, model_config, cell,
-                                                    ood=ood, shifts=shifts))
-            except Exception as exc:
-                outcomes.append(exc)
-        return outcomes
+            yield _outcome(run_active_learning, pool, test, model_config, cell,
+                           ood=ood, shifts=shifts)
+        return
 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -278,8 +282,20 @@ def run_cells(pool: FeatureMatrix, test: FeatureMatrix, model_config: ModelConfi
     inputs = (pool, test, model_config, ood, shifts)
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                              _init_worker, inputs) as executor:
-        futures = [executor.submit(_run_cell, cell) for cell in cells]
-        return [future.exception() or future.result() for future in futures]
+        futures = deque(executor.submit(_run_cell, cell) for cell in cells)
+        try:
+            while futures:  # a yielded future leaves the deque, and its result with it
+                future = futures.popleft()
+                yield future.exception() or future.result()
+        finally:
+            executor.shutdown(cancel_futures=True)
+
+
+def _outcome(run, *args, **kwargs) -> RunResult | BaseException:
+    try:
+        return run(*args, **kwargs)
+    except Exception as exc:
+        return exc
 
 
 _worker_inputs: tuple = ()  # a worker's (pool, test, model_config, ood, shifts)

@@ -1,12 +1,15 @@
 import csv
+import gc
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import shutil
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -120,7 +123,13 @@ class TestConfigParsing:
                                    strategy="random"), tau=1),
         lambda: replace(DatasetSpec(k=3, d=4, n_per_class=10), imbalance_ratio=0.5),
         lambda: replace(build_experiment({}), seeds=[]),
-    ], ids=["model_temperature", "loop_tau", "dataset_imbalance_ratio", "experiment_seeds"])
+        lambda: replace(build_experiment({}), dataset=None),
+        lambda: replace(build_experiment({}),
+                        dataset=replace(build_experiment({}).dataset, k=12)),
+        lambda: replace(build_experiment({}),
+                        dataset=replace(build_experiment({}).dataset, d=16)),
+    ], ids=["model_temperature", "loop_tau", "dataset_imbalance_ratio", "experiment_seeds",
+            "experiment_no_dataset", "experiment_dataset_k", "experiment_dataset_d"])
     def test_a_replaced_config_is_checked(self, make):
         with pytest.raises(ConfigError):
             make()
@@ -1044,6 +1053,37 @@ class TestCellWriter:
         later = Path("random_seed1")
         assert all((out / later / name).read_bytes() == old[later / name]
                    for name in ("manifest.cfg", "report.jsonl", "timing.jsonl"))
+
+    @pytest.mark.parametrize("workers", [None, 1], ids=["forked", "one_worker"])
+    def test_no_earlier_result_is_alive_when_a_cell_is_written(self, tiny_config,
+                                                               monkeypatch, workers):
+        import conal.cli as cli_mod
+        import conal.loop as loop_mod
+
+        if workers is not None:
+            monkeypatch.setattr(loop_mod, "_worker_count", lambda n: workers)
+        refs, alive_at_write = [], []
+
+        def write_and_count(cell_dir, manifest, outcome):
+            gc.collect()
+            alive_at_write.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(outcome))
+            write_cell(cell_dir, manifest, outcome)
+
+        monkeypatch.setattr(cli_mod, "write_cell", write_and_count)
+        assert main(["run", str(tiny_config)]) == 0
+        assert alive_at_write == [0, 0, 0, 0]
+
+    def test_a_failed_cell_write_leaves_no_worker(self, tiny_config, monkeypatch, capsys):
+        import conal.cli as cli_mod
+
+        def fail(cell_dir, manifest, outcome):
+            raise OSError(f"cannot write {cell_dir}")
+
+        monkeypatch.setattr(cli_mod, "write_cell", fail)
+        assert main(["run", str(tiny_config)]) == 4
+        assert "featuresim_seed0" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("strategy, seed", [("featuresim", 0), ("random", 12),
                                                 ("a_seed3", 4), ("entropy", -1)])
