@@ -4,7 +4,10 @@ Each iteration runs four phases, one job each. ``_score_and_select`` chooses
 the batch: uniformly at random on the first iteration, by the configured query
 strategy afterwards. ``train`` and ``scoring_context`` fit the model from
 scratch on every label the oracle has revealed. ``_evaluate`` measures the
-model. ``run_active_learning`` writes the report from those metrics and the
+model on the test and OOD sets. ``run_active_learning`` keeps each
+iteration's model and, after the last iteration, ``_evaluate_shifts`` measures
+every kept model on each shifted test set (``per_shift`` and ``mce``), one set
+at a time. The reports are then written from those metrics and the
 acquisition's own facts: forward passes, class balance and truncation. Runs
 are deterministic per seed; the initial random batch depends only on the seed,
 not the strategy, so strategies fork from identical starting pools. Each
@@ -21,7 +24,8 @@ parent's imports, data and BLAS thread count, so a cell's outputs depend only
 on its own config: ``import conal`` sets BLAS to one thread. It yields each
 cell's outcome in cell order as soon as that cell and every earlier one have
 finished, and keeps none it has yielded, so a caller that writes each outcome
-and drops it holds no finished cell.
+and drops it holds no finished cell. A worker's result comes back without the
+pool's ids, which the parent holds and puts back.
 """
 
 from __future__ import annotations
@@ -99,8 +103,8 @@ class PoolState:
     """Labeled mask and per-iteration batches over an id-sorted universe.
 
     Inside the loop a sample is its row in ``universe``, which is also its
-    rank in id order. ``labeled_ids``, ``unlabeled_ids`` and ``history`` read
-    the same state out as ids.
+    rank in id order. ``labeled_ids`` and ``unlabeled_ids`` read the same
+    state out as ids.
     """
 
     universe: np.ndarray
@@ -126,10 +130,6 @@ class PoolState:
     @property
     def unlabeled_ids(self) -> np.ndarray:
         return self.universe[~self.labeled]
-
-    @property
-    def history(self) -> list[list[str]]:
-        return [self.universe[rows].tolist() for rows in self.batches]
 
     def acquire(self, rows) -> None:
         rows = np.asarray(rows, dtype=np.int64)
@@ -162,11 +162,18 @@ class RunResult:
     reports: list[IterationReport]
     query_wall_ms: list[float]  # one per report: the query's wall time, not deterministic
     pool: PoolState
-    final_state: ModelState
+    final_state: ModelState  # without train_features, as every model the loop keeps
 
 
 def _derived_seed(seed: int, *tags) -> int:
     return int(rng_for(seed, *tags).integers(0, 2**31 - 1))
+
+
+def _id_sorted(pool: FeatureMatrix) -> FeatureMatrix:
+    """``pool`` with its rows in id order: as given if its ids already ascend."""
+    if np.all(pool.ids[:-1] < pool.ids[1:]):
+        return pool
+    return pool.take(np.argsort(pool.ids))
 
 
 def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
@@ -178,31 +185,31 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     ``pool`` must carry ground-truth labels (they are revealed by the
     simulated oracle as batches are acquired); ``test`` is the labeled
     evaluation set. ``shifts`` defaults to the full 4-kind x 5-intensity
-    suite evaluated on shifted copies of ``test``.
+    suite evaluated on shifted copies of ``test``. Each iteration's model is
+    kept, without its ``train_features``, until the last iteration has run;
+    then each shifted copy is built once and every model's ``per_shift`` and
+    ``mce`` are measured on it, so the copies are never held together.
     """
     if test.labels is None:
         raise DataError("test set must be labeled")
     strategy = get_strategy(loop_config.strategy)
     loss_kind = loop_config.loss_override or strategy.default_loss
-    # from here on a sample is its row, and rows ascend with ids
-    if not np.all(pool.ids[:-1] < pool.ids[1:]):
-        pool = pool.take(np.argsort(pool.ids))
+    pool = _id_sorted(pool)  # from here on a sample is its row, and rows ascend with ids
     oracle = Oracle(pool)
     seed = loop_config.seed
     m = loop_config.acquisition_size
     # every batch size, fixed up front: a budget past the pool ends on a short batch
     sizes = [min(m, pool.n - s) for s in range(0, min(loop_config.budget, pool.n), m)]
-
     if shifts is None:
         shifts = full_shift_suite()
-    shifted_tests = [(s, apply_shift(test, s, SHIFT_SEED)) for s in shifts]
 
     pool_state = PoolState(universe=pool.ids)
     k = model_config.n_classes
 
     state: ModelState | None = None
     ctx: ScoringContext | None = None
-    reports: list[IterationReport] = []
+    states: list[ModelState] = []  # each iteration's model, for the shifted sets
+    rows: list[dict] = []  # each iteration's report fields but per_shift and mce
     query_wall_ms: list[float] = []
 
     for t, m_now in enumerate(sizes, start=1):
@@ -221,8 +228,10 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
         state = train(init_model(iter_config), train_fm)
         ctx = scoring_context(strategy, state, train_fm, tau=loop_config.tau,
                               feats=state.train_features)
+        state.train_features = None  # ctx holds them; a kept model is its weights
+        states.append(state)
 
-        reports.append(IterationReport(
+        rows.append(dict(
             iteration=t,
             labeled_count=train_labels.size,
             sampling_bias=sampling_bias(np.bincount(train_labels, minlength=k), k),
@@ -231,10 +240,12 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
             forward_passes_used=cost.forward_passes,
             deficit_fills=selection.deficit_fills,
             truncated=truncated,
-            **_evaluate(state, test, ood, shifted_tests, strategy, ctx, seed, t),
+            **_evaluate(state, test, ood, strategy, ctx, seed, t),
         ))
         query_wall_ms.append(cost.wall_ms)
 
+    shift_metrics = _evaluate_shifts(states, test, shifts)
+    reports = [IterationReport(**row, **metrics) for row, metrics in zip(rows, shift_metrics)]
     return RunResult(reports, query_wall_ms, pool_state, state)
 
 
@@ -261,13 +272,17 @@ def run_cells(pool: FeatureMatrix, test: FeatureMatrix, model_config: ModelConfi
     Yields one entry per cell, in cell order, as soon as that cell and every
     earlier one have finished: the cell's ``RunResult``, or the exception it
     raised. Every cell runs, whichever fail, and no yielded entry is kept
-    here. With one worker each cell runs here when it is asked for. With
-    more, they run in worker processes forked from this one, one cell per
-    task. A worker inherits the inputs and the BLAS thread count instead of
-    receiving a pickled copy, and a cell's exception comes back with its own
-    type. Closing the generator early cancels the cells not yet started and
-    waits for the running ones, so no worker outlives it.
+    here. The pool is sorted by id here, once, so every result's
+    ``pool.universe`` is this sorted pool's ``ids``. With one worker each cell
+    runs here when it is asked for. With more, they run in worker processes
+    forked from this one, one cell per task. A worker inherits the inputs and
+    the BLAS thread count instead of receiving a pickled copy; it sends its
+    result back without the ids, which are put back here, and a cell's
+    exception comes back with its own type. Closing the generator early
+    cancels the cells not yet started and waits for the running ones, so no
+    worker outlives it.
     """
+    pool = _id_sorted(pool)
     workers = _worker_count(len(cells))
     if workers <= 1:
         for cell in cells:
@@ -286,7 +301,10 @@ def run_cells(pool: FeatureMatrix, test: FeatureMatrix, model_config: ModelConfi
         try:
             while futures:  # a yielded future leaves the deque, and its result with it
                 future = futures.popleft()
-                yield future.exception() or future.result()
+                outcome = future.exception() or future.result()
+                if isinstance(outcome, RunResult):
+                    outcome.pool.universe = pool.ids
+                yield outcome
         finally:
             executor.shutdown(cancel_futures=True)
 
@@ -308,7 +326,9 @@ def _init_worker(*inputs) -> None:
 
 def _run_cell(loop_config: LoopConfig) -> RunResult:
     pool, test, model_config, ood, shifts = _worker_inputs
-    return run_active_learning(pool, test, model_config, loop_config, ood=ood, shifts=shifts)
+    result = run_active_learning(pool, test, model_config, loop_config, ood=ood, shifts=shifts)
+    result.pool.universe = None  # the parent holds these ids: they are not sent back
+    return result
 
 
 def _score_and_select(state, pool, pool_state, loop_config, strategy, t, m_now, ctx):
@@ -384,12 +404,14 @@ def scorer_input(strategy: StrategyInfo, state: ModelState, values: np.ndarray):
     return values if strategy.reads_values else encode_values(state, values)
 
 
-def _evaluate(state, test, ood, shifted_tests, strategy, ctx, seed, t) -> dict:
-    """The model's metrics under ``state``: the ``IterationReport`` fields it measures.
+def _evaluate(state, test, ood, strategy, ctx, seed, t) -> dict:
+    """The model's test-set and OOD metrics under ``state``: the ``IterationReport``
+    fields it measures, but ``per_shift`` and ``mce``, which ``_evaluate_shifts``
+    measures after the last iteration.
 
     The test set is encoded once, and so is the OOD set unless the strategy reads
     raw values. OOD AUROC ranks both sets by the strategy's own score, turned so
-    that higher means more OOD; ``mce`` is the plain mean error over the shifts.
+    that higher means more OOD.
     """
     def own_scores(x, tag):
         scores, _ = strategy.score(state, x, replace(ctx, bald_seed=_derived_seed(seed, tag, t)))
@@ -400,20 +422,9 @@ def _evaluate(state, test, ood, shifted_tests, strategy, ctx, seed, t) -> dict:
     auroc_ood = None
     if ood is not None and ood.n > 0:
         in_scores = own_scores(test.values if strategy.reads_values else z_test, "ood-in")
-        del z_test  # not held while the OOD and shifted sets are encoded
+        del z_test  # not held while the OOD set is encoded
         out_scores = own_scores(scorer_input(strategy, state, ood.values), "ood-out")
         auroc_ood = auroc(in_scores, out_scores)
-
-    per_shift = []
-    for spec, shifted in shifted_tests:
-        probs = predict_proba_from_features(state, encode_values(state, shifted.values))
-        per_shift.append({
-            "kind": spec.kind,
-            "intensity": spec.intensity,
-            "magnitude": spec.magnitude,
-            "accuracy": accuracy(probs, shifted.labels),
-            "ece": ece(probs, shifted.labels),
-        })
 
     return {
         "accuracy": accuracy(test_probs, test.labels),
@@ -421,6 +432,28 @@ def _evaluate(state, test, ood, shifted_tests, strategy, ctx, seed, t) -> dict:
         "nll": nll(test_probs, test.labels),
         "brier": brier(test_probs, test.labels),
         "auroc_ood": auroc_ood,
-        "mce": mce([1.0 - cell["accuracy"] for cell in per_shift]) if per_shift else None,
-        "per_shift": per_shift,
     }
+
+
+def _evaluate_shifts(states: list[ModelState], test: FeatureMatrix,
+                     shifts: list[ShiftSpec]) -> list[dict]:
+    """Each state's ``per_shift`` and ``mce``: the plain mean error over the shifts.
+
+    Each shifted copy of ``test`` is built once, measured under every state,
+    and dropped before the next is built.
+    """
+    per_shift: list[list[dict]] = [[] for _ in states]
+    for spec in shifts:
+        shifted = apply_shift(test, spec, SHIFT_SEED)
+        for state, cells in zip(states, per_shift):
+            probs = predict_proba_from_features(state, encode_values(state, shifted.values))
+            cells.append({
+                "kind": spec.kind,
+                "intensity": spec.intensity,
+                "magnitude": spec.magnitude,
+                "accuracy": accuracy(probs, shifted.labels),
+                "ece": ece(probs, shifted.labels),
+            })
+        del shifted
+    return [{"mce": mce([1.0 - cell["accuracy"] for cell in cells]) if cells else None,
+             "per_shift": cells} for cells in per_shift]

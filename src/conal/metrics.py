@@ -8,6 +8,7 @@ The metric functions are pure; ``write_jsonl``, ``write_reports_jsonl`` and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -170,7 +171,8 @@ def write_reports_jsonl(reports: list[IterationReport], path) -> None:
 def read_reports_jsonl(path) -> list[dict]:
     """The rows of a ``report.jsonl``. A DataError unless there is at least one, each a JSON
     object holding every ``IterationReport`` field, with an integer ``iteration`` and each
-    curve metric a number or null."""
+    curve metric a finite number or null: ``json`` reads ``NaN`` and ``Infinity``, which
+    are not JSON, as floats."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [json.loads(line) for line in fh if line.strip()]
@@ -183,7 +185,9 @@ def read_reports_jsonl(path) -> list[dict]:
     for row in rows:
         for name in ("iteration",) + CURVE_METRICS:
             kinds = int if name == "iteration" else (int, float, type(None))
-            if isinstance(row[name], bool) or not isinstance(row[name], kinds):
-                raise DataError(f"{path}: {name} is {row[name]!r}, not "
-                                + ("an integer" if kinds is int else "a number or null"))
+            value = row[name]
+            if (isinstance(value, bool) or not isinstance(value, kinds)
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise DataError(f"{path}: {name} is {value!r}, not "
+                                + ("an integer" if kinds is int else "a finite number or null"))
     return rows

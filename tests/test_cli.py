@@ -473,14 +473,19 @@ class TestReport:
 
     @pytest.mark.parametrize("bad, code", [("none", 0), ("truncated_line", 3),
                                            ("missing_metric", 3), ("empty", 3),
-                                           ("cell_name", 3), ("metric_not_number", 3)])
-    def test_malformed_run_dir(self, tmp_path, bad, code):
+                                           ("cell_name", 3), ("metric_not_number", 3),
+                                           ("metric_nan", 3), ("metric_infinity", 3)])
+    def test_malformed_run_dir(self, tmp_path, bad, code, capsys):
         row = IterationReport(1, 20, 0.5, 0.1, 1.0, 0.5, 0.1, None, None).to_dict()
         name = "featuresim_seed0"
         if bad == "missing_metric":
             del row["accuracy"]
         elif bad == "metric_not_number":
             row["accuracy"] = "x"
+        elif bad == "metric_nan":
+            row["ece"] = float("nan")  # json.dumps writes NaN, which is not JSON
+        elif bad == "metric_infinity":
+            row["accuracy"] = float("inf")  # and Infinity
         elif bad == "cell_name":
             name = "featuresim_seedX"
         text = json.dumps(row) + "\n"
@@ -494,6 +499,9 @@ class TestReport:
         (tmp_path / "run" / "manifest.cfg").write_text(
             "run.strategies = featuresim\nrun.seeds = 0\n")
         assert main(["report", str(tmp_path / "run")]) == code
+        if bad.startswith("metric_"):
+            field = {"metric_nan": "ece"}.get(bad, "accuracy")
+            assert f"report.jsonl: {field} is" in capsys.readouterr().err
 
 
 class TestScore:

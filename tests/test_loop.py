@@ -3,7 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conal.data import (DatasetSpec, FeatureMatrix, ShiftSpec, apply_shift,
+from conal.data import (SHIFT_KINDS, DatasetSpec, FeatureMatrix, ShiftSpec, apply_shift,
                         balanced_test_spec, generate_mixture, generate_ood)
 from conal.errors import ConfigError, DataError, UsageError
 from conal.loop import (LoopConfig, Oracle, PoolState, _worker_count, run_active_learning,
@@ -29,6 +29,11 @@ def small_setup(rho=8.0, n0=120, d=8, k=4, sep=4.0, seed=0):
 def quick_loop(strategy="random", budget=60, m=20, subset=80, seed=0, **kw):
     return LoopConfig(budget=budget, acquisition_size=m, subset_size=subset,
                       strategy=strategy, seed=seed, tau=3, **kw)
+
+
+def _history(pool_state):
+    """The ids each iteration acquired, in acquisition order."""
+    return [pool_state.universe[rows].tolist() for rows in pool_state.batches]
 
 
 class TestOracle:
@@ -112,7 +117,7 @@ class TestPoolBookkeeping:
         pool, test, model = small_setup()
         result = run_active_learning(pool, test, model, quick_loop("entropy"),
                                      shifts=[])
-        for report, batch in zip(result.reports, result.pool.history):
+        for report, batch in zip(result.reports, _history(result.pool)):
             assert len(batch) == 20
             assert report.labeled_count == report.iteration * 20
 
@@ -120,7 +125,7 @@ class TestPoolBookkeeping:
         pool, test, model = small_setup()
         result = run_active_learning(pool, test, model, quick_loop("featuresim"),
                                      shifts=[])
-        flat = [sid for batch in result.pool.history for sid in batch]
+        flat = [sid for batch in _history(result.pool) for sid in batch]
         assert len(flat) == len(set(flat))
 
     def test_acquire_rejects_duplicates(self):
@@ -167,7 +172,7 @@ class TestPoolBookkeeping:
                                     shifts=shifts) for p in (pool, permuted, reversed_rows)]
         # generate_mixture's ids ascend with its rows, so that pool is used as given
         assert np.shares_memory(runs[0].pool.universe, pool.ids)
-        assert runs[0].pool.history == runs[1].pool.history == runs[2].pool.history
+        assert _history(runs[0].pool) == _history(runs[1].pool) == _history(runs[2].pool)
         assert runs[0].reports == runs[1].reports == runs[2].reports
 
     def test_int_ids_report_as_their_str_twin(self, tmp_path):
@@ -179,7 +184,7 @@ class TestPoolBookkeeping:
                                       quick_loop("featuresim"),
                                       shifts=[ShiftSpec("feature_scale", 2)])
             write_reports_jsonl(run.reports, tmp_path / f"{name}.jsonl")
-            reports.append(((tmp_path / f"{name}.jsonl").read_bytes(), run.pool.history))
+            reports.append(((tmp_path / f"{name}.jsonl").read_bytes(), _history(run.pool)))
         assert reports[0] == reports[1]
         assert all(isinstance(sid, str) for sid in reports[0][1][0])
 
@@ -194,6 +199,37 @@ class TestWorkerCount:
         assert _worker_count(4) == min(4, os.cpu_count())
 
 
+class TestRunCells:
+    @pytest.mark.parametrize("workers", [2, 1], ids=["forked", "one_worker"])
+    def test_results_hold_the_parents_sorted_ids(self, monkeypatch, workers):
+        """Every result's ``pool.universe`` is the one id-sorted array the parent
+        holds, a forked worker's too, and the results match the one-worker path's."""
+        import conal.loop as loop_mod
+        from conal.loop import run_cells
+
+        pool, test, model = small_setup()
+        pool = pool.take(np.random.default_rng(3).permutation(pool.n))  # ids do not ascend
+        cells = [quick_loop("entropy"), quick_loop("featuresim", seed=1),
+                 quick_loop("random", seed=2)]
+        shifts = [ShiftSpec("additive_gaussian", 3)]
+        monkeypatch.setattr(loop_mod, "_worker_count", lambda n: workers)
+        results = list(run_cells(pool, test, model, cells, shifts=shifts))
+        monkeypatch.undo()
+        expected = [run_active_learning(pool, test, model, cell, shifts=shifts)
+                    for cell in cells]
+
+        universe = results[0].pool.universe
+        np.testing.assert_array_equal(universe, np.sort(pool.ids))
+        for result, direct in zip(results, expected):
+            assert result.pool.universe is universe
+            assert _history(result.pool) == _history(direct.pool)
+            assert result.reports == direct.reports
+            params = ("wc", "bc", *direct.final_state.encoder_projection_params())
+            for name in params:
+                np.testing.assert_array_equal(getattr(result.final_state, name),
+                                              getattr(direct.final_state, name))
+
+
 class TestDeterminism:
     def test_identical_history_across_runs(self):
         pool, test, model = small_setup()
@@ -201,7 +237,7 @@ class TestDeterminism:
                                 shifts=[])
         b = run_active_learning(pool, test, model, quick_loop("random", seed=3),
                                 shifts=[])
-        assert a.pool.history == b.pool.history
+        assert _history(a.pool) == _history(b.pool)
         for ra, rb in zip(a.reports, b.reports):
             assert ra.accuracy == rb.accuracy
             assert ra.sampling_bias == rb.sampling_bias
@@ -212,14 +248,14 @@ class TestDeterminism:
             s: run_active_learning(pool, test, model, quick_loop(s, seed=5), shifts=[])
             for s in ("random", "entropy", "featuresim")
         }
-        first = {s: r.pool.history[0] for s, r in runs.items()}
+        first = {s: _history(r.pool)[0] for s, r in runs.items()}
         assert first["random"] == first["entropy"] == first["featuresim"]
 
     def test_seed_changes_history(self):
         pool, test, model = small_setup()
         a = run_active_learning(pool, test, model, quick_loop("random", seed=0), shifts=[])
         b = run_active_learning(pool, test, model, quick_loop("random", seed=1), shifts=[])
-        assert a.pool.history != b.pool.history
+        assert _history(a.pool) != _history(b.pool)
 
     def test_run_result_pickle_round_trip(self):
         pool, test, model = small_setup()
@@ -228,7 +264,7 @@ class TestDeterminism:
         assert copy.reports == result.reports
         assert len(result.query_wall_ms) == len(result.reports)
         assert copy.query_wall_ms == result.query_wall_ms
-        assert copy.pool.history == result.pool.history
+        assert _history(copy.pool) == _history(result.pool)
         np.testing.assert_array_equal(copy.pool.labeled, result.pool.labeled)
         for name, value in result.final_state.encoder_projection_params().items():
             np.testing.assert_array_equal(getattr(copy.final_state, name), value)
@@ -253,7 +289,7 @@ class TestBudgetEdges:
         result = run_active_learning(pool, test, model, config, shifts=[])
         assert result.reports[-1].truncated
         assert len(result.pool.labeled_ids) == 100
-        assert len(result.pool.history[-1]) == 20  # the partial remainder
+        assert len(_history(result.pool)[-1]) == 20  # the partial remainder
 
 
 class TestRepeatedValues:
@@ -317,7 +353,7 @@ class TestReports:
             config = quick_loop("entropy", force_per_class=True)
         result = run_active_learning(pool, test, model, config, shifts=[])
         label_of = dict(zip(pool.ids.tolist(), pool.labels.tolist()))
-        batch_labels = [np.array([label_of[i] for i in ids]) for ids in result.pool.history]
+        batch_labels = [np.array([label_of[i] for i in ids]) for ids in _history(result.pool)]
         assert len(result.reports) == len(batch_labels)
         assert result.reports[-1].truncated == (run == "past_the_pool")
         for t, report in enumerate(result.reports, start=1):
@@ -330,7 +366,9 @@ class TestReports:
 
     @pytest.mark.parametrize("strategy", ["bald", "featuresim", "fre"])
     def test_evaluate_reproduces_the_last_report(self, strategy):
-        from conal.loop import SHIFT_SEED, _evaluate, scoring_context
+        """``_evaluate`` on the final model gives the last report's test and OOD
+        metrics, and ``_evaluate_shifts`` its ``per_shift`` and ``mce``."""
+        from conal.loop import _evaluate, _evaluate_shifts, scoring_context
         from conal.strategies import get_strategy
 
         pool, test, model = small_setup()
@@ -341,14 +379,16 @@ class TestReports:
         result = run_active_learning(pool, test, model, config, ood=ood, shifts=shifts)
 
         state, info = result.final_state, get_strategy(strategy)
+        assert state.train_features is None  # dropped once the scoring context held them
         by_id = pool.take(np.argsort(pool.ids))
         np.testing.assert_array_equal(by_id.ids, result.pool.universe)
         ctx = scoring_context(info, state, by_id.take(result.pool.labeled_rows),
-                              tau=config.tau, feats=state.train_features)
-        shifted_tests = [(s, apply_shift(test, s, SHIFT_SEED)) for s in shifts]
+                              tau=config.tau)
         last = result.reports[-1]
-        metrics = _evaluate(state, test, ood, shifted_tests, info, ctx, config.seed,
-                            last.iteration)
+        metrics = _evaluate(state, test, ood, info, ctx, config.seed, last.iteration)
+        [on_shifts] = _evaluate_shifts([state], test, shifts)
+        assert not metrics.keys() & on_shifts.keys()
+        metrics.update(on_shifts)
         assert sorted(metrics) == sorted(MODEL_FIELDS)
         assert metrics == {name: getattr(last, name) for name in MODEL_FIELDS}
 
@@ -427,8 +467,8 @@ class TestModes:
         forced = run_active_learning(pool, test, model,
                                      quick_loop("entropy", force_per_class=True),
                                      shifts=[])
-        assert base.pool.history[0] == forced.pool.history[0]
-        assert base.pool.history[1:] != forced.pool.history[1:]
+        assert _history(base.pool)[0] == _history(forced.pool)[0]
+        assert _history(base.pool)[1:] != _history(forced.pool)[1:]
 
     def test_loss_override(self):
         pool, test, model = small_setup()
@@ -481,6 +521,31 @@ class TestShiftedTestSets:
             assert len(values) == 3
             assert all(np.array_equal(values[0], other) for other in values[1:])
             assert not np.array_equal(values[0], test.values)
+
+    def test_one_shifted_set_is_held_at_a_time(self, monkeypatch):
+        """Each shifted set is built once per cell, and the sets built before it
+        are gone by then, all but at most the one just used."""
+        import gc
+        import weakref
+
+        import conal.loop as loop_mod
+
+        pool, test, model = small_setup()
+        shifts = [ShiftSpec(kind, 2) for kind in SHIFT_KINDS]
+        built, alive_at_build = [], []
+
+        def tracked(data, spec, seed):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            shifted = apply_shift(data, spec, seed)
+            built.append(weakref.ref(shifted))
+            return shifted
+
+        monkeypatch.setattr(loop_mod, "apply_shift", tracked)
+        result = run_active_learning(pool, test, model, quick_loop("entropy"), shifts=shifts)
+        assert len(alive_at_build) == len(shifts)
+        assert max(alive_at_build) <= 1, f"earlier sets alive at each build: {alive_at_build}"
+        assert [len(r.per_shift) for r in result.reports] == [len(shifts)] * 3
 
 
 class TestScoringContext:
