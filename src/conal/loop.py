@@ -185,10 +185,9 @@ def run_active_learning(pool: FeatureMatrix, test: FeatureMatrix,
     ``pool`` must carry ground-truth labels (they are revealed by the
     simulated oracle as batches are acquired); ``test`` is the labeled
     evaluation set. ``shifts`` defaults to the full 4-kind x 5-intensity
-    suite evaluated on shifted copies of ``test``. Each iteration's model is
-    kept, without its ``train_features``, until the last iteration has run;
-    then each shifted copy is built once and every model's ``per_shift`` and
-    ``mce`` are measured on it, so the copies are never held together.
+    suite evaluated on shifted copies of ``test``: ``per_shift`` and ``mce`` are
+    measured after the last iteration, on each iteration's model, kept without
+    its ``train_features``.
     """
     if test.labels is None:
         raise DataError("test set must be labeled")
@@ -272,15 +271,14 @@ def run_cells(pool: FeatureMatrix, test: FeatureMatrix, model_config: ModelConfi
     Yields one entry per cell, in cell order, as soon as that cell and every
     earlier one have finished: the cell's ``RunResult``, or the exception it
     raised. Every cell runs, whichever fail, and no yielded entry is kept
-    here. The pool is sorted by id here, once, so every result's
-    ``pool.universe`` is this sorted pool's ``ids``. With one worker each cell
+    here. The pool is sorted by id once, here: every result's
+    ``pool.universe`` is that sorted pool's ``ids``. With one worker each cell
     runs here when it is asked for. With more, they run in worker processes
     forked from this one, one cell per task. A worker inherits the inputs and
-    the BLAS thread count instead of receiving a pickled copy; it sends its
-    result back without the ids, which are put back here, and a cell's
-    exception comes back with its own type. Closing the generator early
-    cancels the cells not yet started and waits for the running ones, so no
-    worker outlives it.
+    the BLAS thread count instead of receiving a pickled copy, sends its
+    result back without the pool's ids, and a cell's exception comes back
+    with its own type. Closing the generator early cancels the cells not yet
+    started and waits for the running ones, so no worker outlives it.
     """
     pool = _id_sorted(pool)
     workers = _worker_count(len(cells))
